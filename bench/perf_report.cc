@@ -779,9 +779,9 @@ PrecisionReport BenchPrecisionTiers(const PerfConfig& config) {
 // against the exhaustive result — so the rows measure how many
 // candidate tiles the Cauchy–Schwarz bounds prove irrelevant and what
 // that saves in table bandwidth. The rank path (CountTailsAbove, the
-// evaluator's primitive) and the top-k path (TopKTailsInRange, the
-// serving reduction) are timed separately; the top-k path adds a
-// sharded row to pin the shard-count invariance at scale.
+// evaluator's primitive) and the top-k path (TopKWalk, the serving
+// reduction) are timed separately; the top-k path adds a multi-lane row
+// to pin the lane-count invariance at scale.
 
 // A trained-like model for the scale tiers without paying a 1M-entity
 // training run: Xavier init, then entity norms rescaled to decay with
@@ -954,56 +954,34 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
     }
   }
 
-  // ---- Top-k path: TopKTailsInRange, exhaustive vs pruned vs sharded ----
+  // ---- Top-k path: TopKWalk, exhaustive vs pruned vs multi-lane ----
   TopKHeap<float, EntityId> ex_heap;
   TopKHeap<float, EntityId> pr_heap;
-  TopKHeap<float, EntityId> merged;
-  TopKHeap<float, EntityId> prime_heap;
-  std::vector<TopKHeap<float, EntityId>> shard_heaps(
-      static_cast<size_t>(shards));
+  TopKHeap<float, EntityId> laned_heap;
   ex_heap.Reserve(int(k));
   pr_heap.Reserve(int(k));
-  merged.Reserve(int(k));
-  prime_heap.Reserve(int(k));
-  for (auto& heap : shard_heaps) heap.Reserve(int(k));
-
-  const auto topk_pass = [&](bool prune, TopKHeap<float, EntityId>* heap,
-                             int64_t q, RankScanStats* stats) {
+  laned_heap.Reserve(int(k));
+  std::vector<float> fold(model->FoldWidth());
+  TopKWalkScratch scratch;
+  // One query walked lane by lane into one heap, as PredictTails runs
+  // it; `lanes` > 1 is the multi-lane row.
+  const auto topk_pass = [&](bool prune, int lanes,
+                             TopKHeap<float, EntityId>* heap, int64_t q,
+                             RankScanStats* stats) {
+    TopKWalkBatch batch;
+    batch.relation = rels[size_t(q)];
+    batch.anchors = std::span<const EntityId>(&heads[size_t(q)], 1);
+    model->FoldQueries(batch.side, batch.relation, batch.anchors, fold);
+    batch.folds = fold;
+    batch.precision = precision;
+    batch.prune = prune;
     heap->ResetCapacity(int(k));
-    model->TopKTailsInRange(heads[size_t(q)], rels[size_t(q)], 0,
-                            EntityId(n), no_excluded, precision, prune, heap,
-                            stats);
+    for (int lane = 0; lane < lanes; ++lane) {
+      model->TopKWalk(batch, lane, lanes, std::span(heap, 1), &scratch, stats);
+    }
   };
-  // The sharded pass mirrors the serving reduction: per-shard heaps can
-  // only prune against their own minima, so prime a shared floor from
-  // an exhaustive scan of the first k candidates before fanning out.
   const auto sharded_pass = [&](int64_t q, RankScanStats* stats) {
-    float floor = 0.0f;
-    bool have_floor = false;
-    const int64_t prime_end = std::min<int64_t>(
-        int64_t(n),
-        std::max<int64_t>(int64_t(k), int64_t(KgeModel::kPrunePrimePrefix)));
-    if (prime_end < int64_t(n)) {
-      prime_heap.ResetCapacity(int(k));
-      model->TopKTailsInRange(heads[size_t(q)], rels[size_t(q)], 0,
-                              EntityId(prime_end), no_excluded, precision,
-                              false, &prime_heap, stats);
-      if (prime_heap.full()) {
-        floor = prime_heap.WorstScore();
-        have_floor = true;
-      }
-    }
-    merged.ResetCapacity(int(k));
-    for (int s = 0; s < shards; ++s) {
-      shard_heaps[size_t(s)].ResetCapacity(int(k));
-      if (have_floor) shard_heaps[size_t(s)].SetPruneFloor(floor);
-      model->TopKTailsInRange(heads[size_t(q)], rels[size_t(q)],
-                              ShardBegin(EntityId(n), shards, s),
-                              ShardBegin(EntityId(n), shards, s + 1),
-                              no_excluded, precision, true,
-                              &shard_heaps[size_t(s)], stats);
-      merged.MergeFrom(shard_heaps[size_t(s)]);
-    }
+    topk_pass(true, shards, &laned_heap, q, stats);
   };
   const auto same_entries = [](std::span<const TopKHeap<float, EntityId>::Entry>
                                    a,
@@ -1021,18 +999,18 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
   // Correctness sweep (untimed): pruned and sharded-pruned must return
   // exactly the exhaustive top-k for every query. Also warms scratch.
   for (int64_t q = 0; q < num_queries; ++q) {
-    topk_pass(false, &ex_heap, q, &topk_stats);
-    topk_pass(true, &pr_heap, q, &topk_stats);
+    topk_pass(false, 1, &ex_heap, q, &topk_stats);
+    topk_pass(true, 1, &pr_heap, q, &topk_stats);
     sharded_pass(q, &topk_stats);
     if (!same_entries(ex_heap.TakeSorted(), pr_heap.TakeSorted()) ||
-        !same_entries(ex_heap.TakeSorted(), merged.TakeSorted())) {
+        !same_entries(ex_heap.TakeSorted(), laned_heap.TakeSorted())) {
       tier.topk.bit_identical = false;
     }
   }
 
   sw.Restart();
   for (int64_t q = 0; q < num_queries; ++q) {
-    topk_pass(false, &ex_heap, q, &topk_stats);
+    topk_pass(false, 1, &ex_heap, q, &topk_stats);
   }
   const double topk_ex_seconds = sw.ElapsedSeconds();
 
@@ -1043,7 +1021,7 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
 #endif
   sw.Restart();
   for (int64_t q = 0; q < num_queries; ++q) {
-    topk_pass(true, &pr_heap, q, &topk_stats);
+    topk_pass(true, 1, &pr_heap, q, &topk_stats);
   }
   const double topk_pr_seconds = sw.ElapsedSeconds();
 #if KGE_COUNT_ALLOCS
@@ -1569,20 +1547,26 @@ ServingReport BenchServing(const PerfConfig& config) {
 }
 
 // ---- Serving at scale (§5h) ------------------------------------------------
-// The kge_serve reduction at the --scale presets with the sharded +
-// pruned top-k enabled: direct (no-socket) submissions against a
-// bounds-prepared snapshot of the same trained-like skewed model,
-// per-query latency percentiles, and the batcher's tile counters.
+// The kge_serve reduction at the --scale presets with the multi-lane
+// pruned walk enabled: direct (no-socket) submissions against a
+// bounds-prepared snapshot of the same trained-like skewed model, in
+// rounds of `concurrent` queries (one at a time, and 4 sharing one
+// batcher group so batches hold several queries), with round latency
+// percentiles, the batcher's tile counters, and an untimed check of the
+// first rounds against the exhaustive single-lane top-k.
 
 struct ServeScaleRow {
   int64_t entities = 0;
+  int concurrent = 1;
   int64_t queries = 0;
+  // Wall time of a round: first submit to last reply.
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double qps = 0.0;
   double tiles_skipped_frac = 0.0;
   double effective_gb_per_s = 0.0;
   double allocs_per_query = -1.0;  // -1 = sanitized build
+  bool bit_identical = false;
 };
 
 struct ServeScaleReport {
@@ -1594,10 +1578,13 @@ struct ServeScaleReport {
 };
 
 ServeScaleRow BenchServeScaleTier(const PerfConfig& config, int64_t entities,
-                                  uint32_t k, int shards) {
+                                  uint32_t k, int shards, int concurrent) {
   ServeScaleRow row;
   row.entities = entities;
-  row.queries = config.scale_serve_queries;
+  row.concurrent = concurrent;
+  const int64_t rounds =
+      std::max<int64_t>(config.scale_serve_queries / concurrent, 1);
+  row.queries = rounds * concurrent;
   const int32_t dim = int32_t(config.dim_budget);
 
   std::unique_ptr<MultiEmbeddingModel> model =
@@ -1612,6 +1599,8 @@ ServeScaleRow BenchServeScaleTier(const PerfConfig& config, int64_t entities,
     snapshot->model = std::move(model);
     registry.Publish(std::move(snapshot));
   }
+  const std::shared_ptr<const ModelSnapshot> snapshot = registry.Acquire();
+  const KgeModel& served = *snapshot->model;
 
   BatcherOptions options;
   options.default_deadline_ms = kServeMaxDeadlineMs;
@@ -1620,32 +1609,59 @@ ServeScaleRow BenchServeScaleTier(const PerfConfig& config, int64_t entities,
   MicroBatcher batcher(&registry, options);
   batcher.Start();
 
-  ServeWaiter waiter;
-  ServeRequest request;
-  request.side = QuerySide::kTail;
-  request.k = k;
+  std::vector<ServeWaiter> waiters(static_cast<size_t>(concurrent));
+  std::vector<ServeRequest> requests(static_cast<size_t>(concurrent));
   Rng rng(29);
-  for (int64_t q = 0; q < 16; ++q) {  // warm the scratch high-water mark
-    request.entity = EntityId(rng.NextBounded(uint64_t(entities)));
-    request.relation = RelationId(rng.NextBounded(8));
-    batcher.Submit(request, &ServeWaiter::OnReply, &waiter);
-    KGE_CHECK(waiter.Await() == ServeStatusCode::kOk);
+  // One round: `concurrent` queries of one (relation, side) group in
+  // flight together.
+  const auto run_round = [&] {
+    const RelationId relation = RelationId(rng.NextBounded(8));
+    for (int c = 0; c < concurrent; ++c) {
+      ServeRequest& request = requests[size_t(c)];
+      request.side = QuerySide::kTail;
+      request.k = k;
+      request.relation = relation;
+      request.entity = EntityId(rng.NextBounded(uint64_t(entities)));
+      batcher.Submit(request, &ServeWaiter::OnReply, &waiters[size_t(c)]);
+    }
+    for (ServeWaiter& waiter : waiters) {
+      KGE_CHECK(waiter.Await() == ServeStatusCode::kOk);
+    }
+  };
+  // Untimed: the first rounds against the exhaustive single-lane walk,
+  // which also warms every lane's scratch to its high-water mark.
+  TopKOptions exhaustive;
+  exhaustive.k = int(k);
+  row.bit_identical = true;
+  for (int round = 0; round < 4; ++round) {
+    run_round();
+    for (int c = 0; c < concurrent; ++c) {
+      const ServeRequest& request = requests[size_t(c)];
+      const std::vector<ScoredEntity> expect = PredictTails(
+          served, request.entity, request.relation, exhaustive);
+      ServeWaiter& waiter = waiters[size_t(c)];
+      MutexLock lock(waiter.mutex);
+      if (waiter.results.size() != expect.size()) row.bit_identical = false;
+      for (size_t i = 0; i < expect.size() && row.bit_identical; ++i) {
+        if (waiter.results[i].entity != expect[i].entity ||
+            waiter.results[i].score != expect[i].score) {
+          row.bit_identical = false;
+        }
+      }
+    }
   }
 
+  std::vector<double> latencies;
+  latencies.reserve(size_t(rounds));
   const BatcherStatsView before = batcher.stats();
 #if KGE_COUNT_ALLOCS
   const uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
 #endif
-  std::vector<double> latencies;
-  latencies.reserve(size_t(row.queries));
   Stopwatch total;
-  for (int64_t q = 0; q < row.queries; ++q) {
-    request.entity = EntityId(rng.NextBounded(uint64_t(entities)));
-    request.relation = RelationId(rng.NextBounded(8));
+  for (int64_t round = 0; round < rounds; ++round) {
     Stopwatch sw;
-    batcher.Submit(request, &ServeWaiter::OnReply, &waiter);
-    KGE_CHECK(waiter.Await() == ServeStatusCode::kOk);
+    run_round();
     latencies.push_back(sw.ElapsedSeconds() * 1e3);
   }
   const double seconds = total.ElapsedSeconds();
@@ -1674,8 +1690,10 @@ ServeScaleReport BenchServingScale(const PerfConfig& config) {
   ServeScaleReport report;
   report.dim = config.dim_budget;
   for (const int64_t entities : ScaleTierEntities(config)) {
-    report.rows.push_back(
-        BenchServeScaleTier(config, entities, report.topk, report.shards));
+    for (const int concurrent : {1, 4}) {
+      report.rows.push_back(BenchServeScaleTier(
+          config, entities, report.topk, report.shards, concurrent));
+    }
   }
   return report;
 }
@@ -1984,6 +2002,7 @@ std::string BuildServingJson(const PerfConfig& config,
   for (size_t i = 0; i < scaling.rows.size(); ++i) {
     const ServeScaleRow& r = scaling.rows[i];
     out << "        {\"entities\": " << r.entities
+        << ", \"concurrent\": " << r.concurrent
         << ", \"queries\": " << r.queries
         << ", \"p50_ms\": " << JsonNumber(r.p50_ms)
         << ", \"p99_ms\": " << JsonNumber(r.p99_ms)
@@ -1997,7 +2016,8 @@ std::string BuildServingJson(const PerfConfig& config,
     } else {
       out << JsonNumber(r.allocs_per_query);
     }
-    out << "}" << (i + 1 < scaling.rows.size() ? "," : "") << "\n";
+    out << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false")
+        << "}" << (i + 1 < scaling.rows.size() ? "," : "") << "\n";
   }
   out << "      ]\n";
   out << "    }\n";
@@ -2173,10 +2193,11 @@ int Run(int argc, char** argv) {
   KGE_LOG(Info) << "benchmarking serving at scale (shards + prune)...";
   const ServeScaleReport serve_scaling = BenchServingScale(config);
   for (const ServeScaleRow& row : serve_scaling.rows) {
-    KGE_LOG(Info) << "  E=" << row.entities << ": p50=" << row.p50_ms
-                  << " ms, p99=" << row.p99_ms << " ms, " << row.qps
-                  << " qps, tiles skipped "
-                  << row.tiles_skipped_frac * 100.0 << "%";
+    KGE_LOG(Info) << "  E=" << row.entities << " x" << row.concurrent
+                  << ": p50=" << row.p50_ms << " ms, p99=" << row.p99_ms
+                  << " ms, " << row.qps << " qps, tiles skipped "
+                  << row.tiles_skipped_frac * 100.0 << "%, "
+                  << (row.bit_identical ? "bit-identical" : "MISMATCH");
   }
 
   const std::string json = BuildJson(config, kernels, ranking, eval);

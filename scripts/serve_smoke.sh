@@ -2,6 +2,8 @@
 # End-to-end smoke test for the serving layer (kge_serve + kge_query).
 #
 # The script
+#   0. checks that zero-sized --workers/--max-queue/--max-batch/--shards
+#      are usage errors (exit 2), not aborts,
 #   1. trains a small model with durable checkpoints (ckpt_*.kge2 +
 #      LATEST pointer),
 #   2. serves an older checkpoint and answers a query over TCP,
@@ -37,6 +39,18 @@ cleanup() {
   rm -rf "${WORK_DIR}"
 }
 trap cleanup EXIT
+
+echo "== zero-sized flags are usage errors =="
+for flag in --workers=0 --max-queue=0 --max-batch=0 --shards=0; do
+  status=0
+  "${SERVE}" --checkpoint="${WORK_DIR}/none.kge2" "${flag}" \
+      > /dev/null 2> "${WORK_DIR}/usage.log" || status=$?
+  if [[ "${status}" != 2 ]] || ! grep -q "must be >= 1" "${WORK_DIR}/usage.log"; then
+    echo "serve_smoke: kge_serve ${flag} exited ${status}, want a usage error (2)" >&2
+    cat "${WORK_DIR}/usage.log" >&2
+    exit 1
+  fi
+done
 
 CKPTS="${WORK_DIR}/ckpts"
 MODEL_ARGS=(--model=complex --generate=wordnet --entities=300
@@ -130,7 +144,7 @@ await_snapshot 1
 "${QUERY}" --port="${PORT}" --entity=1 --relation=0 --topk=5 \
     --expect-status=ok --quiet
 
-echo "== medium scale: 100k-entity snapshot, sharded + pruned top-10 =="
+echo "== medium scale: 100k-entity snapshot, 4-lane pruned top-10 =="
 kill "${SERVER_PID}" 2>/dev/null || true
 wait "${SERVER_PID}" 2>/dev/null || true
 SERVER_PID=""
@@ -166,12 +180,12 @@ if [[ -z "${PORT}" ]]; then
 fi
 # A single client must get top-10 answers back with OK status — no SHED
 # (admission control never binds at 1 client) and no DEADLINE (the
-# sharded + pruned reduction keeps a 100k-entity scan well inside the
-# 2 s budget).
+# 4-lane pruned walk keeps a 100k-entity scan well inside the 2 s
+# budget).
 "${QUERY}" --port="${PORT}" --entity=17 --relation=0 --topk=10 \
     --count=20 --expect-status=ok --quiet
-# Graceful stop prints the batcher counters; the sharded + pruned
-# reduction must have processed tiles through the full server stack.
+# Graceful stop prints the batcher counters; the 4-lane pruned walk
+# must have processed tiles through the full server stack.
 # (tiles_SKIPPED is not gated here: a one-epoch model has near-uniform
 # row norms, so bounds rarely prove a tile dead — skip effectiveness on
 # skewed models is gated by bench-smoke and the property tests.)
@@ -181,7 +195,7 @@ SERVER_PID=""
 TILES_TOTAL="$(sed -n 's/.*tiles_skipped=[0-9][0-9]*\/\([0-9][0-9]*\).*/\1/p' \
     "${WORK_DIR}/serve_medium.log" | head -n 1)"
 if [[ -z "${TILES_TOTAL}" || "${TILES_TOTAL}" == "0" ]]; then
-  echo "serve_smoke: sharded+pruned reduction never ran a range scan" >&2
+  echo "serve_smoke: the 4-lane pruned walk never scanned a tile" >&2
   cat "${WORK_DIR}/serve_medium.log" >&2
   exit 1
 fi

@@ -1,12 +1,12 @@
 // TopKHeap: the bounded top-k selector shared by offline prediction
 // (eval/topk.h), the online serving reduction (serve/micro_batcher.h),
-// and the sharded/pruned ranking scans (models/kge_model.h). It lives in
+// and the multi-query top-k walk (KgeModel::TopKWalk). It lives in
 // core/ — below both eval/ and models/ — so the model interface can take
 // a heap parameter without an include cycle.
 //
 // Ordering is deterministic: higher score first, ties broken by smaller
 // id. Because (score, id) is a strict total order, the top-k set over any
-// candidate stream is unique — which is what makes per-shard selection
+// candidate stream is unique — which is what makes per-lane selection
 // followed by MergeFrom return exactly the single-pass result regardless
 // of how the candidates were partitioned.
 #ifndef KGE_CORE_TOPK_HEAP_H_
@@ -54,8 +54,7 @@ class TopKHeap {
   }
 
   // Clears the heap and sets the number of entries to keep. Negative k
-  // is treated as 0. Grows the backing storage on first use only. Also
-  // drops any prune floor from the previous selection pass.
+  // is treated as 0. Grows the backing storage on first use only.
   void ResetCapacity(int k) {
     capacity_ = std::max(k, 0);
     if (entries_.size() < size_t(capacity_)) {
@@ -63,39 +62,20 @@ class TopKHeap {
       entries_.resize(size_t(capacity_));
     }
     size_ = 0;
-    has_floor_ = false;
-    floor_ = ScoreT{};
   }
 
   int capacity() const { return capacity_; }
   int size() const { return size_; }
   bool full() const { return size_ == capacity_; }
 
-  // The worst kept score (the heap root). Only meaningful when full():
-  // until the heap holds k entries every candidate is accepted, so there
-  // is no pruning threshold yet.
-  ScoreT WorstScore() const { return entries_[0].score; }
-
-  // Installs a global lower bound on the final k-th best score, letting
-  // bound-based scans skip candidate tiles even before this heap fills.
-  // This is what makes pruning effective for *sharded* selection: a
-  // shard heap's own minimum only reflects its shard, but the k-th best
-  // score of ANY >= k candidates (e.g. a primed prefix scan) lower-
-  // bounds the global k-th best, so tiles strictly below it can hold no
-  // final top-k member in any shard. Cleared by ResetCapacity.
-  void SetPruneFloor(ScoreT floor) {
-    floor_ = floor;
-    has_floor_ = true;
-  }
-
   // True when a tile whose scores are all <= `bound` cannot contribute
-  // to the final top-k: either the bound is strictly below the shared
-  // prune floor, or the heap is full and the bound is strictly below
-  // the current k-th best. Equality never skips — a candidate scoring
-  // exactly the threshold may still win its tie on smaller id.
+  // to this heap: it keeps nothing (k = 0), or it is full and the bound
+  // is strictly below the current k-th best. Equality never skips — a
+  // candidate scoring exactly the threshold may still win its tie on
+  // smaller id.
   KGE_HOT_NOALLOC
   bool CanSkipBound(double bound) const {
-    if (has_floor_ && bound < double(floor_)) return true;
+    if (capacity_ == 0) return true;
     return full() && bound < double(entries_[0].score);
   }
 
@@ -131,10 +111,10 @@ class TopKHeap {
     }
   }
 
-  // Merges another heap's kept entries into this one (the shard-merge
-  // step of sharded top-k). Because the (score, id) order is total, the
+  // Merges another heap's kept entries into this one (the lane-merge
+  // step of the top-k walk). Because the (score, id) order is total, the
   // merged result is exactly the top-k of the union — independent of
-  // shard count, shard boundaries, and merge order. Zero-alloc: only
+  // lane count, tile assignment, and merge order. Zero-alloc: only
   // PushCandidate on already-reserved storage.
   KGE_HOT_NOALLOC
   void MergeFrom(const TopKHeap& other) {
@@ -211,8 +191,6 @@ class TopKHeap {
   std::vector<Entry> entries_;
   int capacity_ = 0;
   int size_ = 0;
-  ScoreT floor_{};
-  bool has_floor_ = false;
 };
 
 }  // namespace kge

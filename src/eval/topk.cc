@@ -8,74 +8,37 @@
 namespace kge {
 namespace {
 
-// Runs the range-scoped top-k scan shard by shard (sequentially — this
-// is the offline convenience API; the serving layer runs the same scans
-// thread-per-shard) and merges deterministically. With num_shards == 1
-// and prune off this degenerates to one exhaustive pass, so the result
-// is identical for every option combination by the scan contract.
-std::vector<ScoredEntity> SelectTopK(
-    const KgeModel& model, EntityId query_entity, RelationId relation,
-    bool tails, std::span<const EntityId> excluded,
-    const TopKOptions& options) {
-  const int shards = std::max(options.num_shards, 1);
-  const EntityId num_entities = model.num_entities();
+// Runs the top-k walk lane by lane on this thread (the serving layer
+// runs the same lanes in parallel). The lanes share one heap, so each
+// lane prunes against everything the earlier lanes kept; the walk's
+// contract makes the result identical for every lane count and prune
+// setting.
+std::vector<ScoredEntity> SelectTopK(const KgeModel& model, QuerySide side,
+                                     EntityId anchor, RelationId relation,
+                                     std::span<const EntityId> excluded,
+                                     const TopKOptions& options) {
+  const int lanes = std::max(options.num_shards, 1);
   if (options.prune) {
     model.PrepareForPrunedScoring(ScorePrecision::kDouble);
   }
+  TopKWalkBatch batch;
+  batch.side = side;
+  batch.relation = relation;
+  batch.anchors = std::span<const EntityId>(&anchor, 1);
+  std::vector<float> fold(model.FoldWidth());
+  model.FoldQueries(side, relation, batch.anchors, fold);
+  batch.folds = fold;
+  batch.excluded = std::span<const std::span<const EntityId>>(&excluded, 1);
+  batch.prune = options.prune;
+  TopKWalkScratch scratch;
   RankScanStats stats;
-  TopKHeap<float, EntityId> merged(options.k);
-  TopKHeap<float, EntityId> shard_heap(options.k);
-  // Sharded + pruned: a shard heap's own minimum only reflects its
-  // shard, so prime a shared floor from an exhaustive prefix scan. The
-  // k-th best of any >= k candidates lower-bounds the global k-th best,
-  // so skipping tiles strictly below it stays exact. The prefix is
-  // padded by the excluded count so the heap still sees >= k admissible
-  // candidates.
-  float prune_floor = 0.0f;
-  bool have_floor = false;
-  if (options.prune && shards > 1) {
-    const int64_t prime_span =
-        std::max<int64_t>(options.k, int64_t(KgeModel::kPrunePrimePrefix)) +
-        int64_t(excluded.size());
-    const EntityId prime_end =
-        EntityId(std::min<int64_t>(int64_t(num_entities), prime_span));
-    shard_heap.ResetCapacity(options.k);
-    if (tails) {
-      model.TopKTailsInRange(query_entity, relation, 0, prime_end, excluded,
-                             ScorePrecision::kDouble, /*prune=*/false,
-                             &shard_heap, &stats);
-    } else {
-      model.TopKHeadsInRange(query_entity, relation, 0, prime_end, excluded,
-                             ScorePrecision::kDouble, /*prune=*/false,
-                             &shard_heap, &stats);
-    }
-    if (shard_heap.full()) {
-      prune_floor = shard_heap.WorstScore();
-      have_floor = true;
-    }
-  }
-  for (int s = 0; s < shards; ++s) {
-    const EntityId begin = ShardBegin(num_entities, shards, s);
-    const EntityId end = ShardBegin(num_entities, shards, s + 1);
-    TopKHeap<float, EntityId>* heap = shards == 1 ? &merged : &shard_heap;
-    if (shards != 1) {
-      shard_heap.ResetCapacity(options.k);
-      if (have_floor) shard_heap.SetPruneFloor(prune_floor);
-    }
-    if (tails) {
-      model.TopKTailsInRange(query_entity, relation, begin, end, excluded,
-                             ScorePrecision::kDouble, options.prune, heap,
-                             &stats);
-    } else {
-      model.TopKHeadsInRange(query_entity, relation, begin, end, excluded,
-                             ScorePrecision::kDouble, options.prune, heap,
-                             &stats);
-    }
-    if (shards != 1) merged.MergeFrom(shard_heap);
+  TopKHeap<float, EntityId> heap(options.k);
+  for (int lane = 0; lane < lanes; ++lane) {
+    model.TopKWalk(batch, lane, lanes, std::span(&heap, 1), &scratch, &stats);
   }
   std::vector<ScoredEntity> result;
-  result.reserve(size_t(merged.size()));
-  for (const auto& entry : merged.TakeSorted()) {
+  result.reserve(size_t(heap.size()));
+  for (const auto& entry : heap.TakeSorted()) {
     result.push_back({entry.entity, entry.score});
   }
   return result;
@@ -91,7 +54,8 @@ std::vector<ScoredEntity> PredictTails(const KgeModel& model, EntityId head,
       options.exclude_known != nullptr
           ? options.exclude_known->KnownTails(head, relation)
           : std::span<const EntityId>();
-  return SelectTopK(model, head, relation, /*tails=*/true, excluded, options);
+  return SelectTopK(model, QuerySide::kTail, head, relation, excluded,
+                    options);
 }
 
 std::vector<ScoredEntity> PredictHeads(const KgeModel& model, EntityId tail,
@@ -102,7 +66,7 @@ std::vector<ScoredEntity> PredictHeads(const KgeModel& model, EntityId tail,
       options.exclude_known != nullptr
           ? options.exclude_known->KnownHeads(tail, relation)
           : std::span<const EntityId>();
-  return SelectTopK(model, tail, relation, /*tails=*/false, excluded,
+  return SelectTopK(model, QuerySide::kHead, tail, relation, excluded,
                     options);
 }
 

@@ -3,11 +3,11 @@
 // excluding already-known triples (the "new facts only" mode a
 // recommender or completion UI wants).
 //
-// The selection core is `TopKHeap` (core/topk_heap.h), a reusable
-// fixed-size bounded heap (template over score/id type) shared by the
-// offline predictors below, the online serving layer in src/serve/, and
-// the sharded/pruned ranking scans. Ordering is deterministic: higher
-// score first, ties broken by smaller id.
+// Both predictors run the model's multi-query top-k walk
+// (KgeModel::TopKWalk) for a batch of one — the same walk the online
+// serving layer in src/serve/ runs per batch — and select with
+// `TopKHeap` (core/topk_heap.h). Ordering is deterministic: higher score
+// first, ties broken by smaller id.
 #ifndef KGE_EVAL_TOPK_H_
 #define KGE_EVAL_TOPK_H_
 
@@ -29,13 +29,15 @@ struct TopKOptions {
   // When non-null, entities forming known triples with the query are
   // excluded from the results.
   const FilterIndex* exclude_known = nullptr;
-  // Entity-table shards ranked independently and merged (values < 1 are
-  // treated as 1). The result is exactly shard-count invariant.
+  // Walk lanes: lane s ranks the entity-table tiles s, s + n, s + 2n, …
+  // (values < 1 are treated as 1). The lanes run one after another here,
+  // as the serving layer's parallel lanes would; the result is exactly
+  // lane-count invariant.
   int num_shards = 1;
   // Skip score tiles whose Cauchy–Schwarz upper bound cannot beat the
-  // current heap minimum. Exact: bounds are conservative, never
-  // approximate. Effective for models with a fold-then-dot scan
-  // (the trilinear family); others fall back to the exhaustive scan.
+  // heap's minimum. Exact: bounds are conservative, never
+  // approximate. Effective for models that fold (the trilinear family);
+  // others fall back to the exhaustive scan.
   bool prune = false;
 };
 

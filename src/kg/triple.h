@@ -11,6 +11,11 @@ namespace kge {
 using EntityId = int32_t;
 using RelationId = int32_t;
 
+// Which end of a partial triple a ranking query completes: kTail ranks
+// candidate tails for (head, ?, relation), kHead candidate heads for
+// (?, tail, relation). The values are the serve protocol's wire codes.
+enum class QuerySide : uint8_t { kTail = 0, kHead = 1 };
+
 struct Triple {
   EntityId head = 0;
   EntityId tail = 0;

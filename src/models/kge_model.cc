@@ -46,22 +46,6 @@ void CountRangeAgainstThreshold(std::span<const float> scores,
   *equal += eq;
 }
 
-// Offers scores[begin, end) to `heap`, skipping `excluded` ids.
-KGE_HOT_NOALLOC
-void PushRangeExcluding(std::span<const float> scores, EntityId begin,
-                        EntityId end, std::span<const EntityId> excluded,
-                        TopKHeap<float, EntityId>* heap) {
-  size_t cursor = 0;
-  while (cursor < excluded.size() && excluded[cursor] < begin) ++cursor;
-  for (EntityId e = begin; e < end; ++e) {
-    if (cursor < excluded.size() && excluded[cursor] == e) {
-      ++cursor;
-      continue;
-    }
-    heap->PushCandidate(e, scores[size_t(e)]);
-  }
-}
-
 }  // namespace
 
 void KgeModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
@@ -152,36 +136,34 @@ float KgeModel::ScoreOneHead(EntityId head, EntityId tail,
   return scores[size_t(head)];
 }
 
-void KgeModel::TopKTailsInRange(EntityId head, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const {
-  (void)prune;
-  if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId heads[1] = {head};
-  ScoreAllTailsBatch(std::span<const EntityId>(heads, 1), relation, scores,
-                     precision);
-  PushRangeExcluding(scores, begin, end, excluded, heap);
-  stats->tiles_total += 1;
-}
+void KgeModel::FoldQueries(QuerySide, RelationId, std::span<const EntityId>,
+                           std::span<float>) const {}
 
-void KgeModel::TopKHeadsInRange(EntityId tail, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const {
-  (void)prune;
-  if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId tails[1] = {tail};
-  ScoreAllHeadsBatch(std::span<const EntityId>(tails, 1), relation, scores,
-                     precision);
-  PushRangeExcluding(scores, begin, end, excluded, heap);
-  stats->tiles_total += 1;
+void KgeModel::TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
+                        std::span<TopKHeap<float, EntityId>> heaps,
+                        TopKWalkScratch* scratch, RankScanStats* stats) const {
+  (void)num_lanes;
+  // Without a fold there are no tiles to deal out: lane 0 scores every
+  // query over the whole table.
+  if (lane != 0) return;
+  const std::span<float> scores =
+      ScratchSpan(scratch->scores, size_t(num_entities()));
+  for (size_t q = 0; q < batch.anchors.size(); ++q) {
+    stats->tiles_total += 1;
+    if (heaps[q].capacity() == 0) {
+      stats->tiles_skipped += 1;
+      continue;
+    }
+    const std::span<const EntityId> anchor(&batch.anchors[q], 1);
+    if (batch.side == QuerySide::kTail) {
+      ScoreAllTailsBatch(anchor, batch.relation, scores, batch.precision);
+    } else {
+      ScoreAllHeadsBatch(anchor, batch.relation, scores, batch.precision);
+    }
+    heaps[q].PushScoresExcluding(scores, batch.excluded.empty()
+                                             ? std::span<const EntityId>()
+                                             : batch.excluded[q]);
+  }
 }
 
 void KgeModel::ScoreTailBatch(EntityId head, RelationId relation,

@@ -12,6 +12,8 @@
 #ifndef KGE_MODELS_KGE_MODEL_H_
 #define KGE_MODELS_KGE_MODEL_H_
 
+#include <atomic>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,10 +27,10 @@
 
 namespace kge {
 
-// Counters reported by the range-scoped ranking scans (DESIGN.md §5h):
-// how many bound tiles the scan covered and how many it proved
+// Counters reported by the ranking scans (DESIGN.md §5h): how many
+// (query, bound tile) pairs a scan covered and how many it proved
 // sub-threshold and skipped without touching their rows. Exhaustive
-// fallbacks count their whole range as one unskipped tile.
+// fallbacks count each query's whole range as one unskipped tile.
 struct RankScanStats {
   uint64_t tiles_total = 0;
   uint64_t tiles_skipped = 0;
@@ -38,11 +40,56 @@ struct RankScanStats {
 // near-equal ranges: shard s covers
 // [ShardBegin(n, shards, s), ShardBegin(n, shards, s + 1)). Computed in
 // 64-bit so n·shards never overflows, monotone in s, and exactly
-// partitioning — the sharded ranking paths rely on every id landing in
+// partitioning — the sharded rank counts rely on every id landing in
 // exactly one shard.
 constexpr EntityId ShardBegin(EntityId n, int shards, int s) {
   return EntityId((int64_t(n) * int64_t(s)) / int64_t(shards));
 }
+
+// A lane's claim counter for walks whose lanes run concurrently: the
+// index, in the lane's own tile sequence, of its next unclaimed tile.
+// One cache line each, so lanes claiming their own tiles never share a
+// line.
+struct alignas(64) TopKLaneClaim {
+  std::atomic<size_t> next{0};
+};
+
+// One batch of top-k queries sharing (side, relation), as
+// KgeModel::TopKWalk consumes it.
+struct TopKWalkBatch {
+  QuerySide side = QuerySide::kTail;
+  RelationId relation = 0;
+  // The known entity of each query (the head for kTail, the tail for
+  // kHead).
+  std::span<const EntityId> anchors;
+  // anchors.size() × FoldWidth() floats from FoldQueries, folded once
+  // for all lanes; empty when the model cannot fold.
+  std::span<const float> folds;
+  // Empty, or one sorted-ascending list of ids to leave out per query.
+  std::span<const std::span<const EntityId>> excluded;
+  ScorePrecision precision = ScorePrecision::kDouble;
+  // Skip (query, tile) pairs whose score bound cannot enter the query's
+  // heap. Needs PrepareForPrunedScoring(precision) first.
+  bool prune = false;
+  // Empty, or one zeroed claim counter per lane, shared by lanes that
+  // run concurrently: each tile is then walked by whichever lane claims
+  // it first (see TopKWalk).
+  std::span<TopKLaneClaim> lane_claims;
+};
+
+// Working memory of one TopKWalk lane, owned by the caller and reused
+// across calls. The walk only grows it, and always for at least
+// `min_queries` queries, so a caller that sets min_queries to its
+// largest batch makes every walk after the first allocation-free,
+// whichever thread runs the lane.
+struct TopKWalkScratch {
+  size_t min_queries = 0;
+  std::vector<float> folds;    // folds of the live queries of a tile
+  std::vector<float> scores;   // live queries × tile rows
+  std::vector<double> norms;   // per query: ‖fold‖₂ · kPruneBoundSlack
+  std::vector<size_t> live;    // queries the current tile is scored for
+  std::vector<size_t> cursor;  // per query: next excluded id to pass
+};
 
 class KgeModel {
  public:
@@ -131,23 +178,22 @@ class KgeModel {
     PrepareForScoring(precision);
   }
 
-  // ---- Range-scoped ranking scans (sharded / pruned path, §5h) -------------
+  // ---- Rank counts (evaluator path, §5h) -----------------------------------
   //
-  // These four scans restrict ranking to the candidate range
+  // These scans restrict rank counting to the candidate range
   // [begin, end) of the entity table. Scores are the exact float values
   // the batched kernels produce at `precision` (the per-cell numerics
   // contract of math/simd.h), so restricting the range is pure
   // scheduling: counts summed over any shard partition of
-  // [0, num_entities) equal the single-range counts bit-for-bit, and a
-  // top-k heap fed per shard then merged returns exactly the single-pass
-  // result. When `prune` is set, models with precomputed tile bounds
-  // (the trilinear family, via ScoringReplica) skip tiles whose
-  // Cauchy–Schwarz upper bound proves every score in them is below the
-  // current threshold — exact, never approximate. The base
-  // implementations are exhaustive (score the full vocabulary into
-  // thread-local scratch, then walk the range) and report the range as
-  // one unskipped tile. All four must be thread-safe for concurrent
-  // calls; non-double tiers require PrepareForScoring first.
+  // [0, num_entities) equal the single-range counts bit-for-bit. When
+  // `prune` is set, models with precomputed tile bounds (the trilinear
+  // family, via ScoringReplica) skip tiles whose Cauchy–Schwarz upper
+  // bound proves every score in them is below the threshold — exact,
+  // never approximate. The base implementations are exhaustive (score
+  // the full vocabulary into thread-local scratch, then walk the range)
+  // and report the range as one unskipped tile. Both must be thread-safe
+  // for concurrent calls; non-double tiers require PrepareForScoring
+  // first.
 
   // Counts candidate tails t' in [begin, end) with score strictly above
   // (*better) resp. equal to (*equal) `threshold`, skipping ids in
@@ -173,15 +219,6 @@ class KgeModel {
   // Sentinel for CountTailsAbove/CountHeadsAbove's also_skip.
   static constexpr EntityId kNoSkipEntity = EntityId(-1);
 
-  // Prefix length sharded+pruned callers scan exhaustively to prime a
-  // shared prune floor (TopKHeap::SetPruneFloor) before fanning out.
-  // The k-th best of the prefix lower-bounds the global k-th best, so
-  // the floor keeps per-shard pruning exact; a few thousand candidates
-  // make it tight enough to bite (k alone is too noisy — a high-norm
-  // row does not guarantee a high score), while staying a negligible
-  // fraction of a 100k+ entity table.
-  static constexpr EntityId kPrunePrimePrefix = EntityId(2048);
-
   // The float score of the single cell (head, tail) exactly as the
   // batched kernels produce it at `precision` — the rank threshold of
   // the pruned evaluator. (float(Score(triple)) is NOT the same value
@@ -196,26 +233,44 @@ class KgeModel {
                              RelationId relation,
                              ScorePrecision precision) const;
 
-  // Offers every candidate tail in [begin, end) not in `excluded`
-  // (sorted ascending) to `heap`. With `prune`, tiles whose bound
-  // cannot beat the heap's current minimum are skipped — only once the
-  // heap is full, and only on a strictly-less comparison (an
-  // equal-score candidate can still win its way in via the smaller-id
-  // tie-break, so equality never skips).
+  // ---- Top-k walk (serving and PredictTails/PredictHeads path, §5h) --------
+
+  // Length of the folded query vector each candidate row is dotted
+  // with; 0 for models that cannot fold (distance-based and nonlinear
+  // scorers), whose TopKWalk scores exhaustively instead.
+  virtual size_t FoldWidth() const { return 0; }
+
+  // Writes the fold of (anchors[q], relation) on `side` into row q of
+  // `folds` (anchors.size() × FoldWidth() floats). No-op by default.
   KGE_HOT_NOALLOC
-  virtual void TopKTailsInRange(EntityId head, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const;
+  virtual void FoldQueries(QuerySide side, RelationId relation,
+                           std::span<const EntityId> anchors,
+                           std::span<float> folds) const;
+
+  // Lane `lane` of `num_lanes` of the multi-query top-k walk: offers
+  // query q's candidates to heaps[q] (armed by the caller with that
+  // query's k) for every entity-table tile t with
+  // t % num_lanes == lane, skipping batch.excluded[q]. Each tile is
+  // scored once for all the queries it is kept for. With batch.prune a
+  // (query, tile) pair is skipped when the tile's Cauchy–Schwarz bound
+  // is strictly below the query's heap minimum — never on equality,
+  // since an equal score can still win on the smaller id. Striding
+  // deals the high-norm head of a frequency-sorted table to every lane,
+  // so each lane's heap fills early and prunes on its own. Merging each
+  // query's lane heaps (TopKHeap::MergeFrom), or passing the same heaps
+  // to lanes run one after another, yields exactly the exhaustive top-k
+  // at every lane count. With batch.lane_claims a lane claims its tiles
+  // one at a time and, once its own run out, claims the unwalked tiles
+  // of the lanes after it, so a lane whose thread starts late or runs
+  // slow cannot hold up the batch; any split of the tiles among the
+  // heaps gives the same merged top-k. Counts each (query, tile) pair
+  // into `stats`. The base implementation scores every query
+  // exhaustively on lane 0. Thread-safe for concurrent calls with
+  // distinct heaps and scratch.
   KGE_HOT_NOALLOC
-  virtual void TopKHeadsInRange(EntityId tail, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const;
+  virtual void TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
+                        std::span<TopKHeap<float, EntityId>> heaps,
+                        TopKWalkScratch* scratch, RankScanStats* stats) const;
 
   // Scores (h, t', r) for each candidate tail t' in `tails`;
   // out[i] = float(Score({h, tails[i], r})). The base implementation

@@ -37,55 +37,63 @@ double MultiEmbeddingModel::Score(const Triple& triple) const {
                      relations_.Of(triple.relation));
 }
 
+std::span<const float> MultiEmbeddingModel::FoldOne(
+    QuerySide side, EntityId anchor, RelationId relation) const {
+  static thread_local std::vector<float> fold_buf;
+  const std::span<float> fold = ScratchSpan(fold_buf, FoldWidth());
+  FoldQueries(side, relation, std::span<const EntityId>(&anchor, 1), fold);
+  return fold;
+}
+
+void MultiEmbeddingModel::FoldQueries(QuerySide side, RelationId relation,
+                                      std::span<const EntityId> anchors,
+                                      std::span<float> folds) const {
+  const size_t width = FoldWidth();
+  KGE_CHECK(folds.size() == anchors.size() * width);
+  const std::span<const float> rel = relations_.Of(relation);
+  for (size_t q = 0; q < anchors.size(); ++q) {
+    const std::span<float> fold = folds.subspan(q * width, width);
+    if (side == QuerySide::kTail) {
+      FoldForTail(weights_, dim_, entities_.Of(anchors[q]), rel, fold);
+    } else {
+      FoldForHead(weights_, dim_, entities_.Of(anchors[q]), rel, fold);
+    }
+  }
+}
+
 void MultiEmbeddingModel::ScoreAllTails(EntityId head, RelationId relation,
                                         std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
   // Fold once into per-thread scratch, then one tiled matrix-vector
   // product over the whole entity table (rows are contiguous in the
   // parameter block). Zero heap allocations at steady state.
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold =
-      ScratchSpan(fold_buf, size_t(weights_.ne()) * size_t(dim_));
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
-  DotBatch(fold, entities_.block().Flat(), out);
+  DotBatch(FoldOne(QuerySide::kTail, head, relation),
+           entities_.block().Flat(), out);
 }
 
 void MultiEmbeddingModel::ScoreAllHeads(EntityId tail, RelationId relation,
                                         std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold =
-      ScratchSpan(fold_buf, size_t(weights_.ne()) * size_t(dim_));
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  DotBatch(fold, entities_.block().Flat(), out);
+  DotBatch(FoldOne(QuerySide::kHead, tail, relation),
+           entities_.block().Flat(), out);
 }
 
 void MultiEmbeddingModel::ScoreTailBatch(EntityId head, RelationId relation,
                                          std::span<const EntityId> tails,
                                          std::span<float> out) const {
   KGE_CHECK(out.size() == tails.size());
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
   // Candidate rows are scored in place in the entity table via the
   // id-indirected kernel — no per-call gather copy.
-  DotBatchIndexed(fold, entities_.block().Flat(), tails, out);
+  DotBatchIndexed(FoldOne(QuerySide::kTail, head, relation),
+                  entities_.block().Flat(), tails, out);
 }
 
 void MultiEmbeddingModel::ScoreHeadBatch(EntityId tail, RelationId relation,
                                          std::span<const EntityId> heads,
                                          std::span<float> out) const {
   KGE_CHECK(out.size() == heads.size());
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  DotBatchIndexed(fold, entities_.block().Flat(), heads, out);
+  DotBatchIndexed(FoldOne(QuerySide::kHead, tail, relation),
+                  entities_.block().Flat(), heads, out);
 }
 
 void MultiEmbeddingModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
@@ -102,97 +110,34 @@ void MultiEmbeddingModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
 
 namespace {
 
-// The per-tier multi-query product behind both batched scorers: one
-// kernel dispatch against the entity table (double and float32 tiers
-// stream the same master rows; int8 streams the quantized replica,
-// which must be fresh — PrepareForScoring runs before the fanout).
+// Scores entity rows [row0, row0 + len) against `num_queries` row-major
+// folds at `precision` into the num_queries × len matrix `out` (double
+// and float32 tiers stream the master rows; int8 streams the quantized
+// replica, which must be fresh). Each cell is bit-identical to the same
+// cell of a full-table product over any set of queries (the per-cell
+// contract of math/simd.h), so tiling, lane striding, pruning and
+// batching are pure scheduling.
 KGE_HOT_NOALLOC
-void DotBatchMultiAt(ScorePrecision precision, std::span<const float> folds,
-                     size_t num_queries, const ParameterBlock& entity_block,
-                     const ScoringReplica& replica, std::span<float> out) {
-  switch (precision) {
-    case ScorePrecision::kDouble:
-      DotBatchMulti(folds, num_queries, entity_block.Flat(), out);
-      return;
-    case ScorePrecision::kFloat32:
-      DotBatchMultiF32(folds, num_queries, entity_block.Flat(), out);
-      return;
-    case ScorePrecision::kInt8:
-      KGE_DCHECK(replica.IsFresh(ScorePrecision::kInt8));
-      DotBatchMultiI8(folds, num_queries, replica.Int8Rows(),
-                      replica.Int8Scales(), out);
-      return;
-  }
-  KGE_CHECK(false);
-}
-
-}  // namespace
-
-void MultiEmbeddingModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                             RelationId relation,
-                                             std::span<float> out,
-                                             ScorePrecision precision) const {
-  const size_t num = size_t(entities_.num_ids());
-  KGE_CHECK(out.size() == heads.size() * num);
-  if (heads.empty()) return;
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  // Fold every (head, relation) context into one row-major B × width
-  // scratch matrix, then a single multi-query product over the entity
-  // table. Zero heap allocations at steady state.
-  static thread_local std::vector<float> folds_buf;
-  const std::span<float> folds = ScratchSpan(folds_buf, heads.size() * width);
-  const std::span<const float> rel = relations_.Of(relation);
-  for (size_t q = 0; q < heads.size(); ++q) {
-    FoldForTail(weights_, dim_, entities_.Of(heads[q]), rel,
-                folds.subspan(q * width, width));
-  }
-  DotBatchMultiAt(precision, folds, heads.size(), entities_.block(),
-                  entity_replica_, out);
-}
-
-void MultiEmbeddingModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                             RelationId relation,
-                                             std::span<float> out,
-                                             ScorePrecision precision) const {
-  const size_t num = size_t(entities_.num_ids());
-  KGE_CHECK(out.size() == tails.size() * num);
-  if (tails.empty()) return;
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> folds_buf;
-  const std::span<float> folds = ScratchSpan(folds_buf, tails.size() * width);
-  const std::span<const float> rel = relations_.Of(relation);
-  for (size_t q = 0; q < tails.size(); ++q) {
-    FoldForHead(weights_, dim_, entities_.Of(tails[q]), rel,
-                folds.subspan(q * width, width));
-  }
-  DotBatchMultiAt(precision, folds, tails.size(), entities_.block(),
-                  entity_replica_, out);
-}
-
-namespace {
-
-// Scores entity rows [row0, row0 + len) against one fold at `precision`
-// — the range-restricted twin of DotBatchMultiAt. Each output value is
-// bit-identical to the corresponding cell of the full-table batched
-// product (the per-cell contract of math/simd.h), so tiling, sharding,
-// and pruning are pure scheduling.
-KGE_HOT_NOALLOC
-void ScoreRowsAt(ScorePrecision precision, const float* fold, size_t width,
+void ScoreRowsAt(ScorePrecision precision, const float* folds,
+                 size_t num_queries, size_t width,
                  const ParameterBlock& entity_block,
                  const ScoringReplica& replica, size_t row0, size_t len,
                  float* out) {
   switch (precision) {
     case ScorePrecision::kDouble:
-      simd::DotBatch(fold, entity_block.Flat().data() + row0 * width, len,
-                     width, out);
+      simd::DotBatchMulti(folds, num_queries,
+                          entity_block.Flat().data() + row0 * width, len,
+                          width, out);
       return;
     case ScorePrecision::kFloat32:
-      simd::DotBatchMultiF32(fold, 1, entity_block.Flat().data() + row0 * width,
-                             len, width, out);
+      simd::DotBatchMultiF32(folds, num_queries,
+                             entity_block.Flat().data() + row0 * width, len,
+                             width, out);
       return;
     case ScorePrecision::kInt8:
       KGE_DCHECK(replica.IsFresh(ScorePrecision::kInt8));
-      simd::DotBatchMultiI8(fold, 1, replica.Int8Rows().data() + row0 * width,
+      simd::DotBatchMultiI8(folds, num_queries,
+                            replica.Int8Rows().data() + row0 * width,
                             replica.Int8Scales().data() + row0, len, width,
                             out);
       return;
@@ -201,6 +146,40 @@ void ScoreRowsAt(ScorePrecision precision, const float* fold, size_t width,
 }
 
 }  // namespace
+
+void MultiEmbeddingModel::ScoreAllBatch(QuerySide side,
+                                        std::span<const EntityId> anchors,
+                                        RelationId relation,
+                                        std::span<float> out,
+                                        ScorePrecision precision) const {
+  const size_t num = size_t(entities_.num_ids());
+  KGE_CHECK(out.size() == anchors.size() * num);
+  if (anchors.empty()) return;
+  // Fold every context into one row-major B × width scratch matrix, then
+  // a single multi-query product over the entity table. Zero heap
+  // allocations at steady state.
+  const size_t width = FoldWidth();
+  static thread_local std::vector<float> folds_buf;
+  const std::span<float> folds =
+      ScratchSpan(folds_buf, anchors.size() * width);
+  FoldQueries(side, relation, anchors, folds);
+  ScoreRowsAt(precision, folds.data(), anchors.size(), width,
+              entities_.block(), entity_replica_, 0, num, out.data());
+}
+
+void MultiEmbeddingModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
+                                             RelationId relation,
+                                             std::span<float> out,
+                                             ScorePrecision precision) const {
+  ScoreAllBatch(QuerySide::kTail, heads, relation, out, precision);
+}
+
+void MultiEmbeddingModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
+                                             RelationId relation,
+                                             std::span<float> out,
+                                             ScorePrecision precision) const {
+  ScoreAllBatch(QuerySide::kHead, tails, relation, out, precision);
+}
 
 void MultiEmbeddingModel::PrunedCountScan(
     std::span<const float> fold, float threshold, EntityId begin,
@@ -244,7 +223,7 @@ void MultiEmbeddingModel::PrunedCountScan(
       continue;
     }
     const size_t len = tile_end - row0;
-    ScoreRowsAt(precision, fold.data(), width, entities_.block(),
+    ScoreRowsAt(precision, fold.data(), 1, width, entities_.block(),
                 entity_replica_, row0, len, tile_scores.data());
     size_t tile_greater = 0;
     size_t tile_equal = 0;
@@ -278,69 +257,14 @@ void MultiEmbeddingModel::PrunedCountScan(
   *equal += e_total;
 }
 
-void MultiEmbeddingModel::PrunedTopKScan(
-    std::span<const float> fold, EntityId begin, EntityId end,
-    std::span<const EntityId> excluded, ScorePrecision precision, bool prune,
-    TopKHeap<float, EntityId>* heap, RankScanStats* stats) const {
-  if (begin >= end) return;
-  const size_t width = fold.size();
-  const size_t rows_per_tile = simd::PrunedTileRows(width);
-  static thread_local std::vector<float> tile_buf;
-  const std::span<float> tile_scores = ScratchSpan(tile_buf, rows_per_tile);
-  std::span<const float> bounds;
-  double query_norm = 0.0;
-  if (prune) {
-    KGE_DCHECK(entity_replica_.BoundsFresh(precision));
-    bounds = entity_replica_.TileBounds(precision);
-    query_norm = std::sqrt(simd::SquaredNorm(fold.data(), width)) *
-                 simd::kPruneBoundSlack;
-  }
-  size_t cursor = 0;
-  while (cursor < excluded.size() && excluded[cursor] < begin) ++cursor;
-  for (size_t row0 = size_t(begin); row0 < size_t(end);) {
-    const size_t tile = row0 / rows_per_tile;
-    const size_t tile_end =
-        std::min(size_t(end), (tile + 1) * rows_per_tile);
-    stats->tiles_total += 1;
-    // Skip only on strict <, against the heap minimum once full or the
-    // shared prune floor a sharded caller installed: an equal-score
-    // candidate can still enter via the smaller-id tie-break, so a
-    // bound equal to the threshold must be scanned.
-    if (prune && heap->CanSkipBound(query_norm * double(bounds[tile]))) {
-      stats->tiles_skipped += 1;
-      while (cursor < excluded.size() && size_t(excluded[cursor]) < tile_end) {
-        ++cursor;
-      }
-      row0 = tile_end;
-      continue;
-    }
-    const size_t len = tile_end - row0;
-    ScoreRowsAt(precision, fold.data(), width, entities_.block(),
-                entity_replica_, row0, len, tile_scores.data());
-    for (size_t i = 0; i < len; ++i) {
-      const EntityId id = EntityId(row0 + i);
-      if (cursor < excluded.size() && excluded[cursor] == id) {
-        ++cursor;
-        continue;
-      }
-      heap->PushCandidate(id, tile_scores[i]);
-    }
-    row0 = tile_end;
-  }
-}
-
 void MultiEmbeddingModel::CountTailsAbove(
     EntityId head, RelationId relation, float threshold, EntityId begin,
     EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
     ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
     RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
-  PrunedCountScan(fold, threshold, begin, end, excluded, also_skip, precision,
-                  prune, better, equal, stats);
+  PrunedCountScan(FoldOne(QuerySide::kTail, head, relation), threshold,
+                  begin, end, excluded, also_skip, precision, prune, better,
+                  equal, stats);
 }
 
 void MultiEmbeddingModel::CountHeadsAbove(
@@ -348,65 +272,133 @@ void MultiEmbeddingModel::CountHeadsAbove(
     EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
     ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
     RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  PrunedCountScan(fold, threshold, begin, end, excluded, also_skip, precision,
-                  prune, better, equal, stats);
+  PrunedCountScan(FoldOne(QuerySide::kHead, tail, relation), threshold,
+                  begin, end, excluded, also_skip, precision, prune, better,
+                  equal, stats);
 }
 
 float MultiEmbeddingModel::ScoreOneTail(EntityId head, EntityId tail,
                                         RelationId relation,
                                         ScorePrecision precision) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
   float out = 0.0f;
-  ScoreRowsAt(precision, fold.data(), width, entities_.block(),
-              entity_replica_, size_t(tail), 1, &out);
+  ScoreRowsAt(precision, FoldOne(QuerySide::kTail, head, relation).data(), 1,
+              FoldWidth(), entities_.block(), entity_replica_, size_t(tail),
+              1, &out);
   return out;
 }
 
 float MultiEmbeddingModel::ScoreOneHead(EntityId head, EntityId tail,
                                         RelationId relation,
                                         ScorePrecision precision) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
   float out = 0.0f;
-  ScoreRowsAt(precision, fold.data(), width, entities_.block(),
-              entity_replica_, size_t(head), 1, &out);
+  ScoreRowsAt(precision, FoldOne(QuerySide::kHead, tail, relation).data(), 1,
+              FoldWidth(), entities_.block(), entity_replica_, size_t(head),
+              1, &out);
   return out;
 }
 
-void MultiEmbeddingModel::TopKTailsInRange(
-    EntityId head, RelationId relation, EntityId begin, EntityId end,
-    std::span<const EntityId> excluded, ScorePrecision precision, bool prune,
-    TopKHeap<float, EntityId>* heap, RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
-  PrunedTopKScan(fold, begin, end, excluded, precision, prune, heap, stats);
-}
-
-void MultiEmbeddingModel::TopKHeadsInRange(
-    EntityId tail, RelationId relation, EntityId begin, EntityId end,
-    std::span<const EntityId> excluded, ScorePrecision precision, bool prune,
-    TopKHeap<float, EntityId>* heap, RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  PrunedTopKScan(fold, begin, end, excluded, precision, prune, heap, stats);
+void MultiEmbeddingModel::TopKWalk(const TopKWalkBatch& batch, int lane,
+                                   int num_lanes,
+                                   std::span<TopKHeap<float, EntityId>> heaps,
+                                   TopKWalkScratch* scratch,
+                                   RankScanStats* stats) const {
+  const size_t num_queries = batch.anchors.size();
+  const size_t width = FoldWidth();
+  KGE_DCHECK(num_lanes >= 1 && lane >= 0);
+  KGE_DCHECK(batch.folds.size() == num_queries * width);
+  KGE_DCHECK(heaps.size() == num_queries);
+  const size_t num_rows = size_t(entities_.num_ids());
+  const size_t rows_per_tile = simd::PrunedTileRows(width);
+  const size_t num_tiles = simd::PrunedTileCount(num_rows, width);
+  const size_t reserve = std::max(num_queries, scratch->min_queries);
+  const std::span<float> live_folds =
+      ScratchSpan(scratch->folds, reserve * width);
+  const std::span<float> scores =
+      ScratchSpan(scratch->scores, reserve * rows_per_tile);
+  const std::span<double> norms = ScratchSpan(scratch->norms, reserve);
+  const std::span<size_t> live = ScratchSpan(scratch->live, reserve);
+  const std::span<size_t> cursor = ScratchSpan(scratch->cursor, reserve);
+  std::span<const float> bounds;
+  if (batch.prune) {
+    KGE_DCHECK(entity_replica_.BoundsFresh(batch.precision));
+    bounds = entity_replica_.TileBounds(batch.precision);
+    for (size_t q = 0; q < num_queries; ++q) {
+      norms[q] = std::sqrt(simd::SquaredNorm(
+                     batch.folds.data() + q * width, width)) *
+                 simd::kPruneBoundSlack;
+    }
+  }
+  uint64_t pairs = 0;
+  uint64_t skipped = 0;
+  const auto walk_tile = [&](size_t tile) {
+    pairs += num_queries;
+    size_t num_live = 0;
+    for (size_t q = 0; q < num_queries; ++q) {
+      const bool skip =
+          batch.prune ? heaps[q].CanSkipBound(norms[q] * double(bounds[tile]))
+                      : heaps[q].capacity() == 0;
+      if (!skip) live[num_live++] = q;
+    }
+    skipped += num_queries - num_live;
+    if (num_live == 0) return;
+    // Score the tile once for every live query: gather their folds into
+    // one contiguous block unless all of them are live.
+    const float* folds = batch.folds.data();
+    if (num_live < num_queries) {
+      for (size_t i = 0; i < num_live; ++i) {
+        std::copy_n(batch.folds.data() + live[i] * width, width,
+                    live_folds.data() + i * width);
+      }
+      folds = live_folds.data();
+    }
+    const size_t row0 = tile * rows_per_tile;
+    const size_t len = std::min(rows_per_tile, num_rows - row0);
+    ScoreRowsAt(batch.precision, folds, num_live, width, entities_.block(),
+                entity_replica_, row0, len, scores.data());
+    for (size_t i = 0; i < num_live; ++i) {
+      const size_t q = live[i];
+      const std::span<const EntityId> excluded =
+          batch.excluded.empty() ? std::span<const EntityId>()
+                                 : batch.excluded[q];
+      const float* row_scores = scores.data() + i * len;
+      TopKHeap<float, EntityId>& heap = heaps[q];
+      size_t c = cursor[q];
+      for (size_t r = 0; r < len; ++r) {
+        const EntityId id = EntityId(row0 + r);
+        while (c < excluded.size() && excluded[c] < id) ++c;
+        if (c < excluded.size() && excluded[c] == id) continue;
+        heap.PushCandidate(id, row_scores[r]);
+      }
+      cursor[q] = c;
+    }
+  };
+  // Lane `lane` walks its own tiles; with claim counters it then helps
+  // the lanes after it with the tiles none of them has claimed yet.
+  // Each lane's sequence is walked in ascending id order, which the
+  // exclusion cursors rely on.
+  KGE_DCHECK(batch.lane_claims.empty() ||
+             batch.lane_claims.size() == size_t(num_lanes));
+  const size_t stride = size_t(num_lanes);
+  const size_t sequences = batch.lane_claims.empty() ? 1 : stride;
+  // Relaxed: a claim only has to be unique. The heaps a lane fills reach
+  // the merging thread through the caller's join, not through these.
+  const auto claim = [&](size_t s, size_t unclaimed) {
+    return batch.lane_claims.empty()
+               ? unclaimed
+               : batch.lane_claims[s].next.fetch_add(
+                     1, std::memory_order_relaxed);
+  };
+  for (size_t j = 0; j < sequences; ++j) {
+    const size_t s = (size_t(lane) + j) % stride;
+    const size_t count =
+        s < num_tiles ? (num_tiles - s + stride - 1) / stride : 0;
+    std::fill_n(cursor.begin(), num_queries, size_t{0});
+    for (size_t i = claim(s, 0); i < count; i = claim(s, i + 1)) {
+      walk_tile(s + i * stride);
+    }
+  }
+  stats->tiles_total += pairs;
+  stats->tiles_skipped += skipped;
 }
 
 std::vector<ParameterBlock*> MultiEmbeddingModel::Blocks() {

@@ -79,14 +79,13 @@ class MultiEmbeddingModel : public KgeModel {
                           RelationId relation, std::span<float> out,
                           ScorePrecision precision) const override;
 
-  // Range-scoped pruned scans (DESIGN.md §5h): fold the fixed context
-  // once, then walk only the entity-table tiles overlapping
-  // [begin, end); with `prune`, a tile whose Cauchy–Schwarz bound
-  // (‖fold‖₂ · tile max row norm · simd::kPruneBoundSlack) cannot reach
-  // the threshold / current heap minimum is skipped without streaming a
-  // byte of it. Per-cell kernel contract ⇒ surviving scores are
-  // bit-identical to the exhaustive batched path, so pruning and
-  // sharding never change a metric or a top-k result.
+  // Pruned rank counts (DESIGN.md §5h): fold the fixed context once,
+  // then walk only the entity-table tiles overlapping [begin, end); with
+  // `prune`, a tile whose Cauchy–Schwarz bound (‖fold‖₂ · tile max row
+  // norm · simd::kPruneBoundSlack) cannot reach the threshold is skipped
+  // without streaming a byte of it. Per-cell kernel contract ⇒ surviving
+  // scores are bit-identical to the exhaustive batched path, so pruning
+  // and sharding never change a metric.
   KGE_HOT_NOALLOC
   void CountTailsAbove(EntityId head, RelationId relation, float threshold,
                        EntityId begin, EntityId end,
@@ -105,18 +104,25 @@ class MultiEmbeddingModel : public KgeModel {
   KGE_HOT_NOALLOC
   float ScoreOneHead(EntityId head, EntityId tail, RelationId relation,
                      ScorePrecision precision) const override;
+
+  // Every score is Dot(fold, candidate row): the fold is ω-weighted
+  // products of the anchor's and relation's vectors (FoldForTail /
+  // FoldForHead), ne · dim floats wide.
+  size_t FoldWidth() const override {
+    return size_t(weights_.ne()) * size_t(dim_);
+  }
   KGE_HOT_NOALLOC
-  void TopKTailsInRange(EntityId head, RelationId relation, EntityId begin,
-                        EntityId end, std::span<const EntityId> excluded,
-                        ScorePrecision precision, bool prune,
-                        TopKHeap<float, EntityId>* heap,
-                        RankScanStats* stats) const override;
+  void FoldQueries(QuerySide side, RelationId relation,
+                   std::span<const EntityId> anchors,
+                   std::span<float> folds) const override;
+  // The tile-strided multi-query walk over the entity table's 24 KiB
+  // bound tiles (simd::PrunedTileRows), scoring each kept tile with the
+  // tier's DotBatchMulti{,F32,I8} for all its live queries at once.
   KGE_HOT_NOALLOC
-  void TopKHeadsInRange(EntityId tail, RelationId relation, EntityId begin,
-                        EntityId end, std::span<const EntityId> excluded,
-                        ScorePrecision precision, bool prune,
-                        TopKHeap<float, EntityId>* heap,
-                        RankScanStats* stats) const override;
+  void TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
+                std::span<TopKHeap<float, EntityId>> heaps,
+                TopKWalkScratch* scratch,
+                RankScanStats* stats) const override;
 
   // The trilinear family supports every tier.
   bool SupportsScorePrecision(ScorePrecision precision) const override {
@@ -158,20 +164,23 @@ class MultiEmbeddingModel : public KgeModel {
   void SetWeights(const WeightTable& weights) { weights_ = weights; }
 
  private:
-  // Shared tile walks behind the range-scoped scans (the fold — tail- or
-  // head-side — is the only thing that differs between the two sides).
+  // Folds one context into per-thread scratch (valid until the next
+  // FoldOne on this thread).
+  KGE_HOT_NOALLOC
+  std::span<const float> FoldOne(QuerySide side, EntityId anchor,
+                                 RelationId relation) const;
+  // Both sides of the precision-tiered ScoreAll*Batch.
+  KGE_HOT_NOALLOC
+  void ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
+                     RelationId relation, std::span<float> out,
+                     ScorePrecision precision) const;
+  // The tile walk behind both rank-count sides.
   KGE_HOT_NOALLOC
   void PrunedCountScan(std::span<const float> fold, float threshold,
                        EntityId begin, EntityId end,
                        std::span<const EntityId> excluded, EntityId also_skip,
                        ScorePrecision precision, bool prune, uint64_t* better,
                        uint64_t* equal, RankScanStats* stats) const;
-  KGE_HOT_NOALLOC
-  void PrunedTopKScan(std::span<const float> fold, EntityId begin,
-                      EntityId end, std::span<const EntityId> excluded,
-                      ScorePrecision precision, bool prune,
-                      TopKHeap<float, EntityId>* heap,
-                      RankScanStats* stats) const;
 
   std::string name_;
   int32_t dim_;

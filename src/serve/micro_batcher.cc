@@ -38,32 +38,38 @@ MicroBatcher::MicroBatcher(const SnapshotRegistry* registry,
 MicroBatcher::~MicroBatcher() { Stop(); }
 
 void MicroBatcher::Start() {
-  const int num_shards = options_.num_shards;
+  const int lanes = options_.num_shards;
+  const size_t max_batch = size_t(options_.max_batch);
   const int heap_capacity =
       int(std::min(options_.max_topk, kServeMaxTopK));
-  if (num_shards > 1 && shard_pool_ == nullptr) {
-    // Per-query shard fan-out pool, shared by all workers. Sized to the
-    // shard count (capped at the machine) and pre-reserved so the
-    // steady-state StageFor never grows the task ring.
-    shard_pool_ = std::make_unique<ThreadPool>(
-        std::min(size_t(num_shards), ResolveNumThreads(0)));
+  if (lanes > 1 && shard_pool_ == nullptr) {
+    // Lane fan-out pool, shared by all workers. The dispatching worker
+    // walks lanes too, so lanes - 1 threads give each lane a thread (a
+    // pool needs two to run off the caller at all); capped at the
+    // machine, and pre-reserved so the steady-state StageFor never
+    // grows the task ring.
+    shard_pool_ = std::make_unique<ThreadPool>(std::min(
+        std::max(size_t(lanes) - 1, size_t{2}), ResolveNumThreads(0)));
     shard_pool_->ReserveStageTasks(size_t(options_.num_workers) *
-                                   size_t(num_shards));
+                                   size_t(lanes));
   }
   for (int w = 0; w < options_.num_workers; ++w) {
     auto ws = std::make_unique<WorkerState>();
-    ws->assembled.batch.resize(size_t(options_.max_batch));
+    ws->assembled.batch.resize(max_batch);
     ws->assembled.expired.resize(size_t(options_.max_queue));
-    ws->contexts.resize(size_t(options_.max_batch));
-    ws->valid.resize(size_t(options_.max_batch));
-    ws->results.resize(size_t(kServeMaxTopK));
-    // Pre-grow every heap the sharded reduction can touch so the
-    // per-query ResetCapacity calls never allocate.
+    ws->valid.resize(max_batch);
+    ws->anchors.resize(max_batch);
+    // Pre-grow every heap the walk and the merge can arm so the
+    // per-batch ResetCapacity calls never allocate, and size each lane's
+    // walk scratch for a full batch on its first use.
+    ws->lane_heaps.resize(size_t(lanes) * max_batch);
+    for (auto& heap : ws->lane_heaps) heap.Reserve(heap_capacity);
+    ws->lane_scratch.resize(size_t(lanes));
+    for (auto& scratch : ws->lane_scratch) scratch.min_queries = max_batch;
+    ws->lane_stats.resize(size_t(lanes));
+    ws->lane_claims = std::vector<TopKLaneClaim>(size_t(lanes));
     ws->heap.Reserve(heap_capacity);
-    ws->shard_heaps.resize(size_t(num_shards));
-    for (auto& heap : ws->shard_heaps) heap.Reserve(heap_capacity);
-    ws->prime_heap.Reserve(heap_capacity);
-    ws->shard_stats.resize(size_t(num_shards));
+    ws->results.resize(size_t(kServeMaxTopK));
     WorkerState* raw = ws.get();
     ws->thread = std::thread([this, raw] { WorkerLoop(raw); });
     workers_.push_back(std::move(ws));
@@ -212,130 +218,77 @@ ScorePrecision MicroBatcher::DecideTierLocked() {
   return tier;
 }
 
-ScorePrecision MicroBatcher::ScoreAssembled(const ModelSnapshot& snapshot,
-                                            ScorePrecision tier,
-                                            WorkerState* ws) {
-  const KgeModel& model = *snapshot.model;
-  if (!model.SupportsScorePrecision(tier)) tier = ScorePrecision::kDouble;
+void MicroBatcher::WalkAssembled(const KgeModel& model, ScorePrecision tier,
+                                 WorkerState* ws) {
   const Assembled& assembled = ws->assembled;
-  const int batch = assembled.batch_count;
-  const int32_t num_entities = model.num_entities();
+  const int lanes = options_.num_shards;
+  const size_t max_batch = size_t(options_.max_batch);
+  const EntityId num_entities = model.num_entities();
   const bool relation_ok =
       assembled.relation >= 0 && assembled.relation < model.num_relations();
-  std::span<EntityId> contexts = ScratchSpan(ws->contexts, size_t(batch));
-  std::span<uint8_t> valid = ScratchSpan(ws->valid, size_t(batch));
-  for (int i = 0; i < batch; ++i) {
+  size_t num_valid = 0;
+  for (int i = 0; i < assembled.batch_count; ++i) {
     const ServeRequest& request =
         slots_[size_t(assembled.batch[size_t(i)])].request;
     const bool ok = relation_ok && request.entity >= 0 &&
                     request.entity < num_entities;
-    valid[size_t(i)] = ok ? 1 : 0;
-    contexts[size_t(i)] = ok ? request.entity : 0;
+    ws->valid[size_t(i)] = ok ? 1 : 0;
+    if (!ok) continue;
+    ws->anchors[num_valid] = request.entity;
+    for (int s = 0; s < lanes; ++s) {
+      ws->lane_heaps[size_t(s) * max_batch + num_valid].ResetCapacity(
+          int(request.k));
+    }
+    ++num_valid;
   }
-  if (!relation_ok) return tier;
-  std::span<float> scores =
-      ScratchSpan(ws->scores, size_t(batch) * size_t(num_entities));
-  if (assembled.side == QuerySide::kTail) {
-    model.ScoreAllTailsBatch(contexts, assembled.relation, scores, tier);
+  if (num_valid == 0) return;
+  const size_t width = model.FoldWidth();
+  const std::span<float> folds =
+      ScratchSpan(ws->folds, max_batch * width).first(num_valid * width);
+  TopKWalkBatch batch;
+  batch.side = assembled.side;
+  batch.relation = assembled.relation;
+  batch.anchors = std::span<const EntityId>(ws->anchors.data(), num_valid);
+  batch.folds = folds;
+  batch.precision = tier;
+  batch.prune = options_.prune;
+  model.FoldQueries(batch.side, batch.relation, batch.anchors, folds);
+  const auto walk_lanes = [&](size_t lane_begin, size_t lane_end) {
+    for (size_t s = lane_begin; s < lane_end; ++s) {
+      model.TopKWalk(batch, int(s), lanes,
+                     std::span(ws->lane_heaps.data() + s * max_batch,
+                               num_valid),
+                     &ws->lane_scratch[s], &ws->lane_stats[s]);
+    }
+  };
+  if (shard_pool_ != nullptr) {
+    // Concurrent lanes claim their tiles, so a lane whose thread starts
+    // late or is descheduled is helped by the others instead of holding
+    // up the whole batch.
+    for (TopKLaneClaim& claim : ws->lane_claims) {
+      claim.next.store(0, std::memory_order_relaxed);
+    }
+    batch.lane_claims = ws->lane_claims;
+    shard_pool_->StageFor(0, size_t(lanes), walk_lanes);
   } else {
-    model.ScoreAllHeadsBatch(contexts, assembled.relation, scores, tier);
+    walk_lanes(0, size_t(lanes));
   }
-  return tier;
 }
 
-std::span<const ScoredEntity> MicroBatcher::ReduceQuery(
-    std::span<const float> row, uint32_t k, WorkerState* ws) {
-  const uint32_t bounded =
-      std::min(std::min(k, kServeMaxTopK), uint32_t(row.size()));
-  ws->heap.ResetCapacity(int(bounded));
-  ws->heap.PushScoresExcluding(row, std::span<const EntityId>());
-  const auto sorted = ws->heap.TakeSorted();
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    ws->results[i] = ScoredEntity{sorted[i].entity, sorted[i].score};
+std::span<const ScoredEntity> MicroBatcher::MergeLanes(int v,
+                                                       WorkerState* ws) {
+  TopKHeap<float, EntityId>* heap = &ws->lane_heaps[size_t(v)];
+  if (options_.num_shards > 1) {
+    // Lane order keeps the walk deterministic; the (score, id) total
+    // order makes the merged set the exact top-k of the union anyway.
+    ws->heap.ResetCapacity(heap->capacity());
+    for (int s = 0; s < options_.num_shards; ++s) {
+      ws->heap.MergeFrom(
+          ws->lane_heaps[size_t(s) * size_t(options_.max_batch) + size_t(v)]);
+    }
+    heap = &ws->heap;
   }
-  return std::span<const ScoredEntity>(ws->results.data(), sorted.size());
-}
-
-std::span<const ScoredEntity> MicroBatcher::ReduceQuerySharded(
-    const KgeModel& model, EntityId entity, RelationId relation,
-    QuerySide side, ScorePrecision tier, uint32_t k, WorkerState* ws) {
-  const EntityId num_entities = model.num_entities();
-  const uint32_t bounded =
-      std::min(std::min(k, kServeMaxTopK), uint32_t(num_entities));
-  const int shards = options_.num_shards;
-  const std::span<const EntityId> no_excluded;
-  if (shards == 1) {
-    ws->heap.ResetCapacity(int(bounded));
-    if (side == QuerySide::kTail) {
-      model.TopKTailsInRange(entity, relation, 0, num_entities, no_excluded,
-                             tier, options_.prune, &ws->heap,
-                             &ws->shard_stats[0]);
-    } else {
-      model.TopKHeadsInRange(entity, relation, 0, num_entities, no_excluded,
-                             tier, options_.prune, &ws->heap,
-                             &ws->shard_stats[0]);
-    }
-  } else {
-    // Per-shard heaps can only prune against their own shard's minimum,
-    // which is useless when norms are skewed across the id range. Prime
-    // a shared floor from an exhaustive prefix scan: the k-th best of
-    // any >= k candidates lower-bounds the global k-th best, so tiles
-    // strictly below the floor are provably dead in every shard and the
-    // merge stays exact.
-    float prune_floor = 0.0f;
-    bool have_floor = false;
-    const EntityId prime_end = std::min(
-        num_entities,
-        std::max(EntityId(bounded), KgeModel::kPrunePrimePrefix));
-    if (options_.prune && num_entities > prime_end) {
-      ws->prime_heap.ResetCapacity(int(bounded));
-      if (side == QuerySide::kTail) {
-        model.TopKTailsInRange(entity, relation, 0, prime_end,
-                               no_excluded, tier, /*prune=*/false,
-                               &ws->prime_heap, &ws->shard_stats[0]);
-      } else {
-        model.TopKHeadsInRange(entity, relation, 0, prime_end,
-                               no_excluded, tier, /*prune=*/false,
-                               &ws->prime_heap, &ws->shard_stats[0]);
-      }
-      if (ws->prime_heap.full()) {
-        prune_floor = ws->prime_heap.WorstScore();
-        have_floor = true;
-      }
-    }
-    for (int s = 0; s < shards; ++s) {
-      ws->shard_heaps[size_t(s)].ResetCapacity(int(bounded));
-      if (have_floor) ws->shard_heaps[size_t(s)].SetPruneFloor(prune_floor);
-    }
-    const auto scan_shards = [&](size_t shard_begin, size_t shard_end) {
-      for (size_t s = shard_begin; s < shard_end; ++s) {
-        const EntityId begin = ShardBegin(num_entities, shards, int(s));
-        const EntityId end = ShardBegin(num_entities, shards, int(s) + 1);
-        if (side == QuerySide::kTail) {
-          model.TopKTailsInRange(entity, relation, begin, end, no_excluded,
-                                 tier, options_.prune, &ws->shard_heaps[s],
-                                 &ws->shard_stats[s]);
-        } else {
-          model.TopKHeadsInRange(entity, relation, begin, end, no_excluded,
-                                 tier, options_.prune, &ws->shard_heaps[s],
-                                 &ws->shard_stats[s]);
-        }
-      }
-    };
-    if (shard_pool_ != nullptr) {
-      shard_pool_->StageFor(0, size_t(shards), scan_shards);
-    } else {
-      scan_shards(0, size_t(shards));
-    }
-    // Merge in shard order. The (score, id) total order makes the
-    // merged set exactly the top-k of the union, so the order here is
-    // for determinism of the walk, not of the result.
-    ws->heap.ResetCapacity(int(bounded));
-    for (int s = 0; s < shards; ++s) {
-      ws->heap.MergeFrom(ws->shard_heaps[size_t(s)]);
-    }
-  }
-  const auto sorted = ws->heap.TakeSorted();
+  const auto sorted = heap->TakeSorted();
   for (size_t i = 0; i < sorted.size(); ++i) {
     ws->results[i] = ScoredEntity{sorted[i].entity, sorted[i].score};
   }
@@ -402,19 +355,21 @@ void MicroBatcher::WorkerLoop(WorkerState* ws) {
     }
 
     const KgeModel& model = *snapshot->model;
-    // Sharded / pruned reduction replaces the B × num_entities score
-    // matrix with per-query range-scoped top-k scans; the matrix path
-    // stays the default. Result contract: both paths return the same
-    // top-k for every request ((score, id) is a total order).
-    const bool range_reduce = options_.prune || options_.num_shards > 1;
-    ScorePrecision used = tier;
-    if (range_reduce) {
-      if (!model.SupportsScorePrecision(used)) {
-        used = ScorePrecision::kDouble;
-      }
-    } else {
-      used = ScoreAssembled(*snapshot, tier, ws);
+    const ScorePrecision used = model.SupportsScorePrecision(tier)
+                                    ? tier
+                                    : ScorePrecision::kDouble;
+    WalkAssembled(model, used, ws);
+    // Counters are bumped before the first callback (see Stop); the lane
+    // tile counters are flushed once per batch, not per walk, to keep
+    // atomic traffic off the lanes.
+    uint64_t tiles_total = 0, tiles_skipped = 0;
+    for (RankScanStats& stats : ws->lane_stats) {
+      tiles_total += stats.tiles_total;
+      tiles_skipped += stats.tiles_skipped;
+      stats = RankScanStats{};
     }
+    tiles_total_.fetch_add(tiles_total, std::memory_order_relaxed);
+    tiles_skipped_.fetch_add(tiles_skipped, std::memory_order_relaxed);
     batches_.fetch_add(1, std::memory_order_relaxed);
     batched_queries_.fetch_add(uint64_t(assembled.batch_count),
                                std::memory_order_relaxed);
@@ -423,17 +378,10 @@ void MicroBatcher::WorkerLoop(WorkerState* ws) {
     } else if (used == ScorePrecision::kInt8) {
       batches_int8_.fetch_add(1, std::memory_order_relaxed);
     }
-    const size_t num_entities = size_t(model.num_entities());
-    const bool relation_ok = assembled.relation >= 0 &&
-                             assembled.relation < model.num_relations();
+    int valid_index = 0;
     for (int i = 0; i < assembled.batch_count; ++i) {
       const Slot& slot = slots_[size_t(assembled.batch[size_t(i)])];
-      const bool ok =
-          range_reduce
-              ? (relation_ok && slot.request.entity >= 0 &&
-                 size_t(slot.request.entity) < num_entities)
-              : ws->valid[size_t(i)] != 0;
-      if (!ok) {
+      if (ws->valid[size_t(i)] == 0) {
         invalid_.fetch_add(1, std::memory_order_relaxed);
         RespondEmpty(slot, ServeStatusCode::kInvalid);
         continue;
@@ -442,29 +390,9 @@ void MicroBatcher::WorkerLoop(WorkerState* ws) {
       reply.status = ServeStatusCode::kOk;
       reply.tier = used;
       reply.snapshot_version = snapshot->version;
-      if (range_reduce) {
-        reply.results =
-            ReduceQuerySharded(model, slot.request.entity, assembled.relation,
-                               assembled.side, used, slot.request.k, ws);
-      } else {
-        const std::span<const float> row(
-            ws->scores.data() + size_t(i) * num_entities, num_entities);
-        reply.results = ReduceQuery(row, slot.request.k, ws);
-      }
+      reply.results = MergeLanes(valid_index++, ws);
       completed_.fetch_add(1, std::memory_order_relaxed);
       slot.done(slot.done_ctx, reply);
-    }
-    if (range_reduce) {
-      // Flush the per-shard tile counters once per batch (not per scan)
-      // to keep atomic traffic off the per-query path.
-      uint64_t tiles_total = 0, tiles_skipped = 0;
-      for (RankScanStats& stats : ws->shard_stats) {
-        tiles_total += stats.tiles_total;
-        tiles_skipped += stats.tiles_skipped;
-        stats = RankScanStats{};
-      }
-      tiles_total_.fetch_add(tiles_total, std::memory_order_relaxed);
-      tiles_skipped_.fetch_add(tiles_skipped, std::memory_order_relaxed);
     }
     ReleaseSlots(assembled.batch.data(), assembled.batch_count);
   }

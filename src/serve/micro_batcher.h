@@ -2,9 +2,10 @@
 // robustness core.
 //
 // Concurrent in-flight queries are coalesced by (relation, side) and
-// fed through the batched full-vocabulary kernels
-// (ScoreAllTailsBatch/ScoreAllHeadsBatch -> simd::DotBatchMulti), which
-// stream each entity row once per batch instead of once per query.
+// answered by one reduction: the batch is folded once, then the model's
+// tile-strided top-k walk (KgeModel::TopKWalk) runs on every scan lane,
+// scoring each kept entity tile once for all the batch's queries, and
+// each query's lane heaps are merged in lane order (DESIGN.md §5h).
 // Batch composition is deadline-driven: each dispatch picks the group
 // of the earliest-deadline request, so a query never waits behind an
 // unrelated full batch.
@@ -22,10 +23,10 @@
 //     replica tiers when the model supports them and options allow,
 //     trading a little score fidelity for 2-4x candidate bandwidth.
 //     Replies report the tier that actually scored them.
-//   * Zero steady-state allocation: slots, queues, score matrices, and
-//     the top-k heap are preallocated or high-water grown; the
-//     assemble/score/reduce roots are KGE_HOT_NOALLOC and gated by
-//     scripts/hotpath_check.py.
+//   * Zero steady-state allocation: slots, queues and the lane heaps are
+//     preallocated in Start, folds and walk scratch are grown once to the
+//     max_batch high-water mark; the assemble/walk/merge roots are
+//     KGE_HOT_NOALLOC and gated by scripts/hotpath_check.py.
 //
 // Completion is a callback (plain function pointer + context, so the
 // submit path stays allocation-free). It fires exactly once per Submit,
@@ -67,18 +68,17 @@ struct BatcherOptions {
   // the float32 / int8 tiers.
   int degrade_float32_pct = 50;
   int degrade_int8_pct = 85;
-  // Entity-table shards for the top-k reduction (kge_serve --shards).
-  // With > 1 (or prune set) each query runs the range-scoped
-  // TopKTailsInRange/TopKHeadsInRange scans — per-shard heaps fanned
-  // across a shared shard pool, merged deterministically — instead of
-  // materializing a B × num_entities score matrix. Results are
-  // identical at every setting ((score, id) is a total order); only the
-  // peak footprint and latency change.
+  // Scan lanes of the top-k walk (kge_serve --shards): lane s walks the
+  // entity tiles s, s + n, s + 2n, … into its own heaps, the lanes fan
+  // out across a shared pool when n > 1 (a lane that finishes first
+  // takes over the others' unclaimed tiles), and each query's lane
+  // heaps are merged in lane order. Results are identical at every
+  // setting ((score, id) is a total order); only latency changes.
   int num_shards = 1;
-  // Skip candidate tiles whose Cauchy–Schwarz bound cannot beat the
-  // current heap minimum (kge_serve --prune). Exact, never approximate.
-  // Snapshots must be loaded with their tile bounds prepared
-  // (CheckpointWatcher::Options::prepare_bounds /
+  // Skip (query, tile) pairs whose Cauchy–Schwarz bound cannot beat the
+  // query's lane-heap minimum (kge_serve --prune). Exact, never
+  // approximate. Snapshots must be loaded with their tile bounds
+  // prepared (CheckpointWatcher::Options::prepare_bounds /
   // KgeModel::PrepareForPrunedScoring) before workers score them.
   bool prune = false;
 };
@@ -107,9 +107,9 @@ struct BatcherStatsView {
   uint64_t batched_queries = 0;
   uint64_t batches_float32 = 0;
   uint64_t batches_int8 = 0;
-  // Range-scan tile counters (sharded/pruned reduction only; zero on
-  // the matrix path). tiles_skipped / tiles_total is the serving-side
-  // pruning effectiveness BENCH_serving reports.
+  // Walk counters per (query, tile) pair of every valid query;
+  // tiles_skipped / tiles_total is the serving-side pruning
+  // effectiveness BENCH_serving reports.
   uint64_t tiles_total = 0;
   uint64_t tiles_skipped = 0;
 };
@@ -162,23 +162,25 @@ class MicroBatcher {
   };
 
   // Per-worker preallocated storage: the thread plus every buffer the
-  // score/reduce path writes, so workers never contend on scratch.
+  // walk/merge path writes, so workers never contend on scratch.
   struct WorkerState {
     std::thread thread;
     Assembled assembled;
-    std::vector<EntityId> contexts;
+    // Per batch position: 1 when the request is in range.
     std::vector<uint8_t> valid;
-    std::vector<float> scores;
-    std::vector<ScoredEntity> results;
+    // The valid queries' entities and folds, in batch order.
+    std::vector<EntityId> anchors;
+    std::vector<float> folds;
+    // Lane s, valid query v: lane_heaps[s * max_batch + v]. Each lane
+    // writes only its own heaps, scratch and stats.
+    std::vector<TopKHeap<float, EntityId>> lane_heaps;
+    std::vector<TopKWalkScratch> lane_scratch;
+    std::vector<RankScanStats> lane_stats;
+    // The lanes' tile claim counters when they run on shard_pool_.
+    std::vector<TopKLaneClaim> lane_claims;
+    // Merge target when there is more than one lane.
     TopKHeap<float, EntityId> heap;
-    // Sharded-reduction scratch (one slot per shard, Reserve'd at
-    // Start): the shard fan-out writes disjoint slots, the merge reads
-    // them back in shard order.
-    std::vector<TopKHeap<float, EntityId>> shard_heaps;
-    std::vector<RankScanStats> shard_stats;
-    // Primes the shared prune floor for the sharded+pruned reduction
-    // (the k best of an exhaustive prefix scan, see ReduceQuerySharded).
-    TopKHeap<float, EntityId> prime_heap;
+    std::vector<ScoredEntity> results;
   };
 
   void WorkerLoop(WorkerState* ws);
@@ -196,30 +198,18 @@ class MicroBatcher {
   // Updates the occupancy EWMA and picks the tier it arms.
   ScorePrecision DecideTierLocked() KGE_REQUIRES(mutex_);
 
-  // Folds the batch contexts, range-checks each query against the
-  // snapshot (ws->valid), and runs one batched kernel dispatch at
-  // `tier` (falling back to kDouble when the model lacks the replica).
-  // Returns the tier actually used.
+  // Range-checks each query against the model (ws->valid), folds the
+  // valid ones once, arms their lane heaps with their k, and runs the
+  // model's top-k walk on every lane — across shard_pool_ when
+  // num_shards > 1 — at `tier`. Adds tile counters to ws->lane_stats.
   KGE_HOT_NOALLOC
-  ScorePrecision ScoreAssembled(const ModelSnapshot& snapshot,
-                                ScorePrecision tier, WorkerState* ws);
+  void WalkAssembled(const KgeModel& model, ScorePrecision tier,
+                     WorkerState* ws);
 
-  // Top-k reduction of one query's score row into ws->results.
+  // Valid query v's top-k, best first: its lane heaps merged in lane
+  // order. Valid until the next call.
   KGE_HOT_NOALLOC
-  std::span<const ScoredEntity> ReduceQuery(std::span<const float> row,
-                                            uint32_t k, WorkerState* ws);
-
-  // Sharded / pruned top-k reduction of one query (DESIGN.md §5h): runs
-  // the range-scoped scans per shard — fanned across shard_pool_ when
-  // num_shards > 1 — then merges the per-shard heaps in shard order.
-  // Returns exactly what ReduceQuery over the full score row would (the
-  // (score, id) total order makes the top-k set partition-invariant);
-  // only the footprint and the skipped-tile work differ. Accumulates
-  // tile counters into ws->shard_stats.
-  KGE_HOT_NOALLOC
-  std::span<const ScoredEntity> ReduceQuerySharded(
-      const KgeModel& model, EntityId entity, RelationId relation,
-      QuerySide side, ScorePrecision tier, uint32_t k, WorkerState* ws);
+  std::span<const ScoredEntity> MergeLanes(int v, WorkerState* ws);
 
   void RespondEmpty(const Slot& slot, ServeStatusCode status);
   void ReleaseSlots(const int* ids, int count);
@@ -242,10 +232,10 @@ class MicroBatcher {
   int ewma_pct_ KGE_GUARDED_BY(mutex_) = 0;
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  // Shared fork-join pool for the per-query shard fan-out (created in
-  // Start() when the sharded reduction is enabled with num_shards > 1).
-  // StageFor is safe from multiple workers concurrently: tasks live in
-  // a mutex-protected POD ring and waiters help drain it.
+  // Shared fork-join pool for the lane fan-out (created in Start() when
+  // num_shards > 1). StageFor is safe from multiple workers
+  // concurrently: tasks live in a mutex-protected POD ring and waiters
+  // help drain it.
   std::unique_ptr<ThreadPool> shard_pool_;
 
   std::atomic<uint64_t> submitted_{0};

@@ -63,8 +63,6 @@ inline constexpr size_t kRequestFrameBytes =
 inline constexpr size_t kResponseBodyBaseBytes = 24;
 inline constexpr size_t kResponseEntryBytes = 8;
 
-enum class QuerySide : uint8_t { kTail = 0, kHead = 1 };
-
 enum class ServeStatusCode : uint8_t {
   kOk = 0,
   // Admission control rejected the request (queue full).

@@ -1,7 +1,9 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 // checksum used by the checkpoint format to detect torn writes and bit
-// rot. Software table implementation; checkpoint I/O is far from the hot
-// path, so portability beats SSE4.2 intrinsics here.
+// rot. Portable slicing-by-8 software implementation: a hot-swapping
+// server checksums every published checkpoint twice (verify, then map)
+// while it answers queries, so the checksum's CPU time is serving
+// capacity, but portability still beats SSE4.2 intrinsics here.
 #ifndef KGE_UTIL_CRC32C_H_
 #define KGE_UTIL_CRC32C_H_
 

@@ -41,6 +41,41 @@ TEST(Crc32cTest, ExtendComposesAcrossSplits) {
   }
 }
 
+// Bit-at-a-time CRC32C straight from the polynomial: the reference the
+// sliced implementation must match.
+uint32_t ReferenceCrc32c(const unsigned char* data, size_t count) {
+  uint32_t state = 0xFFFFFFFFu;
+  for (size_t i = 0; i < count; ++i) {
+    state ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1u) ? (state >> 1) ^ 0x82F63B78u : state >> 1;
+    }
+  }
+  return ~state;
+}
+
+TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryOffsetAndLength) {
+  // Every start offset within a word and every length up to a few words
+  // crosses the 8-byte main loop and the byte tail at each alignment.
+  std::vector<unsigned char> data(4096 + 16);
+  uint32_t x = 12345;
+  for (unsigned char& byte : data) {
+    x = x * 1103515245u + 12345u;
+    byte = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 40; ++length) {
+      EXPECT_EQ(Crc32c(data.data() + offset, length),
+                ReferenceCrc32c(data.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+    const size_t length = data.size() - offset;
+    EXPECT_EQ(Crc32c(data.data() + offset, length),
+              ReferenceCrc32c(data.data() + offset, length))
+        << "offset " << offset << " length " << length;
+  }
+}
+
 TEST(Crc32cTest, SingleBitFlipChangesChecksum) {
   std::vector<unsigned char> data(64);
   for (size_t i = 0; i < data.size(); ++i) {

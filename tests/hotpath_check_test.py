@@ -18,7 +18,7 @@ analyzer, asserting the exact findings/suppressions it must produce:
   serve_batch.cc          cold assembler + hot batch
                           score/top-k reduce             -> silent
   pruned_scan.cc          cold tile-bound preparer + hot
-                          bound-pruned top-k scan        -> silent
+                          strided multi-query pruned walk -> silent
 
 Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
@@ -174,14 +174,14 @@ def main():
         check("fixture::AssembleAndDispatch" not in rep["roots"],
               "allocating assembler stays outside the hot set")
 
-        print("pruned_scan: bound preparer allocs OK, pruned scan root clean")
+        print("pruned_scan: lane preparer allocs OK, strided walk root clean")
         rc, rep = run_checker([fx("pruned_scan.cc")], tmpdir, "pruned")
         check(rc == 0, "exit code 0")
         check(len(rep["findings"]) == 0, "no findings")
-        check("fixture::PrunedTopKScanRoot" in rep["roots"],
-              "pruned scan root was recognized")
-        check("fixture::PrepareTileBounds" not in rep["roots"],
-              "allocating bound preparer stays outside the hot set")
+        check("fixture::StridedTopKWalkRoot" in rep["roots"],
+              "strided walk root was recognized")
+        check("fixture::PrepareLaneWalk" not in rep["roots"],
+              "allocating lane preparer stays outside the hot set")
 
         print("multi-file: helper alloc found across TU boundary")
         rc, rep = run_checker([fx("indirect_alloc.cc"), fx("clean.cc")],

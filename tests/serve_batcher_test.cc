@@ -4,13 +4,17 @@
 // pressure downshifts the scoring tier; shutdown drains every request.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "eval/topk.h"
+#include "math/simd.h"
 #include "models/model_factory.h"
 #include "serve/micro_batcher.h"
 #include "serve/snapshot.h"
@@ -24,11 +28,14 @@ constexpr int32_t kRelations = 4;
 constexpr int32_t kBudget = 16;
 
 std::shared_ptr<ModelSnapshot> MakeSnapshot(const std::string& model_name,
-                                            uint64_t seed) {
+                                            uint64_t seed,
+                                            int32_t entities = kEntities,
+                                            bool prune = false) {
   auto model =
-      MakeModelByName(model_name, kEntities, kRelations, kBudget, seed);
+      MakeModelByName(model_name, entities, kRelations, kBudget, seed);
   EXPECT_TRUE(model.ok());
   (*model)->PrepareForScoring(ScorePrecision::kDouble);
+  if (prune) (*model)->PrepareForPrunedScoring(ScorePrecision::kDouble);
   if ((*model)->SupportsScorePrecision(ScorePrecision::kInt8)) {
     (*model)->PrepareForScoring(ScorePrecision::kFloat32);
     (*model)->PrepareForScoring(ScorePrecision::kInt8);
@@ -82,38 +89,100 @@ ServeRequest TailQuery(EntityId entity, RelationId relation, uint32_t k) {
   return request;
 }
 
-TEST(MicroBatcherTest, MatchesOfflinePredictorsBothSides) {
-  SnapshotRegistry registry;
-  registry.Publish(MakeSnapshot("distmult", 17));
-  MicroBatcher batcher(&registry, RelaxedOptions());
-  batcher.Start();
-
-  const auto snapshot = registry.Acquire();
+void ExpectMatchesOffline(const KgeModel& model, const ServeRequest& request,
+                          Waiter* waiter, const std::string& label) {
   TopKOptions options;
-  options.k = 7;
-  for (const QuerySide side : {QuerySide::kTail, QuerySide::kHead}) {
-    for (EntityId entity = 0; entity < 5; ++entity) {
-      ServeRequest request = TailQuery(entity, 2, 7);
-      request.side = side;
-      Waiter waiter;
-      batcher.Submit(request, &Waiter::OnReply, &waiter);
-      waiter.Await();
-      MutexLock lock(waiter.mutex);
-      ASSERT_EQ(waiter.status, ServeStatusCode::kOk);
-      EXPECT_EQ(waiter.tier, ScorePrecision::kDouble);
-      EXPECT_EQ(waiter.snapshot_version, 1u);
-      const std::vector<ScoredEntity> expected =
-          side == QuerySide::kTail
-              ? PredictTails(*snapshot->model, entity, 2, options)
-              : PredictHeads(*snapshot->model, entity, 2, options);
-      ASSERT_EQ(waiter.results.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(waiter.results[i].entity, expected[i].entity);
-        EXPECT_FLOAT_EQ(waiter.results[i].score, expected[i].score);
+  options.k = int(request.k);
+  const std::vector<ScoredEntity> expected =
+      request.side == QuerySide::kTail
+          ? PredictTails(model, request.entity, request.relation, options)
+          : PredictHeads(model, request.entity, request.relation, options);
+  MutexLock lock(waiter->mutex);
+  ASSERT_EQ(waiter->status, ServeStatusCode::kOk) << label;
+  EXPECT_EQ(waiter->tier, ScorePrecision::kDouble) << label;
+  EXPECT_EQ(waiter->snapshot_version, 1u) << label;
+  ASSERT_EQ(waiter->results.size(), expected.size()) << label;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(waiter->results[i].entity, expected[i].entity) << label;
+    EXPECT_EQ(waiter->results[i].score, expected[i].score) << label;
+  }
+}
+
+// Every scan-lane count and prune setting answers exactly what the
+// offline predictors do: one query at a time on both sides, and one
+// same-group batch queued before Start with mixed k and an out-of-range
+// entity.
+TEST(MicroBatcherTest, MatchesOfflinePredictorsBothSides) {
+  for (const int shards : {1, 4}) {
+    for (const bool prune : {false, true}) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " prune=" + std::to_string(prune);
+      BatcherOptions options = RelaxedOptions();
+      options.num_shards = shards;
+      options.prune = prune;
+      {
+        SnapshotRegistry registry;
+        registry.Publish(MakeSnapshot("distmult", 17, kEntities, prune));
+        MicroBatcher batcher(&registry, options);
+        batcher.Start();
+        const auto snapshot = registry.Acquire();
+        for (const QuerySide side : {QuerySide::kTail, QuerySide::kHead}) {
+          for (EntityId entity = 0; entity < 5; ++entity) {
+            ServeRequest request = TailQuery(entity, 2, 7);
+            request.side = side;
+            Waiter waiter;
+            batcher.Submit(request, &Waiter::OnReply, &waiter);
+            waiter.Await();
+            ExpectMatchesOffline(*snapshot->model, request, &waiter, label);
+          }
+        }
+        batcher.Stop();
       }
+
+      // Enough entities for several tiles per lane.
+      constexpr int32_t kBatchEntities = 5000;
+      options.max_topk = 100;
+      SnapshotRegistry registry;
+      registry.Publish(MakeSnapshot("distmult", 23, kBatchEntities, prune));
+      const auto snapshot = registry.Acquire();
+      MicroBatcher batcher(&registry, options);  // not Started yet
+      const QuerySide side = prune ? QuerySide::kHead : QuerySide::kTail;
+      const uint32_t ks[] = {0, 1, 10, 64, 150};
+      std::vector<ServeRequest> requests;
+      for (size_t i = 0; i < std::size(ks); ++i) {
+        requests.push_back(TailQuery(EntityId(7 * i), 3, ks[i]));
+      }
+      requests.push_back(TailQuery(kBatchEntities, 3, 10));
+      std::vector<std::unique_ptr<Waiter>> waiters;
+      for (ServeRequest& request : requests) {
+        request.side = side;
+        waiters.push_back(std::make_unique<Waiter>());
+        batcher.Submit(request, &Waiter::OnReply, waiters.back().get());
+      }
+      batcher.Start();
+      for (size_t i = 0; i < requests.size(); ++i) {
+        waiters[i]->Await();
+        if (requests[i].entity == kBatchEntities) {
+          MutexLock lock(waiters[i]->mutex);
+          EXPECT_EQ(waiters[i]->status, ServeStatusCode::kInvalid) << label;
+          continue;
+        }
+        // Served k is the request's, clamped to max_topk.
+        ServeRequest served = requests[i];
+        served.k = std::min(served.k, options.max_topk);
+        ExpectMatchesOffline(*snapshot->model, served, waiters[i].get(),
+                             label);
+      }
+      const BatcherStatsView stats = batcher.stats();
+      EXPECT_EQ(stats.batches, 1u) << label;
+      EXPECT_EQ(stats.invalid, 1u) << label;
+      const size_t tiles =
+          simd::PrunedTileCount(kBatchEntities, snapshot->model->FoldWidth());
+      EXPECT_GT(tiles, 2 * size_t(shards)) << label;
+      EXPECT_EQ(stats.tiles_total, 5 * tiles) << label;
+      batcher.Stop();
     }
   }
-  batcher.Stop();
 }
 
 TEST(MicroBatcherTest, ClampsKAndAnswersEmptyForZeroK) {

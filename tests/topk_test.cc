@@ -208,7 +208,7 @@ TEST(TopKTest, PredictHeadsUsesHeadScores) {
 
 TEST(TopKHeapTest, CanSkipBoundAgainstHeapMinimumIsStrict) {
   TopKHeap<float, EntityId> heap(2);
-  EXPECT_FALSE(heap.CanSkipBound(-100.0));  // not full, no floor
+  EXPECT_FALSE(heap.CanSkipBound(-100.0));  // not full yet
   heap.PushCandidate(0, 5.0f);
   heap.PushCandidate(1, 3.0f);
   ASSERT_TRUE(heap.full());
@@ -217,28 +217,9 @@ TEST(TopKHeapTest, CanSkipBoundAgainstHeapMinimumIsStrict) {
   // still enter on the smaller-id tie-break.
   EXPECT_FALSE(heap.CanSkipBound(3.0));
   EXPECT_FALSE(heap.CanSkipBound(3.1));
-}
-
-TEST(TopKHeapTest, PruneFloorSkipsBeforeHeapFills) {
-  TopKHeap<float, EntityId> heap(4);
-  heap.SetPruneFloor(1.5f);
-  EXPECT_TRUE(heap.CanSkipBound(1.4));
-  EXPECT_FALSE(heap.CanSkipBound(1.5));  // strict, ties must scan
-  EXPECT_FALSE(heap.CanSkipBound(2.0));
-  // ResetCapacity drops the floor: a stale floor from the previous
-  // query would make the next selection inexact.
-  heap.ResetCapacity(4);
-  EXPECT_FALSE(heap.CanSkipBound(1.4));
-}
-
-TEST(TopKHeapTest, FullHeapUsesTheTighterOfFloorAndMinimum) {
-  TopKHeap<float, EntityId> heap(2);
-  heap.SetPruneFloor(1.0f);
-  heap.PushCandidate(0, 5.0f);
-  heap.PushCandidate(1, 4.0f);
-  // Heap minimum (4.0) is now tighter than the floor (1.0).
-  EXPECT_TRUE(heap.CanSkipBound(3.9));
-  EXPECT_FALSE(heap.CanSkipBound(4.0));
+  // A heap that keeps nothing skips every tile.
+  TopKHeap<float, EntityId> empty(0);
+  EXPECT_TRUE(empty.CanSkipBound(1e30));
 }
 
 TEST(TopKHeapTest, ReserveKeepsResetCapacityAllocationFree) {

@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "kge.h"
 
@@ -82,13 +83,13 @@ int Run(int argc, char** argv) {
                 "max queries coalesced into one kernel dispatch");
   parser.AddInt("workers", &workers, "scoring worker threads");
   parser.AddInt("shards", &shards,
-                "entity-table shards for the top-k reduction; > 1 runs "
-                "range-scoped per-shard scans in parallel and merges "
-                "(results identical at every setting)");
+                "scan lanes of the top-k walk; lane s walks entity tiles "
+                "s, s+N, s+2N, ... for the whole batch, lanes run in "
+                "parallel and merge (results identical at every setting)");
   parser.AddBool("prune", &prune,
                  "skip candidate tiles whose Cauchy-Schwarz score bound "
-                 "cannot beat the current top-k minimum (exact, never "
-                 "approximate)");
+                 "cannot beat the query's lane top-k minimum (exact, "
+                 "never approximate)");
   parser.AddString("scale", &scale,
                    "generated-vocabulary preset: small (3k) | medium "
                    "(100k) | xl (1M); overrides --entities");
@@ -124,9 +125,14 @@ int Run(int argc, char** argv) {
     }
     entities = preset;
   }
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
+  for (const auto& [flag, value] :
+       {std::pair{"--shards", shards}, std::pair{"--workers", workers},
+        std::pair{"--max-queue", max_queue},
+        std::pair{"--max-batch", max_batch}}) {
+    if (value < 1) {
+      std::fprintf(stderr, "%s must be >= 1\n", flag);
+      return 2;
+    }
   }
 
   BatcherOptions batcher_options;
