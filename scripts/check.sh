@@ -76,6 +76,16 @@ echo "== tool smoke runs =="
     --max-epochs=20 --checkpoint=/tmp/kge_check.ckpt > /dev/null
 "./${BUILD_DIR}/tools/kge_eval" --model=complex --entities=300 --dim-budget=32 \
     --checkpoint=/tmp/kge_check.ckpt > /dev/null
+# An unknown --generate and too few --entities are usage errors (exit 2).
+for flag in --generate=bogus --entities=50; do
+  status=0
+  "./${BUILD_DIR}/tools/kge_eval" --checkpoint=/tmp/kge_check.ckpt "${flag}" \
+      > /dev/null 2>&1 || status=$?
+  if [[ "${status}" != 2 ]]; then
+    echo "kge_eval ${flag} exited ${status}, want a usage error (2)" >&2
+    exit 1
+  fi
+done
 rm -f /tmp/kge_check.ckpt
 
 echo "ALL CHECKS PASSED"

@@ -2,8 +2,9 @@
 # End-to-end smoke test for the serving layer (kge_serve + kge_query).
 #
 # The script
-#   0. checks that zero-sized --workers/--max-queue/--max-batch/--shards
-#      are usage errors (exit 2), not aborts,
+#   0. checks that zero-sized --workers/--max-queue/--max-batch/--shards,
+#      an unknown --generate and an --entities below the generator's
+#      minimum are usage errors (exit 2), not aborts,
 #   1. trains a small model with durable checkpoints (ckpt_*.kge2 +
 #      LATEST pointer),
 #   2. serves an older checkpoint and answers a query over TCP,
@@ -14,7 +15,11 @@
 #      answered from the last good snapshot,
 #   5. kills the server with SIGKILL and restarts it against the same
 #      directory, checking it resumes from the newest CRC-valid
-#      checkpoint even though LATEST still names the quarantined file.
+#      checkpoint even though LATEST still names the quarantined file,
+#   6. checks that a vocabulary one entity larger than the checkpoint's
+#      is refused at load (exit 1): kge_serve sizes a generated wordnet
+#      vocabulary from --entities without generating it, so the
+#      checkpoint's shape check is what keeps a mismatched table out.
 #
 # Usage: scripts/serve_smoke.sh [BUILD_DIR]
 #   BUILD_DIR  build tree with kge_train/kge_serve/kge_query (default build)
@@ -40,17 +45,28 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== zero-sized flags are usage errors =="
-for flag in --workers=0 --max-queue=0 --max-batch=0 --shards=0; do
-  status=0
-  "${SERVE}" --checkpoint="${WORK_DIR}/none.kge2" "${flag}" \
+# expect_usage_error MESSAGE FLAG...: kge_serve with the flags must exit
+# 2 and print MESSAGE.
+expect_usage_error() {
+  local message="$1" status=0
+  shift
+  "${SERVE}" --checkpoint="${WORK_DIR}/none.kge2" "$@" \
       > /dev/null 2> "${WORK_DIR}/usage.log" || status=$?
-  if [[ "${status}" != 2 ]] || ! grep -q "must be >= 1" "${WORK_DIR}/usage.log"; then
-    echo "serve_smoke: kge_serve ${flag} exited ${status}, want a usage error (2)" >&2
+  if [[ "${status}" != 2 ]] || ! grep -q -- "${message}" "${WORK_DIR}/usage.log"; then
+    echo "serve_smoke: kge_serve $* exited ${status}, want a usage error (2)" >&2
     cat "${WORK_DIR}/usage.log" >&2
     exit 1
   fi
+}
+
+echo "== bad flags are usage errors =="
+for flag in --workers=0 --max-queue=0 --max-batch=0 --shards=0; do
+  expect_usage_error "must be >= 1" "${flag}"
 done
+expect_usage_error "unknown --generate=bogus" --generate=bogus
+expect_usage_error "--entities must be between 100" --entities=50
+expect_usage_error "--entities must be between 200" --generate=freebase \
+    --entities=150
 
 CKPTS="${WORK_DIR}/ckpts"
 MODEL_ARGS=(--model=complex --generate=wordnet --entities=300
@@ -143,6 +159,18 @@ start_server
 await_snapshot 1
 "${QUERY}" --port="${PORT}" --entity=1 --relation=0 --topk=5 \
     --expect-status=ok --quiet
+
+echo "== a vocabulary that does not match the checkpoint is refused =="
+status=0
+"${SERVE}" "${MODEL_ARGS[@]}" --entities=301 \
+    --checkpoint="${CKPTS}/ckpt_4.kge2" --port=0 \
+    > "${WORK_DIR}/mismatch.log" 2>&1 || status=$?
+if [[ "${status}" != 1 ]] ||
+    ! grep -q "cannot load a serving checkpoint" "${WORK_DIR}/mismatch.log"; then
+  echo "serve_smoke: --entities=301 on a 300-entity checkpoint exited ${status}, want 1" >&2
+  cat "${WORK_DIR}/mismatch.log" >&2
+  exit 1
+fi
 
 echo "== medium scale: 100k-entity snapshot, 4-lane pruned top-10 =="
 kill "${SERVER_PID}" 2>/dev/null || true

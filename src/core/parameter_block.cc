@@ -12,7 +12,9 @@ ParameterBlock::ParameterBlock(std::string name, int64_t num_rows,
                                int64_t row_dim)
     : name_(std::move(name)), num_rows_(num_rows), row_dim_(row_dim) {
   KGE_CHECK(num_rows_ >= 0 && row_dim_ > 0);
-  data_.assign(static_cast<size_t>(num_rows_ * row_dim_), 0.0f);
+  const size_t count = static_cast<size_t>(num_rows_ * row_dim_);
+  data_.reset(static_cast<float*>(std::calloc(count, sizeof(float))));
+  KGE_CHECK(data_ != nullptr || count == 0);
 }
 
 std::span<float> ParameterBlock::Row(int64_t row) {
@@ -35,8 +37,7 @@ void ParameterBlock::BorrowStorage(float* backing, int64_t count) {
   // Release the internally owned copy — with a view installed it can
   // never be read again, and for embedding tables it is the dominant
   // memory cost.
-  data_.clear();
-  data_.shrink_to_fit();
+  data_.reset();
   BumpGeneration();
 }
 

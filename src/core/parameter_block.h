@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +21,11 @@ namespace kge {
 
 class ParameterBlock {
  public:
+  // Zero-filled. The storage comes from calloc, which hands out large
+  // blocks as fresh zero pages the kernel maps only on first write, so
+  // an embedding table that is never written before BorrowStorage
+  // replaces it (a serving snapshot's) costs neither time nor resident
+  // memory.
   ParameterBlock(std::string name, int64_t num_rows, int64_t row_dim);
 
   const std::string& name() const { return name_; }
@@ -73,15 +80,19 @@ class ParameterBlock {
     generation_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  float* mutable_storage() { return view_ != nullptr ? view_ : data_.data(); }
+  float* mutable_storage() { return view_ != nullptr ? view_ : data_.get(); }
   const float* storage() const {
-    return view_ != nullptr ? view_ : data_.data();
+    return view_ != nullptr ? view_ : data_.get();
   }
+
+  struct FreeDeleter {
+    void operator()(float* p) const { std::free(p); }
+  };
 
   std::string name_;
   int64_t num_rows_;
   int64_t row_dim_;
-  std::vector<float> data_;
+  std::unique_ptr<float[], FreeDeleter> data_;
   // When non-null, the block reads/writes this caller-owned storage
   // instead of data_ (see BorrowStorage).
   float* view_ = nullptr;

@@ -57,7 +57,7 @@ constexpr RelationSpec kSchema[] = {
 }  // namespace
 
 Dataset GenerateFreebaseLike(const FreebaseLikeOptions& options) {
-  KGE_CHECK(options.num_entities >= 200);
+  KGE_CHECK(options.num_entities >= kFreebaseMinEntities);
   Rng rng(options.seed);
   Dataset dataset;
 

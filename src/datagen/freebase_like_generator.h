@@ -18,6 +18,9 @@
 
 namespace kge {
 
+// The fewest entities the generator accepts.
+inline constexpr int32_t kFreebaseMinEntities = 200;
+
 struct FreebaseLikeOptions {
   int32_t num_entities = 3000;
   // Fraction of relations that get a paired inverse relation.

@@ -52,7 +52,7 @@ bool ParseWordNetScale(std::string_view text, int32_t* num_entities) {
 }
 
 Dataset GenerateWordNetLike(const WordNetLikeOptions& options) {
-  KGE_CHECK(options.num_entities >= 100);
+  KGE_CHECK(options.num_entities >= kWordNetMinEntities);
   const int32_t n = options.num_entities;
   Rng rng(options.seed);
 

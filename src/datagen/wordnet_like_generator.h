@@ -27,6 +27,9 @@
 
 namespace kge {
 
+// The fewest entities the generator accepts.
+inline constexpr int32_t kWordNetMinEntities = 100;
+
 struct WordNetLikeOptions {
   // Number of synset entities. WN18 has 40,943; the default is scaled to
   // keep full grid training practical on one core. The generator is
@@ -83,7 +86,11 @@ inline constexpr int32_t kWordNetScaleXl = 1000000;
 bool ParseWordNetScale(std::string_view text, int32_t* num_entities);
 
 // Generates the dataset (vocabularies + split triples). Deterministic in
-// `options.seed`.
+// `options.seed`. The vocabulary is fixed by the options alone, whatever
+// the seed: exactly options.num_entities synsets and
+// kNumWordNetRelations relation ids (with remove_inverse_leakage too),
+// so a consumer that needs only its sizes, like kge_serve, need not
+// generate it.
 Dataset GenerateWordNetLike(const WordNetLikeOptions& options);
 
 }  // namespace kge

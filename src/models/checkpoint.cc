@@ -6,61 +6,12 @@
 namespace kge {
 namespace {
 
-// v1 body, after the magic: model name, block count, blocks. No CRC.
-Status LoadV1Body(KgeModel* model, BinaryReader* reader) {
-  Result<std::string> saved_name = reader->ReadString();
-  if (!saved_name.ok()) return saved_name.status();
-  if (*saved_name != model->name()) {
-    return Status::InvalidArgument(
-        StrFormat("checkpoint holds model '%s' but got '%s'",
-                  saved_name->c_str(), model->name().c_str()));
-  }
-  Result<uint32_t> block_count = reader->ReadUint32();
-  if (!block_count.ok()) return block_count.status();
-  const std::vector<ParameterBlock*> blocks = model->Blocks();
-  if (*block_count != blocks.size()) {
-    return Status::InvalidArgument("checkpoint block count mismatch");
-  }
-  for (ParameterBlock* block : blocks) {
-    Result<std::string> name = reader->ReadString();
-    if (!name.ok()) return name.status();
-    Result<uint64_t> rows = reader->ReadUint64();
-    if (!rows.ok()) return rows.status();
-    Result<uint64_t> dim = reader->ReadUint64();
-    if (!dim.ok()) return dim.status();
-    if (*name != block->name() || int64_t(*rows) != block->num_rows() ||
-        int64_t(*dim) != block->row_dim()) {
-      return Status::InvalidArgument(
-          StrFormat("checkpoint block '%s' (%llux%llu) does not match "
-                    "model block '%s' (%lldx%lld)",
-                    name->c_str(), (unsigned long long)*rows,
-                    (unsigned long long)*dim, block->name().c_str(),
-                    (long long)block->num_rows(),
-                    (long long)block->row_dim()));
-    }
-    KGE_RETURN_IF_ERROR(reader->ReadFloatArray(block->Flat().data(),
-                                               block->Flat().size()));
-  }
-  return reader->Close();
-}
-
-}  // namespace
-
-Status WriteCheckpointHeader(CheckpointKind kind, BinaryWriter* writer) {
-  KGE_RETURN_IF_ERROR(writer->WriteUint32(kCheckpointMagicV2));
-  KGE_RETURN_IF_ERROR(writer->WriteUint32(kCheckpointVersion));
-  return writer->WriteUint32(static_cast<uint32_t>(kind));
-}
-
-Result<CheckpointKind> ReadCheckpointHeader(BinaryReader* reader,
+// Version and kind, read after a "KGE2" magic.
+Result<CheckpointHeader> ReadVersionAndKind(BinaryReader* reader,
                                             const std::string& path) {
-  Result<uint32_t> magic = reader->ReadUint32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kCheckpointMagicV2)
-    return Status::InvalidArgument(path + " is not a v2 kge checkpoint");
   Result<uint32_t> version = reader->ReadUint32();
   if (!version.ok()) return version.status();
-  if (*version != kCheckpointVersion) {
+  if (*version < 2 || *version > kCheckpointVersion) {
     return Status::InvalidArgument(
         StrFormat("%s: unsupported checkpoint version %u", path.c_str(),
                   *version));
@@ -71,7 +22,24 @@ Result<CheckpointKind> ReadCheckpointHeader(BinaryReader* reader,
     return Status::InvalidArgument(
         StrFormat("%s: unknown checkpoint kind %u", path.c_str(), *kind));
   }
-  return static_cast<CheckpointKind>(*kind);
+  return CheckpointHeader{*version, static_cast<CheckpointKind>(*kind)};
+}
+
+}  // namespace
+
+Status WriteCheckpointHeader(CheckpointKind kind, BinaryWriter* writer) {
+  KGE_RETURN_IF_ERROR(writer->WriteUint32(kCheckpointMagicV2));
+  KGE_RETURN_IF_ERROR(writer->WriteUint32(kCheckpointVersion));
+  return writer->WriteUint32(static_cast<uint32_t>(kind));
+}
+
+Result<CheckpointHeader> ReadCheckpointHeader(BinaryReader* reader,
+                                              const std::string& path) {
+  Result<uint32_t> magic = reader->ReadUint32();
+  if (!magic.ok()) return magic.status();
+  if (*magic != kCheckpointMagicV2)
+    return Status::InvalidArgument(path + " is not a v2+ kge checkpoint");
+  return ReadVersionAndKind(reader, path);
 }
 
 Status WriteModelSection(const KgeModel& model, BinaryWriter* writer) {
@@ -83,12 +51,15 @@ Status WriteModelSection(const KgeModel& model, BinaryWriter* writer) {
     KGE_RETURN_IF_ERROR(writer->WriteUint64(uint64_t(block->num_rows())));
     KGE_RETURN_IF_ERROR(writer->WriteUint64(uint64_t(block->row_dim())));
     KGE_RETURN_IF_ERROR(writer->WriteFloatArray(block->Flat().data(),
-                                                block->Flat().size()));
+                                                block->Flat().size(),
+                                                kCheckpointPayloadAlignment));
   }
   return Status::Ok();
 }
 
-Status ReadModelSection(KgeModel* model, BinaryReader* reader) {
+Status ReadModelSection(KgeModel* model, BinaryReader* reader,
+                        uint32_t version) {
+  const size_t alignment = version >= 3 ? kCheckpointPayloadAlignment : 1;
   Result<std::string> saved_name = reader->ReadString();
   if (!saved_name.ok()) return saved_name.status();
   if (*saved_name != model->name()) {
@@ -119,9 +90,10 @@ Status ReadModelSection(KgeModel* model, BinaryReader* reader) {
                     (long long)block->num_rows(),
                     (long long)block->row_dim()));
     }
-    KGE_RETURN_IF_ERROR(reader->ReadFloatArray(block->Flat().data(),
-                                               block->Flat().size()));
+    KGE_RETURN_IF_ERROR(reader->ReadFloatArray(
+        block->Flat().data(), block->Flat().size(), alignment));
   }
+  model->OnParametersLoaded();
   return Status::Ok();
 }
 
@@ -159,24 +131,17 @@ Status LoadModelCheckpoint(KgeModel* model, const std::string& path) {
   KGE_RETURN_IF_ERROR(reader.Open(path));
   Result<uint32_t> magic = reader.ReadUint32();
   if (!magic.ok()) return magic.status();
-  if (*magic == kCheckpointMagicV1) return LoadV1Body(model, &reader);
+  if (*magic == kCheckpointMagicV1) {
+    // v1: the model section right after the magic, no CRC.
+    KGE_RETURN_IF_ERROR(ReadModelSection(model, &reader, 1));
+    return reader.Close();
+  }
   if (*magic != kCheckpointMagicV2)
     return Status::InvalidArgument(path + " is not a kge checkpoint");
-  Result<uint32_t> version = reader.ReadUint32();
-  if (!version.ok()) return version.status();
-  if (*version != kCheckpointVersion) {
-    return Status::InvalidArgument(
-        StrFormat("%s: unsupported checkpoint version %u", path.c_str(),
-                  *version));
-  }
-  Result<uint32_t> kind = reader.ReadUint32();
-  if (!kind.ok()) return kind.status();
-  if (*kind > static_cast<uint32_t>(CheckpointKind::kTrainingState)) {
-    return Status::InvalidArgument(
-        StrFormat("%s: unknown checkpoint kind %u", path.c_str(), *kind));
-  }
-  KGE_RETURN_IF_ERROR(ReadModelSection(model, &reader));
-  if (static_cast<CheckpointKind>(*kind) == CheckpointKind::kTrainingState) {
+  Result<CheckpointHeader> header = ReadVersionAndKind(&reader, path);
+  if (!header.ok()) return header.status();
+  KGE_RETURN_IF_ERROR(ReadModelSection(model, &reader, header->version));
+  if (header->kind == CheckpointKind::kTrainingState) {
     // Skip the training-state section (still feeds the CRC), so model
     // consumers like kge_eval can read trainer checkpoints. Everything
     // between here and the 4-byte footer is training state.
@@ -191,14 +156,8 @@ Status LoadModelCheckpoint(KgeModel* model, const std::string& path) {
 Status VerifyCheckpoint(const std::string& path) {
   BinaryReader reader;
   KGE_RETURN_IF_ERROR(reader.Open(path));
-  Result<uint32_t> magic = reader.ReadUint32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kCheckpointMagicV2)
-    return Status::InvalidArgument(path + " is not a v2 kge checkpoint");
-  Result<uint32_t> version = reader.ReadUint32();
-  if (!version.ok()) return version.status();
-  if (*version != kCheckpointVersion)
-    return Status::InvalidArgument(path + ": unsupported checkpoint version");
+  Result<CheckpointHeader> header = ReadCheckpointHeader(&reader, path);
+  if (!header.ok()) return header.status();
   if (reader.remaining() < sizeof(uint32_t))
     return Status::IoError(path + ": truncated checkpoint");
   KGE_RETURN_IF_ERROR(reader.Skip(reader.remaining() - sizeof(uint32_t)));

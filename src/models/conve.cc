@@ -10,7 +10,7 @@
 namespace kge {
 
 ConvE::ConvE(int32_t num_entities, int32_t num_relations,
-             const ConvEOptions& options, uint64_t seed)
+             const ConvEOptions& options, std::optional<uint64_t> seed)
     : name_("ConvE"),
       options_(options),
       entities_("ConvE.entities", num_entities, 1, options.dim),
@@ -24,7 +24,7 @@ ConvE::ConvE(int32_t num_entities, int32_t num_relations,
                   Activation::kLinear),
       entity_bias_("ConvE.entity_bias", num_entities, 1) {
   KGE_CHECK(options.grid_height * options.grid_width == options.dim);
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 void ConvE::InitParameters(uint64_t seed) {
@@ -157,7 +157,8 @@ void ConvE::NormalizeEntities(std::span<const EntityId> entities) {
 }
 
 std::unique_ptr<ConvE> MakeConvE(int32_t num_entities, int32_t num_relations,
-                                 const ConvEOptions& options, uint64_t seed) {
+                                 const ConvEOptions& options,
+                                 std::optional<uint64_t> seed) {
   return std::make_unique<ConvE>(num_entities, num_relations, options, seed);
 }
 

@@ -15,6 +15,7 @@
 #define KGE_MODELS_CONVE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -36,7 +37,7 @@ struct ConvEOptions {
 class ConvE : public KgeModel {
  public:
   ConvE(int32_t num_entities, int32_t num_relations,
-        const ConvEOptions& options, uint64_t seed);
+        const ConvEOptions& options, std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -89,7 +90,8 @@ class ConvE : public KgeModel {
 };
 
 std::unique_ptr<ConvE> MakeConvE(int32_t num_entities, int32_t num_relations,
-                                 const ConvEOptions& options, uint64_t seed);
+                                 const ConvEOptions& options,
+                                 std::optional<uint64_t> seed);
 
 }  // namespace kge
 

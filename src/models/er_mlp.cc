@@ -9,13 +9,13 @@
 namespace kge {
 
 ErMlp::ErMlp(int32_t num_entities, int32_t num_relations, int32_t dim,
-             int32_t hidden_dim, uint64_t seed)
+             int32_t hidden_dim, std::optional<uint64_t> seed)
     : name_("ER-MLP"),
       entities_("ErMlp.entities", num_entities, 1, dim),
       relations_("ErMlp.relations", num_relations, 1, dim),
       hidden_("ErMlp.hidden", 3 * dim, hidden_dim, Activation::kTanh),
       output_("ErMlp.output", hidden_dim, 1, Activation::kLinear) {
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 void ErMlp::InitParameters(uint64_t seed) {
@@ -138,7 +138,7 @@ void ErMlp::NormalizeEntities(std::span<const EntityId> entities) {
 
 std::unique_ptr<ErMlp> MakeErMlp(int32_t num_entities, int32_t num_relations,
                                  int32_t dim, int32_t hidden_dim,
-                                 uint64_t seed) {
+                                 std::optional<uint64_t> seed) {
   return std::make_unique<ErMlp>(num_entities, num_relations, dim,
                                  hidden_dim, seed);
 }

@@ -12,6 +12,7 @@
 #define KGE_MODELS_ER_MLP_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -24,7 +25,7 @@ namespace kge {
 class ErMlp : public KgeModel {
  public:
   ErMlp(int32_t num_entities, int32_t num_relations, int32_t dim,
-        int32_t hidden_dim, uint64_t seed);
+        int32_t hidden_dim, std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -67,7 +68,7 @@ class ErMlp : public KgeModel {
 
 std::unique_ptr<ErMlp> MakeErMlp(int32_t num_entities, int32_t num_relations,
                                  int32_t dim, int32_t hidden_dim,
-                                 uint64_t seed);
+                                 std::optional<uint64_t> seed);
 
 }  // namespace kge
 

@@ -322,8 +322,16 @@ class KgeModel {
   // learned-ω model) must return false.
   virtual bool SupportsParallelGradients() const { return true; }
 
-  // Deterministic (re-)initialization of all parameters.
+  // Deterministic (re-)initialization of all parameters. Constructors
+  // take the seed as std::optional<uint64_t> and run this with it;
+  // std::nullopt skips it, leaving every block zero and untouched for a
+  // caller that loads every parameter next (a serving snapshot).
   virtual void InitParameters(uint64_t seed) = 0;
+
+  // Called by the checkpoint loaders once every block holds loaded
+  // values: recomputes state derived from the blocks (the learned-ω
+  // model's ω = f(ρ)), so a loaded model scores like the saved one.
+  virtual void OnParametersLoaded() {}
 
   int64_t NumParameters() const;
 };

@@ -16,7 +16,7 @@ WeightTable InitialTable(const LearnedWeightOptions& options) {
 LearnedWeightModel::LearnedWeightModel(std::string name, int32_t num_entities,
                                        int32_t num_relations, int32_t dim,
                                        const LearnedWeightOptions& options,
-                                       uint64_t seed)
+                                       std::optional<uint64_t> seed)
     : MultiEmbeddingModel(std::move(name), num_entities, num_relations, dim,
                           InitialTable(options), seed),
       options_(options),
@@ -24,7 +24,9 @@ LearnedWeightModel::LearnedWeightModel(std::string name, int32_t num_entities,
                    int64_t(options.ne) * options.ne * options.nr),
       omega_grad_(size_t(options.ne) * size_t(options.ne) * size_t(options.nr),
                   0.0f) {
-  for (float& x : raw_weights_.Row(0)) x = options_.initial_raw_weight;
+  if (seed) {
+    for (float& x : raw_weights_.Row(0)) x = options_.initial_raw_weight;
+  }
   RefreshWeights();
 }
 
@@ -89,7 +91,7 @@ std::vector<float> LearnedWeightModel::CurrentOmega() const {
 
 std::unique_ptr<LearnedWeightModel> MakeLearnedWeightModel(
     int32_t num_entities, int32_t num_relations, int32_t dim,
-    const LearnedWeightOptions& options, uint64_t seed) {
+    const LearnedWeightOptions& options, std::optional<uint64_t> seed) {
   std::string name = "AutoWeight[";
   name += RestrictionKindToString(options.restriction);
   if (options.dirichlet.has_value()) name += ",sparse";

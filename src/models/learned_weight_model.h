@@ -33,7 +33,8 @@ class LearnedWeightModel : public MultiEmbeddingModel {
  public:
   LearnedWeightModel(std::string name, int32_t num_entities,
                      int32_t num_relations, int32_t dim,
-                     const LearnedWeightOptions& options, uint64_t seed);
+                     const LearnedWeightOptions& options,
+                     std::optional<uint64_t> seed);
 
   std::vector<ParameterBlock*> Blocks() override;
   void BeginBatch() override;
@@ -41,6 +42,8 @@ class LearnedWeightModel : public MultiEmbeddingModel {
                            GradientBuffer* grads) override;
   double FinishBatch(GradientBuffer* grads) override;
   void InitParameters(uint64_t seed) override;
+  // ω is derived from ρ, so a loaded ρ needs a refresh.
+  void OnParametersLoaded() override { RefreshWeights(); }
   // AccumulateGradients writes the shared omega_grad_ accumulator.
   bool SupportsParallelGradients() const override { return false; }
 
@@ -61,7 +64,7 @@ class LearnedWeightModel : public MultiEmbeddingModel {
 // "AutoWeight[softmax,sparse]" for Table 3 rows.
 std::unique_ptr<LearnedWeightModel> MakeLearnedWeightModel(
     int32_t num_entities, int32_t num_relations, int32_t dim,
-    const LearnedWeightOptions& options, uint64_t seed);
+    const LearnedWeightOptions& options, std::optional<uint64_t> seed);
 
 }  // namespace kge
 

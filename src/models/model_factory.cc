@@ -26,11 +26,9 @@ int32_t DimFor(int32_t dim_budget, int32_t num_vectors) {
 
 }  // namespace
 
-Result<std::unique_ptr<KgeModel>> MakeModelByName(const std::string& name,
-                                                  int32_t num_entities,
-                                                  int32_t num_relations,
-                                                  int32_t dim_budget,
-                                                  uint64_t seed) {
+Result<std::unique_ptr<KgeModel>> MakeModelByName(
+    const std::string& name, int32_t num_entities, int32_t num_relations,
+    int32_t dim_budget, std::optional<uint64_t> seed) {
   if (num_entities <= 0 || num_relations <= 0 || dim_budget <= 0) {
     return Status::InvalidArgument("bad model shape");
   }

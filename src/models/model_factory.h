@@ -7,6 +7,7 @@
 #define KGE_MODELS_MODEL_FACTORY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,12 +18,13 @@ namespace kge {
 
 // Known names: distmult, complex, cp, cph, simple, quaternion, transe-l1,
 // transe-l2, transh, rescal, er-mlp, uniform, autoweight[-tanh|-sigmoid|
-// -softmax][-sparse].
-Result<std::unique_ptr<KgeModel>> MakeModelByName(const std::string& name,
-                                                  int32_t num_entities,
-                                                  int32_t num_relations,
-                                                  int32_t dim_budget,
-                                                  uint64_t seed);
+// -softmax][-sparse]. A seed initializes the parameters deterministically;
+// std::nullopt builds the model uninitialized (every block zero and
+// untouched, so its storage costs no time or memory) for a caller that
+// loads every parameter next — the serving snapshot loader.
+Result<std::unique_ptr<KgeModel>> MakeModelByName(
+    const std::string& name, int32_t num_entities, int32_t num_relations,
+    int32_t dim_budget, std::optional<uint64_t> seed);
 
 // All registered model names, for --help output and sweeps.
 std::vector<std::string> KnownModelNames();

@@ -12,7 +12,7 @@
 namespace kge {
 
 Ntn::Ntn(int32_t num_entities, int32_t num_relations, int32_t dim,
-         int32_t num_slices, uint64_t seed)
+         int32_t num_slices, std::optional<uint64_t> seed)
     : name_("NTN"),
       num_slices_(num_slices),
       entities_("NTN.entities", num_entities, 1, dim),
@@ -20,7 +20,7 @@ Ntn::Ntn(int32_t num_entities, int32_t num_relations, int32_t dim,
                  int64_t(num_slices) * dim * dim +
                      int64_t(num_slices) * 2 * dim + 2 * int64_t(num_slices)) {
   KGE_CHECK(num_slices > 0 && dim > 0);
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 int64_t Ntn::RowSize() const { return relations_.row_dim(); }
@@ -250,7 +250,7 @@ void Ntn::NormalizeEntities(std::span<const EntityId> entities) {
 
 std::unique_ptr<Ntn> MakeNtn(int32_t num_entities, int32_t num_relations,
                              int32_t dim, int32_t num_slices,
-                             uint64_t seed) {
+                             std::optional<uint64_t> seed) {
   return std::make_unique<Ntn>(num_entities, num_relations, dim, num_slices,
                                seed);
 }

@@ -12,6 +12,7 @@
 #define KGE_MODELS_NTN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -23,7 +24,7 @@ namespace kge {
 class Ntn : public KgeModel {
  public:
   Ntn(int32_t num_entities, int32_t num_relations, int32_t dim,
-      int32_t num_slices, uint64_t seed);
+      int32_t num_slices, std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -74,7 +75,8 @@ class Ntn : public KgeModel {
 };
 
 std::unique_ptr<Ntn> MakeNtn(int32_t num_entities, int32_t num_relations,
-                             int32_t dim, int32_t num_slices, uint64_t seed);
+                             int32_t dim, int32_t num_slices,
+                             std::optional<uint64_t> seed);
 
 }  // namespace kge
 

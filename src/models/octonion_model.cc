@@ -47,7 +47,8 @@ WeightTable DeriveOctonionWeightTable(OctonionAssociation association) {
 }
 
 std::unique_ptr<MultiEmbeddingModel> MakeOctonionModel(
-    int32_t num_entities, int32_t num_relations, int32_t dim, uint64_t seed,
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed,
     OctonionAssociation association) {
   std::string name = "Octonion";
   if (association != OctonionAssociation::kLeft) {

@@ -16,6 +16,7 @@
 #define KGE_MODELS_OCTONION_MODEL_H_
 
 #include <memory>
+#include <optional>
 
 #include "core/weight_table.h"
 #include "models/trilinear_models.h"
@@ -35,7 +36,8 @@ WeightTable DeriveOctonionWeightTable(OctonionAssociation association);
 
 // Eight embedding vectors of `dim` dimensions each.
 std::unique_ptr<MultiEmbeddingModel> MakeOctonionModel(
-    int32_t num_entities, int32_t num_relations, int32_t dim, uint64_t seed,
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed,
     OctonionAssociation association = OctonionAssociation::kLeft);
 
 }  // namespace kge

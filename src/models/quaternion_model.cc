@@ -53,7 +53,8 @@ WeightTable DeriveQuaternionWeightTable(QuaternionProductOrder order) {
 }
 
 std::unique_ptr<MultiEmbeddingModel> MakeQuaternionModel(
-    int32_t num_entities, int32_t num_relations, int32_t dim, uint64_t seed,
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed,
     QuaternionProductOrder order) {
   std::string name = "Quaternion";
   if (order != QuaternionProductOrder::kHConjTR) {

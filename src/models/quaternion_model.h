@@ -11,6 +11,7 @@
 #define KGE_MODELS_QUATERNION_MODEL_H_
 
 #include <memory>
+#include <optional>
 
 #include "core/weight_table.h"
 #include "models/trilinear_models.h"
@@ -33,7 +34,8 @@ WeightTable DeriveQuaternionWeightTable(QuaternionProductOrder order);
 
 // The paper's model: four embedding vectors of `dim` dimensions each.
 std::unique_ptr<MultiEmbeddingModel> MakeQuaternionModel(
-    int32_t num_entities, int32_t num_relations, int32_t dim, uint64_t seed,
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed,
     QuaternionProductOrder order = QuaternionProductOrder::kHConjTR);
 
 }  // namespace kge

@@ -69,6 +69,7 @@ class ReciprocalWrapper : public KgeModel {
   void InitParameters(uint64_t seed) override {
     base_->InitParameters(seed);
   }
+  void OnParametersLoaded() override { base_->OnParametersLoaded(); }
 
  private:
   KgeModel* base_;

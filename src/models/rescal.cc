@@ -9,13 +9,13 @@
 namespace kge {
 
 Rescal::Rescal(int32_t num_entities, int32_t num_relations, int32_t dim,
-               uint64_t seed)
+               std::optional<uint64_t> seed)
     : name_("RESCAL"),
       entities_("RESCAL.entities", num_entities, 1, dim),
       relation_matrices_("RESCAL.relations", num_relations,
                          int64_t(dim) * int64_t(dim)) {
   KGE_CHECK(dim > 0);
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 void Rescal::InitParameters(uint64_t seed) {
@@ -111,7 +111,7 @@ void Rescal::NormalizeEntities(std::span<const EntityId> entities) {
 
 std::unique_ptr<Rescal> MakeRescal(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   uint64_t seed) {
+                                   std::optional<uint64_t> seed) {
   return std::make_unique<Rescal>(num_entities, num_relations, dim, seed);
 }
 

@@ -12,6 +12,7 @@
 #define KGE_MODELS_RESCAL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -23,7 +24,7 @@ namespace kge {
 class Rescal : public KgeModel {
  public:
   Rescal(int32_t num_entities, int32_t num_relations, int32_t dim,
-         uint64_t seed);
+         std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -63,7 +64,7 @@ class Rescal : public KgeModel {
 
 std::unique_ptr<Rescal> MakeRescal(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   uint64_t seed);
+                                   std::optional<uint64_t> seed);
 
 }  // namespace kge
 

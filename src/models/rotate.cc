@@ -10,11 +10,11 @@
 namespace kge {
 
 RotatE::RotatE(int32_t num_entities, int32_t num_relations, int32_t dim,
-               uint64_t seed)
+               std::optional<uint64_t> seed)
     : name_("RotatE"),
       entities_("RotatE.entities", num_entities, 2, dim),
       phases_("RotatE.phases", num_relations, 1, dim) {
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 void RotatE::InitParameters(uint64_t seed) {
@@ -144,7 +144,7 @@ void RotatE::NormalizeEntities(std::span<const EntityId> entities) {
 
 std::unique_ptr<RotatE> MakeRotatE(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   uint64_t seed) {
+                                   std::optional<uint64_t> seed) {
   return std::make_unique<RotatE>(num_entities, num_relations, dim, seed);
 }
 

@@ -15,6 +15,7 @@
 #define KGE_MODELS_ROTATE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -28,7 +29,7 @@ class RotatE : public KgeModel {
   // `dim` is the complex dimension: entities get 2*dim real parameters
   // (re, im), relations get dim phases.
   RotatE(int32_t num_entities, int32_t num_relations, int32_t dim,
-         uint64_t seed);
+         std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -65,7 +66,7 @@ class RotatE : public KgeModel {
 
 std::unique_ptr<RotatE> MakeRotatE(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   uint64_t seed);
+                                   std::optional<uint64_t> seed);
 
 }  // namespace kge
 

@@ -11,13 +11,13 @@
 namespace kge {
 
 TransE::TransE(int32_t num_entities, int32_t num_relations, int32_t dim,
-               int norm_p, uint64_t seed)
+               int norm_p, std::optional<uint64_t> seed)
     : name_(StrFormat("TransE-L%d", norm_p)),
       norm_p_(norm_p),
       entities_("TransE.entities", num_entities, 1, dim),
       relations_("TransE.relations", num_relations, 1, dim) {
   KGE_CHECK(norm_p == 1 || norm_p == 2);
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 void TransE::InitParameters(uint64_t seed) {
@@ -106,7 +106,7 @@ void TransE::NormalizeEntities(std::span<const EntityId> entities) {
 
 std::unique_ptr<TransE> MakeTransE(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   int norm_p, uint64_t seed) {
+                                   int norm_p, std::optional<uint64_t> seed) {
   return std::make_unique<TransE>(num_entities, num_relations, dim, norm_p,
                                   seed);
 }

@@ -13,6 +13,7 @@
 #define KGE_MODELS_TRANSE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -24,7 +25,7 @@ namespace kge {
 class TransE : public KgeModel {
  public:
   TransE(int32_t num_entities, int32_t num_relations, int32_t dim, int norm_p,
-         uint64_t seed);
+         std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -58,7 +59,7 @@ class TransE : public KgeModel {
 
 std::unique_ptr<TransE> MakeTransE(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   int norm_p, uint64_t seed);
+                                   int norm_p, std::optional<uint64_t> seed);
 
 }  // namespace kge
 

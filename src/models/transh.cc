@@ -9,12 +9,12 @@
 namespace kge {
 
 TransH::TransH(int32_t num_entities, int32_t num_relations, int32_t dim,
-               uint64_t seed)
+               std::optional<uint64_t> seed)
     : name_("TransH"),
       entities_("TransH.entities", num_entities, 1, dim),
       translations_("TransH.translations", num_relations, 1, dim),
       normals_("TransH.normals", num_relations, 1, dim) {
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 void TransH::InitParameters(uint64_t seed) {
@@ -155,7 +155,7 @@ void TransH::NormalizeEntities(std::span<const EntityId> entities) {
 
 std::unique_ptr<TransH> MakeTransH(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   uint64_t seed) {
+                                   std::optional<uint64_t> seed) {
   return std::make_unique<TransH>(num_entities, num_relations, dim, seed);
 }
 

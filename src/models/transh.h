@@ -13,6 +13,7 @@
 #define KGE_MODELS_TRANSH_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -24,7 +25,7 @@ namespace kge {
 class TransH : public KgeModel {
  public:
   TransH(int32_t num_entities, int32_t num_relations, int32_t dim,
-         uint64_t seed);
+         std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -66,7 +67,7 @@ class TransH : public KgeModel {
 
 std::unique_ptr<TransH> MakeTransH(int32_t num_entities,
                                    int32_t num_relations, int32_t dim,
-                                   uint64_t seed);
+                                   std::optional<uint64_t> seed);
 
 }  // namespace kge
 

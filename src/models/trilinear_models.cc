@@ -14,7 +14,8 @@ namespace kge {
 MultiEmbeddingModel::MultiEmbeddingModel(std::string name,
                                          int32_t num_entities,
                                          int32_t num_relations, int32_t dim,
-                                         WeightTable weights, uint64_t seed)
+                                         WeightTable weights,
+                                         std::optional<uint64_t> seed)
     : name_(std::move(name)),
       dim_(dim),
       weights_(std::move(weights)),
@@ -22,7 +23,7 @@ MultiEmbeddingModel::MultiEmbeddingModel(std::string name,
       relations_(name_ + ".relations", num_relations, weights_.nr(), dim),
       entity_replica_(entities_.block()) {
   KGE_CHECK(dim > 0);
-  InitParameters(seed);
+  if (seed) InitParameters(*seed);
 }
 
 void MultiEmbeddingModel::InitParameters(uint64_t seed) {
@@ -422,33 +423,33 @@ void MultiEmbeddingModel::NormalizeEntities(
   for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
 }
 
-std::unique_ptr<MultiEmbeddingModel> MakeDistMult(int32_t num_entities,
-                                                  int32_t num_relations,
-                                                  int32_t dim, uint64_t seed) {
+std::unique_ptr<MultiEmbeddingModel> MakeDistMult(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed) {
   return std::make_unique<MultiEmbeddingModel>(
       "DistMult", num_entities, num_relations, dim, WeightTable::DistMult(),
       seed);
 }
 
-std::unique_ptr<MultiEmbeddingModel> MakeComplEx(int32_t num_entities,
-                                                 int32_t num_relations,
-                                                 int32_t dim, uint64_t seed) {
+std::unique_ptr<MultiEmbeddingModel> MakeComplEx(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed) {
   return std::make_unique<MultiEmbeddingModel>(
       "ComplEx", num_entities, num_relations, dim, WeightTable::ComplEx(),
       seed);
 }
 
-std::unique_ptr<MultiEmbeddingModel> MakeCp(int32_t num_entities,
-                                            int32_t num_relations,
-                                            int32_t dim, uint64_t seed) {
+std::unique_ptr<MultiEmbeddingModel> MakeCp(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed) {
   return std::make_unique<MultiEmbeddingModel>("CP", num_entities,
                                                num_relations, dim,
                                                WeightTable::Cp(), seed);
 }
 
-std::unique_ptr<MultiEmbeddingModel> MakeCph(int32_t num_entities,
-                                             int32_t num_relations,
-                                             int32_t dim, uint64_t seed) {
+std::unique_ptr<MultiEmbeddingModel> MakeCph(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed) {
   return std::make_unique<MultiEmbeddingModel>("CPh", num_entities,
                                                num_relations, dim,
                                                WeightTable::Cph(), seed);
@@ -456,7 +457,7 @@ std::unique_ptr<MultiEmbeddingModel> MakeCph(int32_t num_entities,
 
 std::unique_ptr<MultiEmbeddingModel> MakeMultiEmbedding(
     std::string name, int32_t num_entities, int32_t num_relations,
-    int32_t dim, WeightTable weights, uint64_t seed) {
+    int32_t dim, WeightTable weights, std::optional<uint64_t> seed) {
   return std::make_unique<MultiEmbeddingModel>(std::move(name), num_entities,
                                                num_relations, dim,
                                                std::move(weights), seed);

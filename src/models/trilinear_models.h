@@ -8,6 +8,7 @@
 #define KGE_MODELS_TRILINEAR_MODELS_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/embedding_store.h"
@@ -25,7 +26,7 @@ class MultiEmbeddingModel : public KgeModel {
   // and relations weights.nr() vectors.
   MultiEmbeddingModel(std::string name, int32_t num_entities,
                       int32_t num_relations, int32_t dim, WeightTable weights,
-                      uint64_t seed);
+                      std::optional<uint64_t> seed);
 
   const std::string& name() const override { return name_; }
   int32_t num_entities() const override { return entities_.num_ids(); }
@@ -199,29 +200,29 @@ class MultiEmbeddingModel : public KgeModel {
 // models at matched parameter budgets: DistMult 400, ComplEx/CP/CPh 200,
 // quaternion 100 — pass the matching dim for such comparisons.
 
-std::unique_ptr<MultiEmbeddingModel> MakeDistMult(int32_t num_entities,
-                                                  int32_t num_relations,
-                                                  int32_t dim, uint64_t seed);
+std::unique_ptr<MultiEmbeddingModel> MakeDistMult(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed);
 
-std::unique_ptr<MultiEmbeddingModel> MakeComplEx(int32_t num_entities,
-                                                 int32_t num_relations,
-                                                 int32_t dim, uint64_t seed);
+std::unique_ptr<MultiEmbeddingModel> MakeComplEx(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed);
 
-std::unique_ptr<MultiEmbeddingModel> MakeCp(int32_t num_entities,
-                                            int32_t num_relations,
-                                            int32_t dim, uint64_t seed);
+std::unique_ptr<MultiEmbeddingModel> MakeCp(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed);
 
 // CPh as the derived two-embedding weight vector (Table 1). Equivalent to
 // CP + inverse augmentation at training time; see also Trainer's
 // augment_inverses option for the data-augmentation formulation.
-std::unique_ptr<MultiEmbeddingModel> MakeCph(int32_t num_entities,
-                                             int32_t num_relations,
-                                             int32_t dim, uint64_t seed);
+std::unique_ptr<MultiEmbeddingModel> MakeCph(
+    int32_t num_entities, int32_t num_relations, int32_t dim,
+    std::optional<uint64_t> seed);
 
 // Any fixed weight table (e.g. Table 2's good/bad examples or uniform).
 std::unique_ptr<MultiEmbeddingModel> MakeMultiEmbedding(
     std::string name, int32_t num_entities, int32_t num_relations,
-    int32_t dim, WeightTable weights, uint64_t seed);
+    int32_t dim, WeightTable weights, std::optional<uint64_t> seed);
 
 }  // namespace kge
 

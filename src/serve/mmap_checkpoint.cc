@@ -5,11 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "models/checkpoint.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
+#include "util/io.h"
 #include "util/string_utils.h"
 
 namespace kge {
@@ -120,9 +122,10 @@ Status MappedCheckpoint::LoadInto(KgeModel* model) {
   uint32_t version = 0;
   uint32_t kind = 0;
   if (!cursor.ReadU32(&magic) || magic != kCheckpointMagicV2) {
-    return Malformed(path_, "not a v2 kge checkpoint");
+    return Malformed(path_, "not a v2+ kge checkpoint");
   }
-  if (!cursor.ReadU32(&version) || version != kCheckpointVersion) {
+  if (!cursor.ReadU32(&version) || version < 2 ||
+      version > kCheckpointVersion) {
     return Malformed(path_, "unsupported checkpoint version");
   }
   if (!cursor.ReadU32(&kind) ||
@@ -168,6 +171,20 @@ Status MappedCheckpoint::LoadInto(KgeModel* model) {
         payload_count != uint64_t(block->size())) {
       return Malformed(path_, "checkpoint block payload count mismatch");
     }
+    if (version >= 3) {
+      // The mapping starts at file offset 0, so file and cursor offsets
+      // agree.
+      const size_t pad_bytes =
+          AlignmentPadding(cursor.position(), kCheckpointPayloadAlignment);
+      const uint8_t* pad = nullptr;
+      if (!cursor.Span(pad_bytes, &pad)) {
+        return Malformed(path_, "truncated block padding");
+      }
+      if (std::any_of(pad, pad + pad_bytes,
+                      [](uint8_t b) { return b != 0; })) {
+        return Malformed(path_, "nonzero padding before block payload");
+      }
+    }
     // rows*dim fits: it equals a real block's size(), and the payload
     // length check below caps it at the file size anyway.
     const size_t payload_bytes = size_t(block->size()) * sizeof(float);
@@ -193,6 +210,7 @@ Status MappedCheckpoint::LoadInto(KgeModel* model) {
   }
   // Training-state checkpoints carry optimizer/progress state between
   // the model section and the CRC; the serving layer skips it.
+  model->OnParametersLoaded();
   return Status::Ok();
 }
 

@@ -1,10 +1,12 @@
 // Zero-copy checkpoint loading for the serving layer. A `.kge2` file is
 // mmap'ed (MAP_PRIVATE) and CRC-verified in place, then each parameter
-// block payload that lands 4-byte-aligned in the mapping is handed to
-// ParameterBlock::BorrowStorage — startup never copies the embedding
-// tables, so a multi-GB model is query-ready in page-fault time rather
-// than read-and-copy time. Misaligned payloads (possible because the
-// header contains variable-length strings) fall back to one memcpy.
+// block payload is handed to ParameterBlock::BorrowStorage — startup
+// never copies the embedding tables, so a multi-GB model is query-ready
+// in page-fault time rather than read-and-copy time. Format v3 pads
+// every payload to a 64-byte file offset, so every block of every model
+// is borrowed. A v2 file's payloads follow variable-length strings and
+// land wherever those end; any that is not 4-byte-aligned falls back to
+// one memcpy into the block's own storage.
 //
 // Corruption safety mirrors models/checkpoint.cc exactly: magic,
 // version, kind, per-block shape, and the trailing whole-file CRC32C
@@ -38,7 +40,8 @@ class MappedCheckpoint {
 
   // Verifies the whole mapping (header + CRC32C footer) and points
   // `model`'s parameter blocks at the mapped payloads (BorrowStorage)
-  // where aligned, copying otherwise. On error the model may hold a
+  // where aligned, copying otherwise, then calls
+  // model->OnParametersLoaded(). On error the model may hold a
   // mix of old and new block contents and must be discarded — the
   // serving layer always loads into a freshly constructed model and
   // publishes only on Ok. The mapping must outlive the model.

@@ -11,8 +11,8 @@
 namespace kge {
 namespace {
 
-// Training-state section layout (inside the v2 container, after the
-// model section; all through the file CRC):
+// Training-state section layout (inside the checkpoint container, after
+// the model section; all through the file CRC):
 //   string trainer_kind
 //   u64    seed
 //   u64    last completed epoch
@@ -177,14 +177,14 @@ Status LoadTrainingCheckpoint(KgeModel* model, Optimizer* optimizer,
   KGE_RETURN_IF_ERROR(VerifyCheckpoint(path));
   BinaryReader reader;
   KGE_RETURN_IF_ERROR(reader.Open(path));
-  Result<CheckpointKind> header_kind = ReadCheckpointHeader(&reader, path);
-  if (!header_kind.ok()) return header_kind.status();
-  if (*header_kind != CheckpointKind::kTrainingState) {
+  Result<CheckpointHeader> header = ReadCheckpointHeader(&reader, path);
+  if (!header.ok()) return header.status();
+  if (header->kind != CheckpointKind::kTrainingState) {
     return Status::InvalidArgument(path +
                                    " holds no training state (model-only "
                                    "checkpoint; cannot resume from it)");
   }
-  KGE_RETURN_IF_ERROR(ReadModelSection(model, &reader));
+  KGE_RETURN_IF_ERROR(ReadModelSection(model, &reader, header->version));
   KGE_RETURN_IF_ERROR(ReadTrainingSection(*model, optimizer, state, &reader));
   KGE_RETURN_IF_ERROR(ReadCheckpointFooter(&reader));
   return reader.Close();

@@ -1,6 +1,6 @@
 // Full training-state checkpoints and their on-disk management.
 //
-// A training checkpoint is a format-v2 file (models/checkpoint.h) of
+// A training checkpoint is a format-v3 file (models/checkpoint.h) of
 // kind kTrainingState: the model section every reader understands, plus
 // a training-state section holding everything needed to resume a run
 // bit-identically — optimizer moments and step counts, the epoch-level
@@ -86,7 +86,7 @@ struct TrainingState {
   std::vector<std::vector<float>> best_snapshot;
 };
 
-// Writes a kind-kTrainingState v2 checkpoint (atomic + CRC).
+// Writes a kind-kTrainingState v3 checkpoint (atomic + CRC).
 Status SaveTrainingCheckpoint(const KgeModel& model,
                               const Optimizer& optimizer,
                               const TrainingState& state,

@@ -222,7 +222,8 @@ void Trainer::SampleShard(size_t batch_index, size_t shard) {
   }
   std::copy(scratch.begin(), scratch.end(),
             buffer.negatives.begin() +
-                (shard_begin - begin) * negatives_per_positive);
+                std::ptrdiff_t((shard_begin - begin) *
+                               negatives_per_positive));
 }
 
 void Trainer::ComputeShard(size_t shard) {

@@ -1,9 +1,12 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 // checksum used by the checkpoint format to detect torn writes and bit
-// rot. Portable slicing-by-8 software implementation: a hot-swapping
-// server checksums every published checkpoint twice (verify, then map)
-// while it answers queries, so the checksum's CPU time is serving
-// capacity, but portability still beats SSE4.2 intrinsics here.
+// rot. A hot-swapping server checksums every published checkpoint three
+// times (save, verify, map) while it answers queries, so the checksum's
+// CPU time is serving capacity. On x86-64 CPUs with SSE4.2 (checked at
+// run time) Crc32cExtend runs the `crc32` instruction over three
+// interleaved streams and joins them by GF(2) multiplication; elsewhere
+// it runs the portable slicing-by-8 loop. Both give the same checksum
+// for every input.
 #ifndef KGE_UTIL_CRC32C_H_
 #define KGE_UTIL_CRC32C_H_
 
@@ -20,6 +23,20 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t count);
 
 // CRC32C of a single buffer (== Crc32cExtend(0, data, count)).
 uint32_t Crc32c(const void* data, size_t count);
+
+// The slicing-by-8 loop Crc32cExtend falls back to without SSE4.2;
+// exposed so tests can pin both paths to one reference.
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t count);
+
+// True when Crc32cExtend runs the SSE4.2 instruction.
+bool Crc32cUsesHardware();
+
+// The hardware path folds three interleaved streams of kCrc32cLongStride
+// bytes per step while at least 3 * kCrc32cLongStride bytes remain, then
+// of kCrc32cShortStride bytes, then eight bytes and single bytes at a
+// time. Exposed so tests can cover every boundary between those steps.
+inline constexpr size_t kCrc32cLongStride = 8192;
+inline constexpr size_t kCrc32cShortStride = 256;
 
 }  // namespace kge
 

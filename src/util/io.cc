@@ -201,8 +201,15 @@ Status BinaryWriter::WriteString(const std::string& value) {
   return WriteBytes(value.data(), value.size());
 }
 
-Status BinaryWriter::WriteFloatArray(const float* data, size_t count) {
+Status BinaryWriter::WriteFloatArray(const float* data, size_t count,
+                                     size_t alignment) {
   KGE_RETURN_IF_ERROR(WriteUint64(count));
+  static constexpr char kZeros[64] = {};
+  for (size_t pad = AlignmentPadding(bytes_written_, alignment); pad > 0;) {
+    const size_t chunk = std::min(pad, sizeof(kZeros));
+    KGE_RETURN_IF_ERROR(WriteBytes(kZeros, chunk));
+    pad -= chunk;
+  }
   return WriteBytes(data, count * sizeof(float));
 }
 
@@ -280,11 +287,20 @@ Result<std::string> BinaryReader::ReadString() {
   return value;
 }
 
-Status BinaryReader::ReadFloatArray(float* data, size_t count) {
+Status BinaryReader::ReadFloatArray(float* data, size_t count,
+                                    size_t alignment) {
   Result<uint64_t> stored = ReadUint64();
   if (!stored.ok()) return stored.status();
   if (*stored != count)
     return Status::InvalidArgument("float array size mismatch");
+  for (size_t pad = AlignmentPadding(bytes_read_, alignment); pad > 0;) {
+    char bytes[64];
+    const size_t chunk = std::min(pad, sizeof(bytes));
+    KGE_RETURN_IF_ERROR(ReadBytes(bytes, chunk));
+    if (std::any_of(bytes, bytes + chunk, [](char b) { return b != 0; }))
+      return Status::InvalidArgument("nonzero padding before float array");
+    pad -= chunk;
+  }
   if (count * sizeof(float) > remaining())
     return Status::IoError("float array exceeds file size");
   return ReadBytes(data, count * sizeof(float));

@@ -34,6 +34,11 @@ Status AtomicWriteStringToFile(const std::string& path,
 
 bool FileExists(const std::string& path);
 
+// Zero bytes that move `offset` up to a multiple of `alignment`.
+inline size_t AlignmentPadding(uint64_t offset, size_t alignment) {
+  return size_t((alignment - offset % alignment) % alignment);
+}
+
 // mkdir -p: creates `path` and any missing parents (0755). Existing
 // directories are fine; a non-directory in the way is an error.
 Status CreateDirectories(const std::string& path);
@@ -68,7 +73,11 @@ class BinaryWriter {
   Status WriteFloat(float value);
   Status WriteDouble(double value);
   Status WriteString(const std::string& value);
-  Status WriteFloatArray(const float* data, size_t count);
+  // u64 count, then the floats. With `alignment` > 1, zero bytes between
+  // the two move the floats to a multiple of `alignment` bytes from the
+  // start of the file.
+  Status WriteFloatArray(const float* data, size_t count,
+                         size_t alignment = 1);
   Status WriteBytes(const void* data, size_t count);
 
   // Running CRC32C over every byte written so far.
@@ -103,7 +112,9 @@ class BinaryReader {
   Result<float> ReadFloat();
   Result<double> ReadDouble();
   Result<std::string> ReadString();
-  Status ReadFloatArray(float* data, size_t count);
+  // Reads what WriteFloatArray wrote with the same `alignment`; the
+  // stored count must equal `count` and the padding must be zero.
+  Status ReadFloatArray(float* data, size_t count, size_t alignment = 1);
 
   // Skips `count` bytes, feeding them through the running CRC.
   Status Skip(uint64_t count);

@@ -1,7 +1,7 @@
-// Adversarial robustness of the checkpoint loader: truncation at every
-// byte offset and bit flips through the header must produce a clean
-// Status — never a crash, a hang, or an attempt to allocate from a
-// corrupt length field.
+// Adversarial robustness of the checkpoint loaders (streaming, training
+// and mmap): truncation at every byte offset and bit flips through the
+// header must produce a clean Status — never a crash, a hang, or an
+// attempt to allocate from a corrupt length field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "models/checkpoint.h"
 #include "models/model_factory.h"
 #include "optim/optimizer.h"
+#include "serve/mmap_checkpoint.h"
 #include "train/train_checkpoint.h"
 #include "util/io.h"
 
@@ -22,8 +23,12 @@ constexpr int32_t kEntities = 8;
 constexpr int32_t kRelations = 2;
 constexpr int32_t kBudget = 8;
 
+// Scratch files are named after the running test, so the tests of this
+// suite can run concurrently (ctest -j) without sharing a file.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 std::string SaveModelBytes() {
@@ -77,6 +82,16 @@ void ExpectAllLoadersReject(const std::string& bytes,
       LoadTrainingCheckpoint(model->get(), optimizer->get(), &state, path)
           .ok())
       << label;
+
+  // The serving loader, into an uninitialized model as kge_serve builds
+  // it. Open itself rejects an empty file.
+  auto serving = MakeModelByName("distmult", kEntities, kRelations, kBudget,
+                                 std::nullopt);
+  Result<std::unique_ptr<MappedCheckpoint>> mapping =
+      MappedCheckpoint::Open(path);
+  if (mapping.ok()) {
+    EXPECT_FALSE((*mapping)->LoadInto(serving->get()).ok()) << label;
+  }
   std::remove(path.c_str());
 }
 
@@ -136,6 +151,34 @@ TEST(CheckpointCorruptionTest, TrailingGarbageIsRejected) {
   const std::string bytes = SaveModelBytes();
   ExpectAllLoadersReject(bytes + std::string(16, '\0'), "trailing zeros");
   ExpectAllLoadersReject(bytes + bytes, "doubled file");
+}
+
+TEST(CheckpointCorruptionTest, BitFlipDeepInAMultiMegabytePayloadIsRejected) {
+  // A 6 MB entity table, so the checksum runs its widest interleaved
+  // steps, and one bit flipped in its middle.
+  const std::string path = TempPath("large.kge2");
+  auto model = MakeModelByName("distmult", 24000, kRelations, 64, 3);
+  ASSERT_TRUE(SaveModelCheckpoint(**model, path).ok());
+  ASSERT_TRUE(VerifyCheckpoint(path).ok());
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_GT(bytes->size(), size_t(6'000'000));
+  std::string corrupted = *bytes;
+  const size_t middle = corrupted.size() / 2;
+  corrupted[middle] = char(corrupted[middle] ^ 0x08);
+  ASSERT_TRUE(WriteStringToFile(path, corrupted).ok());
+
+  EXPECT_EQ(VerifyCheckpoint(path).code(), StatusCode::kIoError);
+  auto streamed = MakeModelByName("distmult", 24000, kRelations, 64, 3);
+  EXPECT_EQ(LoadModelCheckpoint(streamed->get(), path).code(),
+            StatusCode::kIoError);
+  auto mapped =
+      MakeModelByName("distmult", 24000, kRelations, 64, std::nullopt);
+  Result<std::unique_ptr<MappedCheckpoint>> mapping =
+      MappedCheckpoint::Open(path);
+  ASSERT_TRUE(mapping.ok());
+  EXPECT_EQ((*mapping)->LoadInto(mapped->get()).code(), StatusCode::kIoError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -41,8 +42,8 @@ TEST(Crc32cTest, ExtendComposesAcrossSplits) {
   }
 }
 
-// Bit-at-a-time CRC32C straight from the polynomial: the reference the
-// sliced implementation must match.
+// Bit-at-a-time CRC32C straight from the polynomial: the reference both
+// the hardware and the sliced implementation must match.
 uint32_t ReferenceCrc32c(const unsigned char* data, size_t count) {
   uint32_t state = 0xFFFFFFFFu;
   for (size_t i = 0; i < count; ++i) {
@@ -54,26 +55,96 @@ uint32_t ReferenceCrc32c(const unsigned char* data, size_t count) {
   return ~state;
 }
 
-TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryOffsetAndLength) {
-  // Every start offset within a word and every length up to a few words
-  // crosses the 8-byte main loop and the byte tail at each alignment.
-  std::vector<unsigned char> data(4096 + 16);
+std::vector<unsigned char> PseudoRandomBytes(size_t count) {
+  std::vector<unsigned char> data(count);
   uint32_t x = 12345;
   for (unsigned char& byte : data) {
     x = x * 1103515245u + 12345u;
     byte = static_cast<unsigned char>(x >> 24);
   }
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t length = 0; length <= 40; ++length) {
-      EXPECT_EQ(Crc32c(data.data() + offset, length),
-                ReferenceCrc32c(data.data() + offset, length))
-          << "offset " << offset << " length " << length;
+  return data;
+}
+
+// Lengths at every step boundary of the hardware path: 0-3 long
+// interleave blocks (three streams of kCrc32cLongStride bytes), each
+// followed by tails that cross the short interleave blocks, the 8-byte
+// loop and the byte loop, plus every length up to a few words. Sorted
+// ascending.
+std::vector<size_t> BoundaryLengths() {
+  const size_t long_block = 3 * kCrc32cLongStride;
+  const size_t short_block = 3 * kCrc32cShortStride;
+  std::vector<size_t> lengths;
+  for (size_t length = 0; length < 40; ++length) lengths.push_back(length);
+  for (size_t blocks = 0; blocks <= 3; ++blocks) {
+    for (const size_t tail :
+         {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9), size_t(15),
+          size_t(40), short_block - 1, short_block, short_block + 1,
+          short_block + 13, 2 * short_block + 8, long_block - short_block,
+          long_block - 8, long_block - 1}) {
+      lengths.push_back(blocks * long_block + tail);
     }
-    const size_t length = data.size() - offset;
-    EXPECT_EQ(Crc32c(data.data() + offset, length),
-              ReferenceCrc32c(data.data() + offset, length))
-        << "offset " << offset << " length " << length;
   }
+  std::sort(lengths.begin(), lengths.end());
+  lengths.erase(std::unique(lengths.begin(), lengths.end()), lengths.end());
+  return lengths;
+}
+
+TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryOffsetAndLength) {
+  const std::vector<size_t> lengths = BoundaryLengths();
+  const std::vector<unsigned char> data =
+      PseudoRandomBytes(lengths.back() + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* start = data.data() + offset;
+    // One bitwise pass per offset: every length is a prefix of it.
+    uint32_t state = 0xFFFFFFFFu;
+    size_t done = 0;
+    for (const size_t length : lengths) {
+      for (; done < length; ++done) {
+        state ^= start[done];
+        for (int bit = 0; bit < 8; ++bit) {
+          state = (state & 1u) ? (state >> 1) ^ 0x82F63B78u : state >> 1;
+        }
+      }
+      const uint32_t want = ~state;
+      EXPECT_EQ(Crc32c(start, length), want)
+          << "dispatched, offset " << offset << " length " << length;
+      EXPECT_EQ(Crc32cExtendPortable(0, start, length), want)
+          << "portable, offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendChainsAcrossInterleaveBlockBoundaries) {
+  const size_t long_block = 3 * kCrc32cLongStride;
+  const size_t short_block = 3 * kCrc32cShortStride;
+  const size_t total = 2 * long_block + short_block + 21;
+  const std::vector<unsigned char> data = PseudoRandomBytes(total);
+  const uint32_t whole = ReferenceCrc32c(data.data(), total);
+  for (const size_t split :
+       {size_t(1), size_t(8), kCrc32cLongStride, long_block - 1, long_block,
+        long_block + 1, long_block + short_block - 3, 2 * long_block - 5,
+        2 * long_block, 2 * long_block + short_block, total - 1}) {
+    for (const size_t second : {size_t(0), size_t(3), short_block + 1}) {
+      const size_t mid = std::min(total, split + second);
+      uint32_t crc = Crc32cExtend(0, data.data(), split);
+      crc = Crc32cExtend(crc, data.data() + split, mid - split);
+      crc = Crc32cExtend(crc, data.data() + mid, total - mid);
+      EXPECT_EQ(crc, whole) << "split at " << split << ", " << mid;
+      uint32_t portable = Crc32cExtendPortable(0, data.data(), split);
+      portable =
+          Crc32cExtendPortable(portable, data.data() + split, total - split);
+      EXPECT_EQ(portable, whole) << "portable split at " << split;
+    }
+  }
+}
+
+TEST(Crc32cTest, UsesTheInstructionWhereverTheCpuHasIt) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  EXPECT_EQ(Crc32cUsesHardware(), __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(Crc32cUsesHardware());
+#endif
 }
 
 TEST(Crc32cTest, SingleBitFlipChangesChecksum) {

@@ -87,6 +87,35 @@ TEST(MappedCheckpointTest, MatchesStreamingLoaderBitForBit) {
   std::remove(path.c_str());
 }
 
+// Format v3 pads every payload to a 64-byte file offset, so the mapped
+// loader borrows every block of every model and copies none.
+TEST(MappedCheckpointTest, BorrowsEveryBlockOfEveryModel) {
+  for (const std::string& name : KnownModelNames()) {
+    const std::string path = testing::TempDir() + "/mmap_borrow.kge2";
+    auto saved = MakeModelByName(name, kEntities, kRelations, 24, 1);
+    ASSERT_TRUE(saved.ok()) << name;
+    ASSERT_TRUE(SaveModelCheckpoint(**saved, path).ok()) << name;
+    auto serving =
+        MakeModelByName(name, kEntities, kRelations, 24, std::nullopt);
+    Result<std::unique_ptr<MappedCheckpoint>> mapping =
+        MappedCheckpoint::Open(path);
+    ASSERT_TRUE(mapping.ok()) << name;
+    ASSERT_TRUE((*mapping)->LoadInto(serving->get()).ok()) << name;
+    const auto blocks = (*serving)->Blocks();
+    EXPECT_EQ(size_t((*mapping)->borrowed_blocks()), blocks.size()) << name;
+    EXPECT_EQ((*mapping)->copied_blocks(), 0) << name;
+    for (const ParameterBlock* block : blocks) {
+      EXPECT_TRUE(block->borrows_storage()) << name << " " << block->name();
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(block->Flat().data()) %
+                    kCheckpointPayloadAlignment,
+                0u)
+          << name << " " << block->name();
+    }
+    ExpectModelsEqual(**saved, **serving);
+    std::remove(path.c_str());
+  }
+}
+
 TEST(MappedCheckpointTest, LoadsTrainingStateCheckpoints) {
   const std::string path = testing::TempDir() + "/mmap_train.kge2";
   auto model = MakeFreshModel(3);

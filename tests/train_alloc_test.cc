@@ -54,6 +54,7 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace kge {
 namespace {
 
+#if KGE_COUNT_ALLOCS
 std::vector<Triple> MakeWorkload() {
   PatternKgOptions options;
   options.num_entities = 60;
@@ -63,7 +64,6 @@ std::vector<Triple> MakeWorkload() {
   return GeneratePatternKg(options, nullptr);
 }
 
-#if KGE_COUNT_ALLOCS
 uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }

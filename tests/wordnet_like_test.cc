@@ -112,6 +112,26 @@ TEST_F(WordNetLikeTest, HypernymIsTheLargestTaxonomicRelation) {
             (*stats_)[kInstanceHypernym].num_triples);
 }
 
+// kge_serve sizes its model from this contract instead of generating the
+// dataset: the vocabulary depends on num_entities alone.
+TEST(WordNetLikeVocabularyTest, SizesFollowTheOptionsAlone) {
+  for (const int32_t entities : {kWordNetMinEntities, 101, 1000, 4321}) {
+    for (const bool remove_leakage : {false, true}) {
+      for (const uint64_t seed : {uint64_t(1), uint64_t(99)}) {
+        WordNetLikeOptions options;
+        options.num_entities = entities;
+        options.remove_inverse_leakage = remove_leakage;
+        options.seed = seed;
+        const Dataset data = GenerateWordNetLike(options);
+        EXPECT_EQ(data.num_entities(), entities)
+            << entities << " " << remove_leakage << " " << seed;
+        EXPECT_EQ(data.num_relations(), int32_t(kNumWordNetRelations))
+            << entities << " " << remove_leakage << " " << seed;
+      }
+    }
+  }
+}
+
 TEST(WordNetLikeDeterminismTest, SameSeedSameDataset) {
   WordNetLikeOptions options;
   options.num_entities = 300;

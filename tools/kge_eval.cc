@@ -93,6 +93,22 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "--eval-shards must be >= 1\n");
     return 2;
   }
+  if (data_dir.empty()) {
+    if (generate != "wordnet" && generate != "freebase") {
+      std::fprintf(stderr, "unknown --generate=%s (wordnet|freebase)\n",
+                   generate.c_str());
+      return 2;
+    }
+    const int32_t min_entities =
+        generate == "wordnet" ? kWordNetMinEntities : kFreebaseMinEntities;
+    if (entities < min_entities || entities > INT32_MAX) {
+      std::fprintf(stderr,
+                   "--entities must be between %d and %d for "
+                   "--generate=%s\n",
+                   min_entities, INT32_MAX, generate.c_str());
+      return 2;
+    }
+  }
 
   Dataset data;
   if (!data_dir.empty()) {

@@ -3,12 +3,14 @@
 // using the binary protocol from serve_protocol.h (see tools/kge_query
 // for a client).
 //
-// The model configuration (name, entities, dim budget, seed) must match
-// the training run, exactly as for kge_eval — shape mismatches are
-// rejected at load time.
+// The model configuration (name, vocabulary, dim budget) must match the
+// training run, exactly as for kge_eval — shape mismatches are rejected
+// at load time. The vocabulary sizes come from --data-dir, or from
+// --entities/--scale for --generate=wordnet (whose generator fixes them
+// without generating anything), or from generating --generate=freebase.
 //
-//   kge_serve --model=complex --dim-budget=200 \
-//       --checkpoint-dir=/tmp/run --watch-latest --port=7071
+//   kge_serve --model=complex --dim-budget=200 ...
+//     ... --checkpoint-dir=/tmp/run --watch-latest --port=7071
 //
 // Robustness properties (exercised by tests/serve_*_test.cc and
 // scripts/serve_smoke.sh):
@@ -61,8 +63,8 @@ int Run(int argc, char** argv) {
   FlagParser parser("kge_serve: serve top-k link prediction over TCP");
   parser.AddString("model", &model_name, "model name used at training time");
   parser.AddString("data-dir", &data_dir,
-                   "dataset directory; empty = regenerate synthetic (only "
-                   "the vocabulary sizes are used)");
+                   "dataset directory; empty = the --generate vocabulary "
+                   "(only the vocabulary sizes are used)");
   parser.AddString("generate", &generate, "wordnet | freebase");
   parser.AddString("checkpoint", &checkpoint,
                    "serve this checkpoint file (no LATEST indirection)");
@@ -125,6 +127,22 @@ int Run(int argc, char** argv) {
     }
     entities = preset;
   }
+  if (data_dir.empty()) {
+    if (generate != "wordnet" && generate != "freebase") {
+      std::fprintf(stderr, "unknown --generate=%s (wordnet|freebase)\n",
+                   generate.c_str());
+      return 2;
+    }
+    const int32_t min_entities =
+        generate == "wordnet" ? kWordNetMinEntities : kFreebaseMinEntities;
+    if (entities < min_entities || entities > INT32_MAX) {
+      std::fprintf(stderr,
+                   "--entities must be between %d and %d for "
+                   "--generate=%s\n",
+                   min_entities, INT32_MAX, generate.c_str());
+      return 2;
+    }
+  }
   for (const auto& [flag, value] :
        {std::pair{"--shards", shards}, std::pair{"--workers", workers},
         std::pair{"--max-queue", max_queue},
@@ -152,22 +170,19 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // Vocabulary sizes come from the dataset, exactly as at training
-  // time, so the factory builds block shapes the checkpoint must match.
-  int32_t num_entities = 0;
-  int32_t num_relations = 0;
-  {
+  // Vocabulary sizes as at training time, so the factory builds the
+  // block shapes the checkpoint must match. The wordnet generator fixes
+  // them by contract (n synsets, kNumWordNetRelations relation ids,
+  // whatever the seed), so that path builds no dataset.
+  int32_t num_entities = int32_t(entities);
+  int32_t num_relations = kNumWordNetRelations;
+  if (!data_dir.empty() || generate == "freebase") {
     Dataset data;
     if (!data_dir.empty()) {
       Result<Dataset> loaded = LoadDatasetFromDirectory(
           data_dir, TripleFileFormat::kHeadRelationTail);
       KGE_CHECK_OK(loaded.status());
       data = std::move(*loaded);
-    } else if (generate == "wordnet") {
-      WordNetLikeOptions options;
-      options.num_entities = int32_t(entities);
-      options.seed = uint64_t(seed);
-      data = GenerateWordNetLike(options);
     } else {
       FreebaseLikeOptions options;
       options.num_entities = int32_t(entities);
@@ -178,10 +193,13 @@ int Run(int argc, char** argv) {
     num_relations = data.num_relations();
   }
 
+  // Every parameter comes from the checkpoint, so the model is built
+  // uninitialized: its blocks stay untouched zero pages until the
+  // loader borrows the mapped payloads.
   ModelFactory factory = [model_name, num_entities, num_relations,
-                          dim_budget, seed] {
+                          dim_budget] {
     return MakeModelByName(model_name, num_entities, num_relations,
-                           int32_t(dim_budget), uint64_t(seed));
+                           int32_t(dim_budget), std::nullopt);
   };
 
   CheckpointWatcher::Options watcher_options;
