@@ -23,9 +23,9 @@
 // Both trainers produce bit-identical results for every thread count, so
 // the rows measure pure scheduling overhead/benefit.
 //
-// BENCH_eval.json gets an "eval_batching" section (ranking throughput
-// vs query batch size, with a metric-equality canary) and a "precision"
-// section: the same batched ranking workload at each scoring tier
+// BENCH_eval.json gets an "eval_batching" section (the evaluator's
+// ranking walk throughput vs query batch size, with a metric-equality
+// canary) and a "precision" section: the same walk at each scoring tier
 // (double / float32 / int8, see core/scoring_replica.h) with per-tier
 // ns/triple, effective GB/s, speedup over the exact double tier, and a
 // drift block giving filtered MRR / Hits@{1,3,10} deltas of the narrow
@@ -58,6 +58,7 @@
 
 #include "kge.h"
 #include "math/simd.h"
+#include "util/scratch.h"
 
 // ---- Allocation counter ----------------------------------------------------
 // Counts every global operator new while the program runs. Replacing the
@@ -430,13 +431,36 @@ EvalThroughput BenchEndToEnd(const PerfConfig& config) {
 }
 
 // ---- Eval batching ---------------------------------------------------------
-// Full-vocabulary ranking throughput as a function of the query batch
-// size B: the same Q queries are folded and ranked either one at a time
-// (B = 1, the per-query ScoreAllTails GEMV path) or B at a time through
-// ScoreAllTailsBatch's cache-blocked multi-query kernel. Scores are
-// bit-identical at every B, so the rows measure pure memory scheduling:
-// each entity-table tile is streamed once per batch instead of once per
-// query.
+// The evaluator's ranking step as a function of the query batch size B:
+// the same Q queries (one relation, a designated true tail each) are
+// walked B at a time through KgeModel::TopKWalk's rank sink, counting
+// the candidates above each truth. Counts are identical at every B, so
+// the rows measure pure memory scheduling: each entity-table tile is
+// read once per walk instead of once per query.
+
+// One walk of the rank sink over the tails of (heads[q], relation),
+// counted against truths[q], unfiltered and on one lane: the
+// evaluator's step for one batch. `folds` and `scratch` only grow, so
+// once warmed a pass allocates nothing.
+void RankWalk(const KgeModel& model, RelationId relation,
+              std::span<const EntityId> heads,
+              std::span<const EntityId> truths, ScorePrecision precision,
+              bool prune, std::vector<float>* folds,
+              TopKWalkScratch* scratch, std::span<RankCounts> counts,
+              RankScanStats* stats) {
+  const std::span<float> fold =
+      ScratchSpan(*folds, heads.size() * model.FoldWidth());
+  model.FoldQueries(QuerySide::kTail, relation, heads, fold);
+  TopKWalkBatch batch;
+  batch.relation = relation;
+  batch.anchors = heads;
+  batch.folds = fold;
+  batch.truths = truths;
+  batch.precision = precision;
+  batch.prune = prune;
+  std::fill(counts.begin(), counts.end(), RankCounts{});
+  model.TopKWalk(batch, 0, 1, {}, counts, scratch, stats);
+}
 
 struct EvalBatchRow {
   int batch = 1;
@@ -452,7 +476,7 @@ struct EvalBatchReport {
   int64_t queries = 0;
   std::vector<EvalBatchRow> rows;
   // Metric-equality canary: full filtered Evaluate on the WN18-like KG,
-  // per-query path vs batched path.
+  // one query per walk (mrr_per_query) vs 32 (mrr_batched).
   double mrr_per_query = 0.0;
   double mrr_batched = 0.0;
   bool bit_identical = false;
@@ -466,9 +490,8 @@ EvalBatchReport BenchEvalBatching(const PerfConfig& config) {
       MakeComplEx(num_entities, num_relations, dim, /*seed=*/42);
 
   // A fixed query workload shared by every batch size: Q heads, one
-  // relation (grouping by relation is the evaluator's job; the kernel
-  // sees one relation per call either way), and a designated true tail
-  // per query for the rank scan.
+  // relation (grouping by relation is the evaluator's job; a walk sees
+  // one relation either way), and a designated true tail per query.
   Rng rng(13);
   const int64_t num_queries = config.queries;
   std::vector<EntityId> heads(static_cast<size_t>(num_queries));
@@ -479,21 +502,13 @@ EvalBatchReport BenchEvalBatching(const PerfConfig& config) {
   }
   const RelationId relation = 0;
 
-  // Unfiltered rank scan over one score row — the same O(E) pass at
-  // every batch size, so batching differences isolate the scoring.
-  const auto rank_scan = [&](std::span<const float> row, EntityId truth) {
-    const float true_score = row[size_t(truth)];
-    size_t better = 0;
-    for (const float s : row) {
-      if (s > true_score) ++better;
-    }
-    return better;
-  };
-
   const int batch_sizes[] = {1, 8, 32, 128};
   const size_t max_batch = 128;
-  std::vector<float> scores(max_batch * size_t(num_entities));
-  volatile size_t rank_sink = 0;
+  std::vector<float> folds;
+  TopKWalkScratch scratch;
+  std::vector<RankCounts> counts(max_batch);
+  RankScanStats stats;
+  volatile uint64_t rank_sink = 0;
 
   EvalBatchReport report;
   report.entities = num_entities;
@@ -501,26 +516,19 @@ EvalBatchReport BenchEvalBatching(const PerfConfig& config) {
   report.queries = num_queries;
 
   for (const int batch : batch_sizes) {
-    // Warm-up pass: faults pages and grows the model's thread_local fold
-    // scratch to this batch size, so the timed loop is steady state.
+    // Warm-up pass: faults pages and grows the walk's scratch to this
+    // batch size, so the timed loop is steady state.
     const auto run_pass = [&] {
       for (int64_t q0 = 0; q0 < num_queries; q0 += batch) {
         const size_t count =
             size_t(std::min<int64_t>(batch, num_queries - q0));
-        const std::span<float> block(scores.data(),
-                                     count * size_t(num_entities));
-        if (batch == 1) {
-          model->ScoreAllTails(heads[size_t(q0)], relation, block);
-        } else {
-          model->ScoreAllTailsBatch(
-              std::span<const EntityId>(heads.data() + q0, count), relation,
-              block);
-        }
+        RankWalk(*model, relation,
+                 std::span<const EntityId>(heads.data() + q0, count),
+                 std::span<const EntityId>(truths.data() + q0, count),
+                 ScorePrecision::kDouble, /*prune=*/false, &folds, &scratch,
+                 std::span<RankCounts>(counts.data(), count), &stats);
         for (size_t i = 0; i < count; ++i) {
-          rank_sink = rank_sink +
-                      rank_scan(block.subspan(i * size_t(num_entities),
-                                              size_t(num_entities)),
-                                truths[size_t(q0) + i]);
+          rank_sink = rank_sink + counts[i].better;
         }
       }
     };
@@ -551,8 +559,8 @@ EvalBatchReport BenchEvalBatching(const PerfConfig& config) {
     row.speedup_vs_b1 = report.rows.front().ns_per_triple / row.ns_per_triple;
   }
 
-  // Metric-equality canary on the end-to-end KG: the batched evaluator
-  // must reproduce the per-query metrics bit-for-bit.
+  // Metric-equality canary on the end-to-end KG: the evaluator at B = 32
+  // must reproduce its B = 1 metrics bit-for-bit.
   WordNetLikeOptions kg_options;
   kg_options.num_entities = int32_t(config.eval_entities);
   kg_options.seed = 42;
@@ -580,7 +588,7 @@ EvalBatchReport BenchEvalBatching(const PerfConfig& config) {
 }
 
 // ---- Precision tiers -------------------------------------------------------
-// The same batched full-vocabulary workload ranked at each scoring tier
+// The same ranking walk workload at each scoring tier
 // (see core/scoring_replica.h): kDouble is the exact protocol baseline,
 // kFloat32 swaps the accumulator width, kInt8 streams the quantized
 // entity replica (4x fewer table bytes per candidate). The drift block
@@ -642,46 +650,38 @@ PrecisionReport BenchPrecisionTiers(const PerfConfig& config) {
     truths[size_t(q)] = EntityId(rng.NextBounded(uint64_t(num_entities)));
   }
   const RelationId relation = 0;
-  const auto rank_scan = [&](std::span<const float> row, EntityId truth) {
-    const float true_score = row[size_t(truth)];
-    size_t better = 0;
-    for (const float s : row) {
-      if (s > true_score) ++better;
-    }
-    return better;
-  };
 
   PrecisionReport report;
   report.entities = num_entities;
   report.dim = dim;
   report.queries = num_queries;
   const int batch = report.batch;
-  std::vector<float> scores(size_t(batch) * size_t(num_entities));
-  volatile size_t rank_sink = 0;
+  std::vector<float> folds;
+  TopKWalkScratch scratch;
+  std::vector<RankCounts> counts(static_cast<size_t>(batch));
+  RankScanStats stats;
+  volatile uint64_t rank_sink = 0;
 
   for (const ScorePrecision precision : kPrecisionTiers) {
     // Replica builds (the int8 quantization pass) happen here, outside
     // the timed and allocation-counted region — exactly where the
-    // evaluator runs them (once, before the scoring fanout).
+    // evaluator runs them (once, before the ranking fanout).
     model->PrepareForScoring(precision);
     const auto run_pass = [&] {
       for (int64_t q0 = 0; q0 < num_queries; q0 += batch) {
         const size_t count =
             size_t(std::min<int64_t>(batch, num_queries - q0));
-        const std::span<float> block(scores.data(),
-                                     count * size_t(num_entities));
-        model->ScoreAllTailsBatch(
-            std::span<const EntityId>(heads.data() + q0, count), relation,
-            block, precision);
+        RankWalk(*model, relation,
+                 std::span<const EntityId>(heads.data() + q0, count),
+                 std::span<const EntityId>(truths.data() + q0, count),
+                 precision, /*prune=*/false, &folds, &scratch,
+                 std::span<RankCounts>(counts.data(), count), &stats);
         for (size_t i = 0; i < count; ++i) {
-          rank_sink = rank_sink +
-                      rank_scan(block.subspan(i * size_t(num_entities),
-                                              size_t(num_entities)),
-                                truths[size_t(q0) + i]);
+          rank_sink = rank_sink + counts[i].better;
         }
       }
     };
-    run_pass();  // warm-up: faults pages, grows thread_local fold scratch
+    run_pass();  // warm-up: faults pages, grows the walk's scratch
 
 #if KGE_COUNT_ALLOCS
     const uint64_t allocs_before =
@@ -778,10 +778,10 @@ PrecisionReport BenchPrecisionTiers(const PerfConfig& config) {
 // Pruning is exact — every pruned row carries a bit_identical canary
 // against the exhaustive result — so the rows measure how many
 // candidate tiles the Cauchy–Schwarz bounds prove irrelevant and what
-// that saves in table bandwidth. The rank path (CountTailsAbove, the
-// evaluator's primitive) and the top-k path (TopKWalk, the serving
-// reduction) are timed separately; the top-k path adds a multi-lane row
-// to pin the lane-count invariance at scale.
+// that saves in table bandwidth. The walk's two sinks are timed
+// separately: rank counts (the evaluator's) and top-k (the serving
+// reduction); the top-k path adds a multi-lane row to pin the
+// lane-count invariance at scale.
 
 // A trained-like model for the scale tiers without paying a 1M-entity
 // training run: Xavier init, then entity norms rescaled to decay with
@@ -846,36 +846,30 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
   const ScorePrecision precision = ScorePrecision::kDouble;
   model->PrepareForPrunedScoring(precision);
 
-  // Query workload: random heads; the rank threshold is the best score
-  // among a fixed-size candidate sample, standing in for the true tail
+  // Query workload: random heads; the true tail is the best-scoring
+  // entity of a fixed-size candidate sample, standing in for the truth
   // of a converged model (which the filtered protocol ranks near the
-  // top — an untrained threshold sits in the noise floor and no bound
-  // can prove anything against it).
+  // top — an untrained truth sits in the noise floor and no bound can
+  // prove anything against it).
   Rng rng(23);
   const int64_t num_queries = config.scale_queries;
   std::vector<EntityId> heads(static_cast<size_t>(num_queries));
   std::vector<RelationId> rels(static_cast<size_t>(num_queries));
   std::vector<EntityId> truths(static_cast<size_t>(num_queries));
-  std::vector<float> thresholds(static_cast<size_t>(num_queries));
   const int32_t sample = int32_t(std::min<int64_t>(entities, 2048));
+  std::vector<EntityId> candidates(static_cast<size_t>(sample));
+  for (int32_t t = 0; t < sample; ++t) candidates[size_t(t)] = t;
+  std::vector<float> sample_scores(static_cast<size_t>(sample));
   for (int64_t q = 0; q < num_queries; ++q) {
     const EntityId head = EntityId(rng.NextBounded(uint64_t(n)));
     const RelationId rel = RelationId(rng.NextBounded(8));
-    EntityId best = 0;
-    float best_score = model->ScoreOneTail(head, 0, rel, precision);
-    for (int32_t t = 1; t < sample; ++t) {
-      const float s = model->ScoreOneTail(head, t, rel, precision);
-      if (s > best_score) {
-        best_score = s;
-        best = t;
-      }
-    }
+    model->ScoreTailBatch(head, rel, candidates, sample_scores);
     heads[size_t(q)] = head;
     rels[size_t(q)] = rel;
-    truths[size_t(q)] = best;
-    thresholds[size_t(q)] = best_score;
+    truths[size_t(q)] = EntityId(
+        std::max_element(sample_scores.begin(), sample_scores.end()) -
+        sample_scores.begin());
   }
-  const std::span<const EntityId> no_excluded;
 
   ScaleTierRow tier;
   tier.entities = entities;
@@ -883,46 +877,43 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
   const double table_bytes_per_query =
       double(entities) * double(dim) * sizeof(float);
 
-  // ---- Rank path: CountTailsAbove, exhaustive vs pruned ----
-  // One flat buffer for all four count arrays (GCC 12's
-  // -Wmismatched-new-delete false-fires on the malloc-backed
-  // replacement operator new when a vector's full lifetime is inlined
-  // into this frame, so the buffers share one up-front allocation).
-  std::vector<uint64_t> counts(static_cast<size_t>(num_queries) * 4, 0);
-  const std::span<uint64_t> ex_better(counts.data(), size_t(num_queries));
-  const std::span<uint64_t> ex_equal(counts.data() + num_queries,
-                                     size_t(num_queries));
-  const std::span<uint64_t> pr_better(counts.data() + 2 * num_queries,
-                                      size_t(num_queries));
-  const std::span<uint64_t> pr_equal(counts.data() + 3 * num_queries,
-                                     size_t(num_queries));
-  const auto rank_pass = [&](bool prune, std::span<uint64_t> better,
-                             std::span<uint64_t> equal,
+  // ---- Rank path: the rank-count walk, exhaustive vs pruned ----
+  // One query per walk, as a batch of one. One flat buffer for both
+  // count arrays (GCC 12's -Wmismatched-new-delete false-fires on the
+  // malloc-backed replacement operator new when a vector's full
+  // lifetime is inlined into this frame, so the buffers share one
+  // up-front allocation).
+  std::vector<RankCounts> counts(static_cast<size_t>(num_queries) * 2);
+  const std::span<RankCounts> ex_counts(counts.data(), size_t(num_queries));
+  const std::span<RankCounts> pr_counts(counts.data() + num_queries,
+                                        size_t(num_queries));
+  std::vector<float> rank_folds;
+  TopKWalkScratch rank_scratch;
+  const auto rank_pass = [&](bool prune, std::span<RankCounts> out,
                              RankScanStats* stats) {
     for (int64_t q = 0; q < num_queries; ++q) {
-      better[size_t(q)] = 0;
-      equal[size_t(q)] = 0;
-      model->CountTailsAbove(heads[size_t(q)], rels[size_t(q)],
-                             thresholds[size_t(q)], 0, EntityId(n),
-                             no_excluded, truths[size_t(q)], precision, prune,
-                             &better[size_t(q)], &equal[size_t(q)], stats);
+      RankWalk(*model, rels[size_t(q)],
+               std::span<const EntityId>(&heads[size_t(q)], 1),
+               std::span<const EntityId>(&truths[size_t(q)], 1), precision,
+               prune, &rank_folds, &rank_scratch, out.subspan(size_t(q), 1),
+               stats);
     }
   };
   RankScanStats warm_stats;
-  rank_pass(false, ex_better, ex_equal, &warm_stats);  // warm-up + reference
+  rank_pass(false, ex_counts, &warm_stats);  // warm-up + reference
   Stopwatch sw;
-  rank_pass(false, ex_better, ex_equal, &warm_stats);
+  rank_pass(false, ex_counts, &warm_stats);
   const double ex_seconds = sw.ElapsedSeconds();
 
   RankScanStats rank_stats;
-  rank_pass(true, pr_better, pr_equal, &rank_stats);  // warm-up
+  rank_pass(true, pr_counts, &rank_stats);  // warm-up
   rank_stats = RankScanStats{};
 #if KGE_COUNT_ALLOCS
   const uint64_t rank_allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
 #endif
   sw.Restart();
-  rank_pass(true, pr_better, pr_equal, &rank_stats);
+  rank_pass(true, pr_counts, &rank_stats);
   const double pr_seconds = sw.ElapsedSeconds();
 #if KGE_COUNT_ALLOCS
   tier.rank.pruned_allocs_per_query =
@@ -948,8 +939,8 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
       (1.0 - tier.rank.tiles_skipped_frac) / pr_seconds / 1e9;
   tier.rank.bit_identical = true;
   for (int64_t q = 0; q < num_queries; ++q) {
-    if (pr_better[size_t(q)] != ex_better[size_t(q)] ||
-        pr_equal[size_t(q)] != ex_equal[size_t(q)]) {
+    if (pr_counts[size_t(q)].better != ex_counts[size_t(q)].better ||
+        pr_counts[size_t(q)].equal != ex_counts[size_t(q)].equal) {
       tier.rank.bit_identical = false;
     }
   }
@@ -977,7 +968,8 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
     batch.prune = prune;
     heap->ResetCapacity(int(k));
     for (int lane = 0; lane < lanes; ++lane) {
-      model->TopKWalk(batch, lane, lanes, std::span(heap, 1), &scratch, stats);
+      model->TopKWalk(batch, lane, lanes, std::span(heap, 1), {}, &scratch,
+                      stats);
     }
   };
   const auto sharded_pass = [&](int64_t q, RankScanStats* stats) {

@@ -76,13 +76,40 @@ echo "== tool smoke runs =="
     --max-epochs=20 --checkpoint=/tmp/kge_check.ckpt > /dev/null
 "./${BUILD_DIR}/tools/kge_eval" --model=complex --entities=300 --dim-budget=32 \
     --checkpoint=/tmp/kge_check.ckpt > /dev/null
-# An unknown --generate and too few --entities are usage errors (exit 2).
-for flag in --generate=bogus --entities=50; do
+# One walk per query and batched, pruned, multi-threaded walks rank the
+# same: the filtered metric lines must be identical.
+for eval_flags in "--eval-batch=1" "--eval-batch=32 --prune --threads=4"; do
+  # shellcheck disable=SC2086  # eval_flags is a flag list
+  "./${BUILD_DIR}/tools/kge_eval" --model=complex --entities=300 \
+      --dim-budget=32 --checkpoint=/tmp/kge_check.ckpt ${eval_flags} \
+      | grep '(filtered)'
+done > /tmp/kge_check_ranks.txt
+if [[ "$(wc -l < /tmp/kge_check_ranks.txt)" != 2 ]] ||
+   [[ "$(sort -u /tmp/kge_check_ranks.txt | wc -l)" != 1 ]]; then
+  echo "kge_eval metrics differ across --eval-batch/--prune/--threads:" >&2
+  cat /tmp/kge_check_ranks.txt >&2
+  exit 1
+fi
+rm -f /tmp/kge_check_ranks.txt
+# An unknown --generate, too few --entities, an --eval-batch outside
+# [0, INT32_MAX] and fewer than one --threads are usage errors (exit 2),
+# in both tools for the flags they share.
+for flag in --generate=bogus --entities=50 --eval-batch=-7 \
+            --eval-batch=4294967297 --threads=-3 --threads=0; do
   status=0
   "./${BUILD_DIR}/tools/kge_eval" --checkpoint=/tmp/kge_check.ckpt "${flag}" \
       > /dev/null 2>&1 || status=$?
   if [[ "${status}" != 2 ]]; then
     echo "kge_eval ${flag} exited ${status}, want a usage error (2)" >&2
+    exit 1
+  fi
+done
+for flag in --eval-batch=-7 --eval-batch=4294967297 --threads=-3 --threads=0; do
+  status=0
+  "./${BUILD_DIR}/tools/kge_train" --entities=300 --max-epochs=1 "${flag}" \
+      > /dev/null 2>&1 || status=$?
+  if [[ "${status}" != 2 ]]; then
+    echo "kge_train ${flag} exited ${status}, want a usage error (2)" >&2
     exit 1
   fi
 done

@@ -76,7 +76,7 @@ enum WordNetRelation : RelationId {
 
 // Entity-count presets behind the tools' --scale flag: `small` is the
 // grid-training default, `medium` the 100k serving-smoke tier, `xl` the
-// million-entity ranking tier that exercises the sharded/pruned paths.
+// million-entity ranking tier that exercises the multi-lane, pruned walk.
 inline constexpr int32_t kWordNetScaleSmall = 3000;
 inline constexpr int32_t kWordNetScaleMedium = 100000;
 inline constexpr int32_t kWordNetScaleXl = 1000000;

@@ -91,53 +91,26 @@ size_t Evaluator::CountHeadCandidates(const Triple& triple,
                          triple.head);
 }
 
-int ResolveEvalBatchQueries(int requested, int32_t num_entities,
-                            ScorePrecision precision, int num_shards) {
-  if (requested >= 1) return requested;
-  // Auto: start at 32 queries per batch and halve while the per-thread
-  // B × ceil(E / num_shards) scoring footprint would exceed 64 MiB, so
-  // huge vocabularies never blow the cache budget (or the heap) just
-  // because batching is on. Each score is charged at the tier's
-  // streamed-candidate width (kDouble keeps a double accumulator group
-  // per candidate cell, float32 streams 4-byte rows, int8 1-byte rows),
-  // so the narrower tiers hold 2x/8x more queries per batch when the
-  // budget binds. Every term stays size_t: at 1M+ entities B × E ×
-  // bytes_per_score exceeds int32 range long before the budget halves
-  // the batch, so int math anywhere here would wrap instead of shrink.
-  constexpr size_t kMaxScoreMatrixBytes = 64u << 20;
-  size_t bytes_per_score = sizeof(double);
-  switch (precision) {
-    case ScorePrecision::kDouble:
-      bytes_per_score = 8;
-      break;
-    case ScorePrecision::kFloat32:
-      bytes_per_score = 4;
-      break;
-    case ScorePrecision::kInt8:
-      bytes_per_score = 1;
-      break;
-  }
-  const size_t shards = size_t(std::max(num_shards, 1));
-  const size_t entities = size_t(std::max(num_entities, 1));
-  const size_t widest_shard = (entities + shards - 1) / shards;
-  int batch = 32;
-  while (batch > 1 &&
-         size_t(batch) * widest_shard * bytes_per_score >
-             kMaxScoreMatrixBytes) {
-    batch /= 2;
-  }
-  return batch;
-}
-
 namespace {
 
-// One batched scoring call: `count` queries sharing a relation and a
-// side, covering eval-order triple indices order[begin .. begin+count).
+// One ranking walk: `count` queries sharing a relation and a side,
+// covering eval-order triple indices order[begin .. begin+count).
 struct QueryBatch {
   uint32_t begin = 0;
   uint32_t count = 0;
   RelationId relation = 0;
-  bool head_side = false;  // false: rank tails, true: rank heads
+  QuerySide side = QuerySide::kTail;
+};
+
+// A pool thread's working memory for the walks it runs, reused across
+// batches and Evaluate calls.
+struct RankWalkScratch {
+  std::vector<EntityId> anchors;
+  std::vector<EntityId> truths;
+  std::vector<std::span<const EntityId>> excluded;
+  std::vector<float> folds;
+  std::vector<RankCounts> counts;
+  TopKWalkScratch walk;
 };
 
 }  // namespace
@@ -163,214 +136,130 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
     eval_triples = &subset;
   }
 
-  // Ranks are pure per-triple functions of the scores, so they are
-  // computed in parallel into per-triple slots and the metrics are
-  // accumulated SERIALLY in the original triple order afterwards. That
-  // makes the result exactly invariant to both the thread count and the
-  // batching schedule (and equal to the pre-batching single-thread
-  // accumulation order).
   const size_t num_triples = eval_triples->size();
   const int32_t num_entities = model.num_entities();
-  std::vector<double> tail_ranks(num_triples), head_ranks(num_triples);
-  std::vector<size_t> tail_cands(num_triples), head_cands(num_triples);
-
   const ScorePrecision precision = options.score_precision;
   KGE_CHECK(model.SupportsScorePrecision(precision));
-  const int num_shards = std::max(options.num_shards, 1);
-  const bool range_scan = options.prune || num_shards > 1;
-  // Refresh any scoring replica the tier needs ONCE, before the fanout:
-  // the rebuild mutates the replica, the scoring reads below do not.
-  // The pruned path additionally refreshes the per-tile score bounds.
+  KGE_CHECK(options.batch_queries >= 0);
+  const size_t batch_queries = options.batch_queries > 0
+                                   ? size_t(options.batch_queries)
+                                   : size_t(kDefaultEvalBatchQueries);
+  // Refresh any scoring replica (and, to prune, the tile bounds) the
+  // tier needs ONCE, before the fanout: the rebuild mutates the replica,
+  // the walks below only read it.
   if (options.prune) {
     model.PrepareForPrunedScoring(precision);
   } else {
     model.PrepareForScoring(precision);
   }
-  const int batch_queries =
-      ResolveEvalBatchQueries(options.batch_queries, num_entities, precision);
+
+  // Counting-sort the triple indices by relation (stable, deterministic),
+  // then cover each relation segment with tail-side and head-side
+  // batches of at most batch_queries queries.
+  std::vector<uint32_t> order(num_triples);
+  std::vector<size_t> relation_counts(size_t(num_relations_) + 1, 0);
+  for (const Triple& t : *eval_triples) {
+    ++relation_counts[size_t(t.relation) + 1];
+  }
+  for (size_t r = 1; r < relation_counts.size(); ++r) {
+    relation_counts[r] += relation_counts[r - 1];
+  }
+  std::vector<size_t> cursor(relation_counts.begin(),
+                             relation_counts.end() - 1);
+  for (size_t i = 0; i < num_triples; ++i) {
+    order[cursor[size_t((*eval_triples)[i].relation)]++] = uint32_t(i);
+  }
+  std::vector<QueryBatch> batches;
+  batches.reserve(2 * (num_triples / batch_queries + size_t(num_relations_) +
+                       1));
+  for (int32_t r = 0; r < num_relations_; ++r) {
+    const size_t seg_begin = relation_counts[size_t(r)];
+    const size_t seg_end = relation_counts[size_t(r) + 1];
+    for (const QuerySide side : {QuerySide::kTail, QuerySide::kHead}) {
+      for (size_t b = seg_begin; b < seg_end; b += batch_queries) {
+        QueryBatch batch;
+        batch.begin = uint32_t(b);
+        batch.count = uint32_t(std::min(batch_queries, seg_end - b));
+        batch.relation = r;
+        batch.side = side;
+        batches.push_back(batch);
+      }
+    }
+  }
+
+  // Each batch is one walk with the rank sink, run whole on one pool
+  // thread, and writes the ranks of its own triples. Ranks are pure
+  // per-triple functions of the scores, so the metrics accumulated
+  // SERIALLY in the original triple order below are exactly invariant to
+  // the thread count, the batch size and pruning.
+  result.tail_ranks.resize(num_triples);
+  result.head_ranks.resize(num_triples);
+  std::vector<RankScanStats> batch_stats(batches.size());
   ThreadPool pool(size_t(std::max(1, options.num_threads)));
-
-  if (range_scan) {
-    // Sharded / pruned ranking (DESIGN.md §5h): instead of materializing
-    // B × num_entities score matrices, each (triple, side, shard) task
-    // counts candidates above the true score inside its entity range
-    // with CountTailsAbove/CountHeadsAbove. Counts are additive over the
-    // shard partition and the scores are the exact kernel values the
-    // matrix paths produce, so the serial reduction below yields
-    // bit-identical ranks for every shard count, thread count, and prune
-    // setting. Each task re-derives the true score via ScoreOneTail/
-    // ScoreOneHead — deterministic and race-free, so no cross-task
-    // ordering matters.
-    const size_t tasks_per_triple = 2 * size_t(num_shards);
-    const size_t num_tasks = num_triples * tasks_per_triple;
-    std::vector<uint64_t> better(num_tasks, 0), equal(num_tasks, 0);
-    std::vector<RankScanStats> task_stats(num_tasks);
-    pool.ParallelFor(0, num_tasks, [&](size_t begin, size_t end) {
-      for (size_t task = begin; task < end; ++task) {
-        const size_t i = task / tasks_per_triple;
-        const size_t rem = task % tasks_per_triple;
-        const bool head_side = rem >= size_t(num_shards);
-        const int s = int(rem % size_t(num_shards));
-        const Triple& triple = (*eval_triples)[i];
-        const EntityId shard_begin = ShardBegin(num_entities, num_shards, s);
-        const EntityId shard_end =
-            ShardBegin(num_entities, num_shards, s + 1);
-        if (head_side) {
-          const std::span<const EntityId> known =
-              options.filtered
-                  ? filter_->KnownHeads(triple.tail, triple.relation)
-                  : std::span<const EntityId>();
-          const float truth = model.ScoreOneHead(
-              triple.head, triple.tail, triple.relation, precision);
-          model.CountHeadsAbove(triple.tail, triple.relation, truth,
-                                shard_begin, shard_end, known, triple.head,
-                                precision, options.prune, &better[task],
-                                &equal[task], &task_stats[task]);
-        } else {
-          const std::span<const EntityId> known =
-              options.filtered
-                  ? filter_->KnownTails(triple.head, triple.relation)
-                  : std::span<const EntityId>();
-          const float truth = model.ScoreOneTail(
-              triple.head, triple.tail, triple.relation, precision);
-          model.CountTailsAbove(triple.head, triple.relation, truth,
-                                shard_begin, shard_end, known, triple.tail,
-                                precision, options.prune, &better[task],
-                                &equal[task], &task_stats[task]);
+  pool.ParallelFor(0, batches.size(), [&](size_t begin, size_t end) {
+    static thread_local RankWalkScratch scratch;
+    for (size_t bi = begin; bi < end; ++bi) {
+      const QueryBatch& query_batch = batches[bi];
+      const size_t count = query_batch.count;
+      const bool head_side = query_batch.side == QuerySide::kHead;
+      const std::span<EntityId> anchors = ScratchSpan(scratch.anchors, count);
+      const std::span<EntityId> truths = ScratchSpan(scratch.truths, count);
+      const std::span<std::span<const EntityId>> excluded =
+          ScratchSpan(scratch.excluded, options.filtered ? count : 0);
+      for (size_t q = 0; q < count; ++q) {
+        const Triple& triple =
+            (*eval_triples)[order[query_batch.begin + q]];
+        anchors[q] = head_side ? triple.tail : triple.head;
+        truths[q] = head_side ? triple.head : triple.tail;
+        if (options.filtered) {
+          excluded[q] =
+              head_side ? filter_->KnownHeads(triple.tail, triple.relation)
+                        : filter_->KnownTails(triple.head, triple.relation);
         }
       }
-    });
-    for (size_t i = 0; i < num_triples; ++i) {
-      const Triple& triple = (*eval_triples)[i];
-      uint64_t tail_better = 0, tail_equal = 0;
-      uint64_t head_better = 0, head_equal = 0;
-      for (size_t s = 0; s < size_t(num_shards); ++s) {
-        const size_t tail_task = i * tasks_per_triple + s;
-        const size_t head_task = tail_task + size_t(num_shards);
-        tail_better += better[tail_task];
-        tail_equal += equal[tail_task];
-        head_better += better[head_task];
-        head_equal += equal[head_task];
-      }
-      tail_ranks[i] = 1.0 + double(tail_better) + double(tail_equal) / 2.0;
-      head_ranks[i] = 1.0 + double(head_better) + double(head_equal) / 2.0;
-      tail_cands[i] =
-          CountTailCandidates(triple, num_entities, options.filtered);
-      head_cands[i] =
-          CountHeadCandidates(triple, num_entities, options.filtered);
-    }
-    for (const RankScanStats& stats : task_stats) {
-      result.scan_stats.tiles_total += stats.tiles_total;
-      result.scan_stats.tiles_skipped += stats.tiles_skipped;
-    }
-  } else if (batch_queries <= 1 && precision == ScorePrecision::kDouble) {
-    // Reduced-precision tiers only exist on the batched interface, so
-    // they take the batched path even at B = 1.
-    // Legacy per-query GEMV path: one ScoreAllTails/Heads per triple.
-    pool.ParallelFor(0, num_triples, [&](size_t begin, size_t end) {
-      static thread_local std::vector<float> score_buf;
-      const std::span<float> scores =
-          ScratchSpan(score_buf, size_t(num_entities));
-      for (size_t i = begin; i < end; ++i) {
-        const Triple& triple = (*eval_triples)[i];
-        model.ScoreAllTails(triple.head, triple.relation, scores);
-        tail_ranks[i] = RankTail(triple, scores, options.filtered);
-        tail_cands[i] =
-            CountTailCandidates(triple, num_entities, options.filtered);
-        model.ScoreAllHeads(triple.tail, triple.relation, scores);
-        head_ranks[i] = RankHead(triple, scores, options.filtered);
-        head_cands[i] =
-            CountHeadCandidates(triple, num_entities, options.filtered);
-      }
-    });
-  } else {
-    // Batched GEMM path. Counting-sort the triple indices by relation
-    // (stable, deterministic), then cover each relation segment with
-    // tail-side and head-side batches of at most batch_queries queries:
-    // every batch folds once per query and streams each entity-table
-    // tile once per batch instead of once per query.
-    std::vector<uint32_t> order(num_triples);
-    std::vector<size_t> relation_counts(size_t(num_relations_) + 1, 0);
-    for (const Triple& t : *eval_triples) {
-      ++relation_counts[size_t(t.relation) + 1];
-    }
-    for (size_t r = 1; r < relation_counts.size(); ++r) {
-      relation_counts[r] += relation_counts[r - 1];
-    }
-    std::vector<size_t> cursor(relation_counts.begin(),
-                               relation_counts.end() - 1);
-    for (size_t i = 0; i < num_triples; ++i) {
-      order[cursor[size_t((*eval_triples)[i].relation)]++] = uint32_t(i);
-    }
-
-    std::vector<QueryBatch> batches;
-    batches.reserve(2 * (num_triples / size_t(batch_queries) +
-                         size_t(num_relations_) + 1));
-    for (int32_t r = 0; r < num_relations_; ++r) {
-      const size_t seg_begin = relation_counts[size_t(r)];
-      const size_t seg_end = relation_counts[size_t(r) + 1];
-      for (int side = 0; side < 2; ++side) {
-        for (size_t b = seg_begin; b < seg_end; b += size_t(batch_queries)) {
-          QueryBatch batch;
-          batch.begin = uint32_t(b);
-          batch.count = uint32_t(
-              std::min(size_t(batch_queries), seg_end - b));
-          batch.relation = r;
-          batch.head_side = side == 1;
-          batches.push_back(batch);
-        }
+      const std::span<float> folds =
+          ScratchSpan(scratch.folds, count * model.FoldWidth());
+      model.FoldQueries(query_batch.side, query_batch.relation, anchors,
+                        folds);
+      TopKWalkBatch batch;
+      batch.side = query_batch.side;
+      batch.relation = query_batch.relation;
+      batch.anchors = anchors;
+      batch.folds = folds;
+      batch.excluded = excluded;
+      batch.truths = truths;
+      batch.precision = precision;
+      batch.prune = options.prune;
+      const std::span<RankCounts> counts = ScratchSpan(scratch.counts, count);
+      std::fill(counts.begin(), counts.end(), RankCounts{});
+      model.TopKWalk(batch, 0, 1, {}, counts, &scratch.walk,
+                     &batch_stats[bi]);
+      std::vector<double>& ranks =
+          head_side ? result.head_ranks : result.tail_ranks;
+      for (size_t q = 0; q < count; ++q) {
+        ranks[order[query_batch.begin + q]] =
+            1.0 + double(counts[q].better) + double(counts[q].equal) / 2.0;
       }
     }
-
-    pool.ParallelFor(0, batches.size(), [&](size_t begin, size_t end) {
-      static thread_local std::vector<float> score_buf;
-      static thread_local std::vector<EntityId> query_buf;
-      for (size_t bi = begin; bi < end; ++bi) {
-        const QueryBatch& batch = batches[bi];
-        const std::span<EntityId> queries =
-            ScratchSpan(query_buf, size_t(batch.count));
-        for (uint32_t q = 0; q < batch.count; ++q) {
-          const Triple& triple = (*eval_triples)[order[batch.begin + q]];
-          queries[q] = batch.head_side ? triple.tail : triple.head;
-        }
-        const std::span<float> scores = ScratchSpan(
-            score_buf, size_t(batch.count) * size_t(num_entities));
-        if (batch.head_side) {
-          model.ScoreAllHeadsBatch(queries, batch.relation, scores,
-                                   precision);
-        } else {
-          model.ScoreAllTailsBatch(queries, batch.relation, scores,
-                                   precision);
-        }
-        for (uint32_t q = 0; q < batch.count; ++q) {
-          const size_t i = order[batch.begin + q];
-          const Triple& triple = (*eval_triples)[i];
-          const std::span<const float> row =
-              scores.subspan(size_t(q) * size_t(num_entities),
-                             size_t(num_entities));
-          if (batch.head_side) {
-            head_ranks[i] = RankHead(triple, row, options.filtered);
-            head_cands[i] =
-                CountHeadCandidates(triple, num_entities, options.filtered);
-          } else {
-            tail_ranks[i] = RankTail(triple, row, options.filtered);
-            tail_cands[i] =
-                CountTailCandidates(triple, num_entities, options.filtered);
-          }
-        }
-      }
-    });
+  });
+  for (const RankScanStats& stats : batch_stats) {
+    result.scan_stats.tiles_total += stats.tiles_total;
+    result.scan_stats.tiles_skipped += stats.tiles_skipped;
   }
 
   // Serial accumulation in original triple order: tail rank then head
-  // rank per triple, exactly like the pre-batching inner loop.
+  // rank per triple.
   for (size_t i = 0; i < num_triples; ++i) {
     const Triple& triple = (*eval_triples)[i];
-    result.overall.AddRank(tail_ranks[i], tail_cands[i]);
-    result.overall.AddRank(head_ranks[i], head_cands[i]);
+    const size_t tail_cands =
+        CountTailCandidates(triple, num_entities, options.filtered);
+    const size_t head_cands =
+        CountHeadCandidates(triple, num_entities, options.filtered);
+    result.overall.AddRank(result.tail_ranks[i], tail_cands);
+    result.overall.AddRank(result.head_ranks[i], head_cands);
     PerRelationMetrics& rel = result.per_relation[size_t(triple.relation)];
-    rel.tail_queries.AddRank(tail_ranks[i], tail_cands[i]);
-    rel.head_queries.AddRank(head_ranks[i], head_cands[i]);
+    rel.tail_queries.AddRank(result.tail_ranks[i], tail_cands);
+    rel.head_queries.AddRank(result.head_ranks[i], head_cands);
   }
   return result;
 }

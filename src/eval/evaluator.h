@@ -22,61 +22,39 @@
 
 namespace kge {
 
+// Queries per ranking walk when EvalOptions::batch_queries is 0.
+inline constexpr int kDefaultEvalBatchQueries = 32;
+
 struct EvalOptions {
   bool filtered = true;
   // Evaluate at most this many triples (0 = all); a deterministic
   // stride-based subsample is used, which keeps validation checks cheap
   // during training.
   size_t max_triples = 0;
-  // Threads for the candidate-scoring loop (1 = inline).
+  // Threads the ranking walks are spread over (1 = inline).
   int num_threads = 1;
-  // Queries ranked per ScoreAllTailsBatch/ScoreAllHeadsBatch call. Test
-  // queries are grouped by (relation, side) and scored B at a time, so
-  // each entity-table tile is streamed from DRAM once per B queries
-  // instead of once per query. 0 = auto (see ResolveEvalBatchQueries);
-  // 1 = the legacy per-query ScoreAllTails/ScoreAllHeads path. Metrics
-  // are bit-identical at every setting: ranks are computed per triple
+  // Queries per ranking walk (KgeModel::TopKWalk's rank sink). Test
+  // queries are grouped by (relation, side) and walked B at a time, so
+  // each entity-table tile is read once per B queries instead of once
+  // per query, and the working set is B tiles of scores whatever the
+  // vocabulary size. 0 = kDefaultEvalBatchQueries. Metrics are
+  // bit-identical at every setting: ranks are computed per triple
   // either way and accumulated in the original triple order.
   int batch_queries = 0;
-  // Numeric tier for full-vocabulary candidate scoring (see
-  // core/scoring_replica.h): kDouble is the exact protocol; kFloat32 and
-  // kInt8 trade bounded metric drift (measured in BENCH_eval.json's
-  // precision section) for ranking throughput. The model must report
-  // SupportsScorePrecision(score_precision); non-double tiers always
-  // take the batched path, and Evaluate refreshes the model's scoring
-  // replicas once (PrepareForScoring) before fanning out.
+  // Numeric tier for candidate scoring (see core/scoring_replica.h):
+  // kDouble is the exact protocol; kFloat32 and kInt8 trade bounded
+  // metric drift (measured in BENCH_eval.json's precision section) for
+  // ranking throughput. The model must report
+  // SupportsScorePrecision(score_precision); Evaluate refreshes the
+  // model's scoring replicas once (PrepareForScoring) before fanning
+  // out.
   ScorePrecision score_precision = ScorePrecision::kDouble;
-  // Entity-table shards for the range-scoped ranking path (DESIGN.md
-  // §5h). With > 1 (or prune set) ranking runs per-(triple, side, shard)
-  // count scans instead of materializing B × num_entities score
-  // matrices, so million-entity vocabularies rank inside the cache
-  // budget. Metrics are exactly invariant to this setting: range counts
-  // are additive over any partition of [0, num_entities) and scores are
-  // the same kernel values the exhaustive path produces.
-  int num_shards = 1;
-  // Skip candidate tiles whose Cauchy–Schwarz score bound proves no
-  // candidate in them can reach the true triple's score. Conservative
-  // and never approximate — metrics stay bit-identical; only the work
-  // (RankScanStats::tiles_skipped) changes. Implies the range-scoped
-  // path even at num_shards == 1.
+  // Skip (query, tile) pairs whose Cauchy–Schwarz score bound proves no
+  // candidate in the tile can reach the true triple's score.
+  // Conservative and never approximate — metrics stay bit-identical;
+  // only the work (RankScanStats::tiles_skipped) changes.
   bool prune = false;
 };
-
-// Resolves EvalOptions::batch_queries: values >= 1 pass through; 0 picks
-// 32 and halves it while the per-thread B × ceil(num_entities /
-// num_shards) score matrix would exceed 64 MiB (never below 1). The
-// budget charges each score at the precision tier's streamed-candidate
-// width — 8 bytes at kDouble (double accumulators live per candidate),
-// 4 at kFloat32, 1 at kInt8 — so the narrower tiers keep proportionally
-// larger batches when the budget binds instead of inheriting the double
-// tier's cap, and sharded rankers only pay for the widest shard they
-// actually materialize. All sizing math is size_t: at num_entities ≥ 1M
-// a B × E product already exceeds int32 range at kDouble, so nothing in
-// the budget walk may round-trip through int. Exposed so tools can log
-// the effective batch size.
-int ResolveEvalBatchQueries(int requested, int32_t num_entities,
-                            ScorePrecision precision = ScorePrecision::kDouble,
-                            int num_shards = 1);
 
 struct PerRelationMetrics {
   RelationId relation = 0;
@@ -87,8 +65,13 @@ struct PerRelationMetrics {
 struct EvalResult {
   RankingMetrics overall;
   std::vector<PerRelationMetrics> per_relation;
-  // Tile counters aggregated over every range scan of the run (only
-  // populated by the sharded/pruned path; zero on the matrix paths).
+  // The tie-averaged rank of each evaluated triple's tail and head, in
+  // evaluation order: entry i belongs to the i-th triple ranked (of the
+  // input, or of its stride subsample when max_triples caps the run).
+  // These are the ranks behind `overall` and `per_relation`.
+  std::vector<double> tail_ranks;
+  std::vector<double> head_ranks;
+  // Tile counters summed over every ranking walk of the run;
   // tiles_skipped / tiles_total is the pruning effectiveness BENCH_eval
   // reports as tiles_skipped_frac.
   RankScanStats scan_stats;
@@ -109,8 +92,9 @@ class Evaluator {
                                  const std::vector<Triple>& triples,
                                  const EvalOptions& options) const;
 
-  // Rank of the true tail for one query, using `scores` =
-  // model.ScoreAllTails(h, r) (exposed for testing).
+  // Rank of the true tail for one query given its full score row
+  // `scores` (e.g. model.ScoreAllTails(h, r)): the reference that the
+  // ranking walk's counts are tested against.
   KGE_HOT_NOALLOC
   double RankTail(const Triple& triple, std::span<const float> scores,
                   bool filtered) const;

@@ -34,7 +34,8 @@ std::vector<ScoredEntity> SelectTopK(const KgeModel& model, QuerySide side,
   RankScanStats stats;
   TopKHeap<float, EntityId> heap(options.k);
   for (int lane = 0; lane < lanes; ++lane) {
-    model.TopKWalk(batch, lane, lanes, std::span(&heap, 1), &scratch, &stats);
+    model.TopKWalk(batch, lane, lanes, std::span(&heap, 1), {}, &scratch,
+                   &stats);
   }
   std::vector<ScoredEntity> result;
   result.reserve(size_t(heap.size()));

@@ -1,139 +1,43 @@
 #include "models/kge_model.h"
 
+#include "math/simd.h"
 #include "util/check.h"
 #include "util/scratch.h"
 
 namespace kge {
-namespace {
 
-// Full-vocabulary scratch for the exhaustive range-scan fallbacks: one
-// per-thread buffer reused across calls (contents overwritten each use).
-KGE_HOT_NOALLOC
-std::span<float> FullScanScratch(size_t num_entities) {
-  static thread_local std::vector<float> buf;
-  return ScratchSpan(buf, num_entities);
-}
-
-// Walks scores[begin, end) counting strictly-greater / equal candidates
-// against `threshold`, skipping `excluded` ids (sorted ascending) and
-// `also_skip`. Shared by the base-class fallbacks; `scores` is indexed
-// by absolute entity id.
-KGE_HOT_NOALLOC
-void CountRangeAgainstThreshold(std::span<const float> scores,
-                                float threshold, EntityId begin,
-                                EntityId end,
-                                std::span<const EntityId> excluded,
-                                EntityId also_skip, uint64_t* better,
-                                uint64_t* equal) {
-  size_t cursor = 0;
-  while (cursor < excluded.size() && excluded[cursor] < begin) ++cursor;
-  uint64_t g = 0;
-  uint64_t eq = 0;
-  for (EntityId e = begin; e < end; ++e) {
-    if (cursor < excluded.size() && excluded[cursor] == e) {
-      ++cursor;
-      continue;
-    }
-    if (e == also_skip) continue;
-    const float s = scores[size_t(e)];
+void KgeModel::CountRankTile(std::span<const float> scores, size_t row0,
+                             float threshold, EntityId truth,
+                             std::span<const EntityId> excluded,
+                             size_t* cursor, RankCounts* counts) {
+  size_t greater = 0;
+  size_t equal = 0;
+  simd::CountGreaterEqual(scores.data(), scores.size(), threshold, &greater,
+                          &equal);
+  // Back out the candidates the rank must not count: the excluded ids in
+  // range and the truth (once, even when it is also excluded).
+  const auto back_out = [&](size_t row) {
+    const float s = scores[row - row0];
     if (s > threshold) {
-      ++g;
+      --greater;
     } else if (s == threshold) {
-      ++eq;
+      --equal;
     }
+  };
+  const size_t row_end = row0 + scores.size();
+  size_t c = *cursor;
+  while (c < excluded.size() && size_t(excluded[c]) < row0) ++c;
+  bool truth_excluded = false;
+  for (; c < excluded.size() && size_t(excluded[c]) < row_end; ++c) {
+    back_out(size_t(excluded[c]));
+    truth_excluded = truth_excluded || excluded[c] == truth;
   }
-  *better += g;
-  *equal += eq;
-}
-
-}  // namespace
-
-void KgeModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation,
-                                  std::span<float> out) const {
-  const size_t num = size_t(num_entities());
-  KGE_DCHECK(out.size() == heads.size() * num);
-  for (size_t q = 0; q < heads.size(); ++q) {
-    ScoreAllTails(heads[q], relation, out.subspan(q * num, num));
+  *cursor = c;
+  if (!truth_excluded && size_t(truth) >= row0 && size_t(truth) < row_end) {
+    back_out(size_t(truth));
   }
-}
-
-void KgeModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation,
-                                  std::span<float> out) const {
-  const size_t num = size_t(num_entities());
-  KGE_DCHECK(out.size() == tails.size() * num);
-  for (size_t q = 0; q < tails.size(); ++q) {
-    ScoreAllHeads(tails[q], relation, out.subspan(q * num, num));
-  }
-}
-
-void KgeModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const {
-  KGE_CHECK(precision == ScorePrecision::kDouble);
-  ScoreAllTailsBatch(heads, relation, out);
-}
-
-void KgeModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const {
-  KGE_CHECK(precision == ScorePrecision::kDouble);
-  ScoreAllHeadsBatch(tails, relation, out);
-}
-
-void KgeModel::CountTailsAbove(EntityId head, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const {
-  (void)prune;  // no tile bounds in the exhaustive fallback
-  if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId heads[1] = {head};
-  ScoreAllTailsBatch(std::span<const EntityId>(heads, 1), relation, scores,
-                     precision);
-  CountRangeAgainstThreshold(scores, threshold, begin, end, excluded,
-                             also_skip, better, equal);
-  stats->tiles_total += 1;
-}
-
-void KgeModel::CountHeadsAbove(EntityId tail, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const {
-  (void)prune;
-  if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId tails[1] = {tail};
-  ScoreAllHeadsBatch(std::span<const EntityId>(tails, 1), relation, scores,
-                     precision);
-  CountRangeAgainstThreshold(scores, threshold, begin, end, excluded,
-                             also_skip, better, equal);
-  stats->tiles_total += 1;
-}
-
-float KgeModel::ScoreOneTail(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const {
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId heads[1] = {head};
-  ScoreAllTailsBatch(std::span<const EntityId>(heads, 1), relation, scores,
-                     precision);
-  return scores[size_t(tail)];
-}
-
-float KgeModel::ScoreOneHead(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const {
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId tails[1] = {tail};
-  ScoreAllHeadsBatch(std::span<const EntityId>(tails, 1), relation, scores,
-                     precision);
-  return scores[size_t(head)];
+  counts->better += greater;
+  counts->equal += equal;
 }
 
 void KgeModel::FoldQueries(QuerySide, RelationId, std::span<const EntityId>,
@@ -141,28 +45,38 @@ void KgeModel::FoldQueries(QuerySide, RelationId, std::span<const EntityId>,
 
 void KgeModel::TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
                         std::span<TopKHeap<float, EntityId>> heaps,
+                        std::span<RankCounts> counts,
                         TopKWalkScratch* scratch, RankScanStats* stats) const {
   (void)num_lanes;
   // Without a fold there are no tiles to deal out: lane 0 scores every
   // query over the whole table.
   if (lane != 0) return;
+  KGE_CHECK(batch.precision == ScorePrecision::kDouble);
+  const bool rank = !batch.truths.empty();
   const std::span<float> scores =
       ScratchSpan(scratch->scores, size_t(num_entities()));
   for (size_t q = 0; q < batch.anchors.size(); ++q) {
     stats->tiles_total += 1;
-    if (heaps[q].capacity() == 0) {
+    if (!rank && heaps[q].capacity() == 0) {
       stats->tiles_skipped += 1;
       continue;
     }
-    const std::span<const EntityId> anchor(&batch.anchors[q], 1);
     if (batch.side == QuerySide::kTail) {
-      ScoreAllTailsBatch(anchor, batch.relation, scores, batch.precision);
+      ScoreAllTails(batch.anchors[q], batch.relation, scores);
     } else {
-      ScoreAllHeadsBatch(anchor, batch.relation, scores, batch.precision);
+      ScoreAllHeads(batch.anchors[q], batch.relation, scores);
     }
-    heaps[q].PushScoresExcluding(scores, batch.excluded.empty()
-                                             ? std::span<const EntityId>()
-                                             : batch.excluded[q]);
+    const std::span<const EntityId> excluded =
+        batch.excluded.empty() ? std::span<const EntityId>()
+                               : batch.excluded[q];
+    if (rank) {
+      const EntityId truth = batch.truths[q];
+      size_t cursor = 0;
+      CountRankTile(scores, 0, scores[size_t(truth)], truth, excluded,
+                    &cursor, &counts[q]);
+    } else {
+      heaps[q].PushScoresExcluding(scores, excluded);
+    }
   }
 }
 

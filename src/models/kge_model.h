@@ -27,24 +27,23 @@
 
 namespace kge {
 
-// Counters reported by the ranking scans (DESIGN.md §5h): how many
-// (query, bound tile) pairs a scan covered and how many it proved
-// sub-threshold and skipped without touching their rows. Exhaustive
-// fallbacks count each query's whole range as one unskipped tile.
+// Counters reported by the tile walk (DESIGN.md §5h): how many
+// (query, bound tile) pairs a walk covered and how many it proved
+// irrelevant and skipped without touching their rows. The exhaustive
+// fallback counts each query's whole table as one tile.
 struct RankScanStats {
   uint64_t tiles_total = 0;
   uint64_t tiles_skipped = 0;
 };
 
-// Start of shard s when [0, n) is split into `shards` contiguous
-// near-equal ranges: shard s covers
-// [ShardBegin(n, shards, s), ShardBegin(n, shards, s + 1)). Computed in
-// 64-bit so n·shards never overflows, monotone in s, and exactly
-// partitioning — the sharded rank counts rely on every id landing in
-// exactly one shard.
-constexpr EntityId ShardBegin(EntityId n, int shards, int s) {
-  return EntityId((int64_t(n) * int64_t(s)) / int64_t(shards));
-}
+// The rank sink of KgeModel::TopKWalk: how many of one query's
+// candidates score strictly above (better) or exactly at (equal) its
+// true entity, the truth itself and the query's excluded ids left out.
+// The filtered protocol's tie-averaged rank is 1 + better + equal / 2.
+struct RankCounts {
+  uint64_t better = 0;
+  uint64_t equal = 0;
+};
 
 // A lane's claim counter for walks whose lanes run concurrently: the
 // index, in the lane's own tile sequence, of its next unclaimed tile.
@@ -54,8 +53,8 @@ struct alignas(64) TopKLaneClaim {
   std::atomic<size_t> next{0};
 };
 
-// One batch of top-k queries sharing (side, relation), as
-// KgeModel::TopKWalk consumes it.
+// One batch of queries sharing (side, relation), as KgeModel::TopKWalk
+// consumes it.
 struct TopKWalkBatch {
   QuerySide side = QuerySide::kTail;
   RelationId relation = 0;
@@ -67,9 +66,12 @@ struct TopKWalkBatch {
   std::span<const float> folds;
   // Empty, or one sorted-ascending list of ids to leave out per query.
   std::span<const std::span<const EntityId>> excluded;
+  // Empty for the top-k sink; for the rank sink, the true entity of each
+  // query, whose score the query's candidates are counted against.
+  std::span<const EntityId> truths;
   ScorePrecision precision = ScorePrecision::kDouble;
-  // Skip (query, tile) pairs whose score bound cannot enter the query's
-  // heap. Needs PrepareForPrunedScoring(precision) first.
+  // Skip (query, tile) pairs whose score bound proves they cannot change
+  // the query's sink. Needs PrepareForPrunedScoring(precision) first.
   bool prune = false;
   // Empty, or one zeroed claim counter per lane, shared by lanes that
   // run concurrently: each tile is then walked by whichever lane claims
@@ -84,11 +86,12 @@ struct TopKWalkBatch {
 // whichever thread runs the lane.
 struct TopKWalkScratch {
   size_t min_queries = 0;
-  std::vector<float> folds;    // folds of the live queries of a tile
-  std::vector<float> scores;   // live queries × tile rows
-  std::vector<double> norms;   // per query: ‖fold‖₂ · kPruneBoundSlack
-  std::vector<size_t> live;    // queries the current tile is scored for
-  std::vector<size_t> cursor;  // per query: next excluded id to pass
+  std::vector<float> folds;       // folds of the live queries of a tile
+  std::vector<float> scores;      // live queries × tile rows
+  std::vector<double> norms;      // per query: ‖fold‖₂ · kPruneBoundSlack
+  std::vector<float> thresholds;  // per query: its truth's score (rank)
+  std::vector<size_t> live;       // queries the current tile is scored for
+  std::vector<size_t> cursor;     // per query: next excluded id to pass
 };
 
 class KgeModel {
@@ -104,7 +107,7 @@ class KgeModel {
 
   // Scores (h, t', r) for every candidate tail t' in [0, num_entities);
   // `out` has num_entities floats. Must be thread-safe for concurrent
-  // calls (used by the parallel evaluator).
+  // calls (the walk's exhaustive fallback runs on evaluator threads).
   KGE_HOT_NOALLOC
   virtual void ScoreAllTails(EntityId head, RelationId relation,
                              std::span<float> out) const = 0;
@@ -113,49 +116,9 @@ class KgeModel {
   virtual void ScoreAllHeads(EntityId tail, RelationId relation,
                              std::span<float> out) const = 0;
 
-  // Batched full-vocabulary scoring: for each query q, scores
-  // (heads[q], t', r) for every candidate tail t' into the row-major
-  // heads.size() × num_entities matrix `out` (row q = query q's scores).
-  // Row q is element-for-element identical to ScoreAllTails(heads[q], r)
-  // — batching is a scheduling contract, never a numeric one. The base
-  // implementation loops ScoreAllTails per query (correct for every
-  // model); the trilinear family overrides it to fold all B contexts
-  // into one scratch matrix and run a single cache-blocked multi-query
-  // kernel (simd::DotBatchMulti), which loads each entity row once per
-  // batch instead of once per query. Must be thread-safe for concurrent
-  // calls (used by the batched parallel evaluator and the 1-vs-All
-  // trainer).
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation,
-                                  std::span<float> out) const;
-  // Batched head-side twin: row q scores (h', tails[q], r) for every h'.
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation,
-                                  std::span<float> out) const;
-
-  // Precision-tiered batched scoring (EvalOptions::score_precision):
-  // the same contract as the 3-argument overloads with candidate scores
-  // computed at `precision` — kDouble is exact, kFloat32 accumulates in
-  // float over the master table, kInt8 reads a quantized scoring
-  // replica (see core/scoring_replica.h and math/simd.h's precision-tier
-  // contract). The base implementation supports kDouble only (and
-  // KGE_CHECK-fails otherwise — callers gate on SupportsScorePrecision);
-  // models that maintain replicas override all four. Non-double tiers
-  // require a PrepareForScoring(precision) call before concurrent use.
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const;
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const;
-
-  // True when the model can score full-vocabulary batches at
-  // `precision`. Every model supports kDouble; only models with scoring
-  // replicas (the trilinear family) report the reduced tiers.
+  // True when the model's walk can score at `precision`. Every model
+  // supports kDouble; only models with scoring replicas (the trilinear
+  // family) report the reduced tiers.
   virtual bool SupportsScorePrecision(ScorePrecision precision) const {
     return precision == ScorePrecision::kDouble;
   }
@@ -170,70 +133,16 @@ class KgeModel {
   }
 
   // PrepareForScoring plus a rebuild of the per-tile score bounds the
-  // pruned range scans read (ScoringReplica::EnsureBoundsFresh). Models
+  // pruned walk reads (ScoringReplica::EnsureBoundsFresh). Models
   // without tile bounds just forward to PrepareForScoring — their
-  // exhaustive range-scan fallbacks need no bounds. Same threading
-  // contract as PrepareForScoring: one thread, no concurrent scoring.
+  // exhaustive fallback needs no bounds. Same threading contract as
+  // PrepareForScoring: one thread, no concurrent scoring.
   virtual void PrepareForPrunedScoring(ScorePrecision precision) const {
     PrepareForScoring(precision);
   }
 
-  // ---- Rank counts (evaluator path, §5h) -----------------------------------
-  //
-  // These scans restrict rank counting to the candidate range
-  // [begin, end) of the entity table. Scores are the exact float values
-  // the batched kernels produce at `precision` (the per-cell numerics
-  // contract of math/simd.h), so restricting the range is pure
-  // scheduling: counts summed over any shard partition of
-  // [0, num_entities) equal the single-range counts bit-for-bit. When
-  // `prune` is set, models with precomputed tile bounds (the trilinear
-  // family, via ScoringReplica) skip tiles whose Cauchy–Schwarz upper
-  // bound proves every score in them is below the threshold — exact,
-  // never approximate. The base implementations are exhaustive (score
-  // the full vocabulary into thread-local scratch, then walk the range)
-  // and report the range as one unskipped tile. Both must be thread-safe
-  // for concurrent calls; non-double tiers require PrepareForScoring
-  // first.
-
-  // Counts candidate tails t' in [begin, end) with score strictly above
-  // (*better) resp. equal to (*equal) `threshold`, skipping ids in
-  // `excluded` (sorted ascending) and `also_skip` (pass kNoSkipEntity
-  // for none; an also_skip id that also appears in `excluded` is skipped
-  // once). Adds to *better/*equal and to `stats`.
-  KGE_HOT_NOALLOC
-  virtual void CountTailsAbove(EntityId head, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const;
-  // Head-side twin: counts candidate heads h' for (h', tail, relation).
-  KGE_HOT_NOALLOC
-  virtual void CountHeadsAbove(EntityId tail, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const;
-
-  // Sentinel for CountTailsAbove/CountHeadsAbove's also_skip.
-  static constexpr EntityId kNoSkipEntity = EntityId(-1);
-
-  // The float score of the single cell (head, tail) exactly as the
-  // batched kernels produce it at `precision` — the rank threshold of
-  // the pruned evaluator. (float(Score(triple)) is NOT the same value
-  // for reduced tiers, and can differ in the last bit even at kDouble
-  // for models whose ScoreAll* path reassociates.)
-  KGE_HOT_NOALLOC
-  virtual float ScoreOneTail(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const;
-  KGE_HOT_NOALLOC
-  virtual float ScoreOneHead(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const;
-
-  // ---- Top-k walk (serving and PredictTails/PredictHeads path, §5h) --------
+  // ---- The tile walk: top-k (serving, PredictTails/PredictHeads) and
+  // rank counts (Evaluate), §5h ------------------------------------------
 
   // Length of the folded query vector each candidate row is dotted
   // with; 0 for models that cannot fold (distance-based and nonlinear
@@ -247,29 +156,38 @@ class KgeModel {
                            std::span<const EntityId> anchors,
                            std::span<float> folds) const;
 
-  // Lane `lane` of `num_lanes` of the multi-query top-k walk: offers
-  // query q's candidates to heaps[q] (armed by the caller with that
-  // query's k) for every entity-table tile t with
-  // t % num_lanes == lane, skipping batch.excluded[q]. Each tile is
-  // scored once for all the queries it is kept for. With batch.prune a
-  // (query, tile) pair is skipped when the tile's Cauchy–Schwarz bound
-  // is strictly below the query's heap minimum — never on equality,
-  // since an equal score can still win on the smaller id. Striding
-  // deals the high-norm head of a frequency-sorted table to every lane,
-  // so each lane's heap fills early and prunes on its own. Merging each
-  // query's lane heaps (TopKHeap::MergeFrom), or passing the same heaps
-  // to lanes run one after another, yields exactly the exhaustive top-k
-  // at every lane count. With batch.lane_claims a lane claims its tiles
-  // one at a time and, once its own run out, claims the unwalked tiles
-  // of the lanes after it, so a lane whose thread starts late or runs
-  // slow cannot hold up the batch; any split of the tiles among the
-  // heaps gives the same merged top-k. Counts each (query, tile) pair
-  // into `stats`. The base implementation scores every query
-  // exhaustively on lane 0. Thread-safe for concurrent calls with
-  // distinct heaps and scratch.
+  // Lane `lane` of `num_lanes` of the multi-query walk: scores every
+  // entity-table tile t with t % num_lanes == lane once for all the
+  // queries it is kept for, and hands query q's candidates, minus
+  // batch.excluded[q], to one of two sinks:
+  //   * top-k (batch.truths empty): offers them to heaps[q], armed by
+  //     the caller with that query's k; `counts` is empty. With
+  //     batch.prune a (query, tile) pair is skipped when the tile's
+  //     Cauchy–Schwarz bound is strictly below the query's heap minimum
+  //     — never on equality, since an equal score can still win on the
+  //     smaller id. Merging each query's lane heaps
+  //     (TopKHeap::MergeFrom), or passing the same heaps to lanes run
+  //     one after another, yields exactly the exhaustive top-k.
+  //   * rank (batch.truths set): adds to counts[q] the candidates other
+  //     than truths[q] scoring strictly above or exactly at the truth's
+  //     own score, which the walk takes from the truth's row through
+  //     the same tier kernel; `heaps` is empty. With batch.prune a pair
+  //     is skipped when the bound is strictly below that score, so a
+  //     skipped tile holds no better or equal candidate. Counts summed
+  //     over the lanes are the exhaustive counts.
+  // Striding deals the high-norm head of a frequency-sorted table to
+  // every lane, so each lane prunes on its own. With batch.lane_claims
+  // a lane claims its tiles one at a time and, once its own run out,
+  // claims the unwalked tiles of the lanes after it, so a lane whose
+  // thread starts late or runs slow cannot hold up the batch; any split
+  // of the tiles among the lanes gives the same merged result. Counts
+  // each (query, tile) pair into `stats`. The base implementation
+  // scores every query exhaustively on lane 0 at kDouble. Thread-safe
+  // for concurrent calls with distinct sinks and scratch.
   KGE_HOT_NOALLOC
   virtual void TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
                         std::span<TopKHeap<float, EntityId>> heaps,
+                        std::span<RankCounts> counts,
                         TopKWalkScratch* scratch, RankScanStats* stats) const;
 
   // Scores (h, t', r) for each candidate tail t' in `tails`;
@@ -334,6 +252,21 @@ class KgeModel {
   virtual void OnParametersLoaded() {}
 
   int64_t NumParameters() const;
+
+ protected:
+  // Adds to *counts the candidates among rows
+  // [row0, row0 + scores.size()) (scores[i] is row row0 + i's score)
+  // scoring strictly above or exactly at `threshold`, leaving out
+  // `truth` and the ids of `excluded` (sorted ascending) in that range.
+  // *cursor is the caller's position in `excluded`; it only moves
+  // forward, so a caller counting ascending ranges passes the same
+  // cursor to each. The rank sink's step for one (query, tile) pair of
+  // a TopKWalk, and for the whole table in the exhaustive fallback.
+  KGE_HOT_NOALLOC
+  static void CountRankTile(std::span<const float> scores, size_t row0,
+                            float threshold, EntityId truth,
+                            std::span<const EntityId> excluded,
+                            size_t* cursor, RankCounts* counts);
 };
 
 }  // namespace kge

@@ -97,18 +97,6 @@ void MultiEmbeddingModel::ScoreHeadBatch(EntityId tail, RelationId relation,
                   entities_.block().Flat(), heads, out);
 }
 
-void MultiEmbeddingModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                             RelationId relation,
-                                             std::span<float> out) const {
-  ScoreAllTailsBatch(heads, relation, out, ScorePrecision::kDouble);
-}
-
-void MultiEmbeddingModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                             RelationId relation,
-                                             std::span<float> out) const {
-  ScoreAllHeadsBatch(tails, relation, out, ScorePrecision::kDouble);
-}
-
 namespace {
 
 // Scores entity rows [row0, row0 + len) against `num_queries` row-major
@@ -148,166 +136,18 @@ void ScoreRowsAt(ScorePrecision precision, const float* folds,
 
 }  // namespace
 
-void MultiEmbeddingModel::ScoreAllBatch(QuerySide side,
-                                        std::span<const EntityId> anchors,
-                                        RelationId relation,
-                                        std::span<float> out,
-                                        ScorePrecision precision) const {
-  const size_t num = size_t(entities_.num_ids());
-  KGE_CHECK(out.size() == anchors.size() * num);
-  if (anchors.empty()) return;
-  // Fold every context into one row-major B × width scratch matrix, then
-  // a single multi-query product over the entity table. Zero heap
-  // allocations at steady state.
-  const size_t width = FoldWidth();
-  static thread_local std::vector<float> folds_buf;
-  const std::span<float> folds =
-      ScratchSpan(folds_buf, anchors.size() * width);
-  FoldQueries(side, relation, anchors, folds);
-  ScoreRowsAt(precision, folds.data(), anchors.size(), width,
-              entities_.block(), entity_replica_, 0, num, out.data());
-}
-
-void MultiEmbeddingModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                             RelationId relation,
-                                             std::span<float> out,
-                                             ScorePrecision precision) const {
-  ScoreAllBatch(QuerySide::kTail, heads, relation, out, precision);
-}
-
-void MultiEmbeddingModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                             RelationId relation,
-                                             std::span<float> out,
-                                             ScorePrecision precision) const {
-  ScoreAllBatch(QuerySide::kHead, tails, relation, out, precision);
-}
-
-void MultiEmbeddingModel::PrunedCountScan(
-    std::span<const float> fold, float threshold, EntityId begin,
-    EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
-    ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
-    RankScanStats* stats) const {
-  if (begin >= end) return;
-  const size_t width = fold.size();
-  const size_t rows_per_tile = simd::PrunedTileRows(width);
-  static thread_local std::vector<float> tile_buf;
-  const std::span<float> tile_scores = ScratchSpan(tile_buf, rows_per_tile);
-  std::span<const float> bounds;
-  double query_norm = 0.0;
-  if (prune) {
-    KGE_DCHECK(entity_replica_.BoundsFresh(precision));
-    bounds = entity_replica_.TileBounds(precision);
-    query_norm = std::sqrt(simd::SquaredNorm(fold.data(), width)) *
-                 simd::kPruneBoundSlack;
-  }
-  const bool skip_in_excluded =
-      std::binary_search(excluded.begin(), excluded.end(), also_skip);
-  size_t cursor = 0;
-  while (cursor < excluded.size() && excluded[cursor] < begin) ++cursor;
-  uint64_t g_total = 0;
-  uint64_t e_total = 0;
-  for (size_t row0 = size_t(begin); row0 < size_t(end);) {
-    const size_t tile = row0 / rows_per_tile;
-    const size_t tile_end =
-        std::min(size_t(end), (tile + 1) * rows_per_tile);
-    stats->tiles_total += 1;
-    // Strict <: a tile whose bound equals the threshold can still hold
-    // equal-scoring candidates, which the tie-aware rank counts.
-    if (prune && query_norm * double(bounds[tile]) < double(threshold)) {
-      stats->tiles_skipped += 1;
-      // A skipped tile provably holds no score >= threshold, so its
-      // excluded ids would have contributed nothing either.
-      while (cursor < excluded.size() && size_t(excluded[cursor]) < tile_end) {
-        ++cursor;
-      }
-      row0 = tile_end;
-      continue;
-    }
-    const size_t len = tile_end - row0;
-    ScoreRowsAt(precision, fold.data(), 1, width, entities_.block(),
-                entity_replica_, row0, len, tile_scores.data());
-    size_t tile_greater = 0;
-    size_t tile_equal = 0;
-    simd::CountGreaterEqual(tile_scores.data(), len, threshold, &tile_greater,
-                            &tile_equal);
-    // Back out the candidates the rank must not count: filtered ids and
-    // the true entity (subtracted once even when it is also filtered).
-    for (; cursor < excluded.size() && size_t(excluded[cursor]) < tile_end;
-         ++cursor) {
-      const float s = tile_scores[size_t(excluded[cursor]) - row0];
-      if (s > threshold) {
-        --tile_greater;
-      } else if (s == threshold) {
-        --tile_equal;
-      }
-    }
-    if (!skip_in_excluded && also_skip >= EntityId(row0) &&
-        also_skip < EntityId(tile_end)) {
-      const float s = tile_scores[size_t(also_skip) - row0];
-      if (s > threshold) {
-        --tile_greater;
-      } else if (s == threshold) {
-        --tile_equal;
-      }
-    }
-    g_total += tile_greater;
-    e_total += tile_equal;
-    row0 = tile_end;
-  }
-  *better += g_total;
-  *equal += e_total;
-}
-
-void MultiEmbeddingModel::CountTailsAbove(
-    EntityId head, RelationId relation, float threshold, EntityId begin,
-    EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
-    ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
-    RankScanStats* stats) const {
-  PrunedCountScan(FoldOne(QuerySide::kTail, head, relation), threshold,
-                  begin, end, excluded, also_skip, precision, prune, better,
-                  equal, stats);
-}
-
-void MultiEmbeddingModel::CountHeadsAbove(
-    EntityId tail, RelationId relation, float threshold, EntityId begin,
-    EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
-    ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
-    RankScanStats* stats) const {
-  PrunedCountScan(FoldOne(QuerySide::kHead, tail, relation), threshold,
-                  begin, end, excluded, also_skip, precision, prune, better,
-                  equal, stats);
-}
-
-float MultiEmbeddingModel::ScoreOneTail(EntityId head, EntityId tail,
-                                        RelationId relation,
-                                        ScorePrecision precision) const {
-  float out = 0.0f;
-  ScoreRowsAt(precision, FoldOne(QuerySide::kTail, head, relation).data(), 1,
-              FoldWidth(), entities_.block(), entity_replica_, size_t(tail),
-              1, &out);
-  return out;
-}
-
-float MultiEmbeddingModel::ScoreOneHead(EntityId head, EntityId tail,
-                                        RelationId relation,
-                                        ScorePrecision precision) const {
-  float out = 0.0f;
-  ScoreRowsAt(precision, FoldOne(QuerySide::kHead, tail, relation).data(), 1,
-              FoldWidth(), entities_.block(), entity_replica_, size_t(head),
-              1, &out);
-  return out;
-}
-
 void MultiEmbeddingModel::TopKWalk(const TopKWalkBatch& batch, int lane,
                                    int num_lanes,
                                    std::span<TopKHeap<float, EntityId>> heaps,
+                                   std::span<RankCounts> counts,
                                    TopKWalkScratch* scratch,
                                    RankScanStats* stats) const {
   const size_t num_queries = batch.anchors.size();
   const size_t width = FoldWidth();
+  const bool rank = !batch.truths.empty();
   KGE_DCHECK(num_lanes >= 1 && lane >= 0);
   KGE_DCHECK(batch.folds.size() == num_queries * width);
-  KGE_DCHECK(heaps.size() == num_queries);
+  KGE_DCHECK((rank ? counts.size() : heaps.size()) == num_queries);
   const size_t num_rows = size_t(entities_.num_ids());
   const size_t rows_per_tile = simd::PrunedTileRows(width);
   const size_t num_tiles = simd::PrunedTileCount(num_rows, width);
@@ -317,8 +157,19 @@ void MultiEmbeddingModel::TopKWalk(const TopKWalkBatch& batch, int lane,
   const std::span<float> scores =
       ScratchSpan(scratch->scores, reserve * rows_per_tile);
   const std::span<double> norms = ScratchSpan(scratch->norms, reserve);
+  const std::span<float> thresholds =
+      ScratchSpan(scratch->thresholds, reserve);
   const std::span<size_t> live = ScratchSpan(scratch->live, reserve);
   const std::span<size_t> cursor = ScratchSpan(scratch->cursor, reserve);
+  if (rank) {
+    // The truth's score through the same tier kernel as its tile, so it
+    // equals the truth's own cell bit for bit.
+    for (size_t q = 0; q < num_queries; ++q) {
+      ScoreRowsAt(batch.precision, batch.folds.data() + q * width, 1, width,
+                  entities_.block(), entity_replica_,
+                  size_t(batch.truths[q]), 1, &thresholds[q]);
+    }
+  }
   std::span<const float> bounds;
   if (batch.prune) {
     KGE_DCHECK(entity_replica_.BoundsFresh(batch.precision));
@@ -335,9 +186,17 @@ void MultiEmbeddingModel::TopKWalk(const TopKWalkBatch& batch, int lane,
     pairs += num_queries;
     size_t num_live = 0;
     for (size_t q = 0; q < num_queries; ++q) {
-      const bool skip =
-          batch.prune ? heaps[q].CanSkipBound(norms[q] * double(bounds[tile]))
-                      : heaps[q].capacity() == 0;
+      bool skip = false;
+      if (rank) {
+        // Strict <: a tile whose bound equals the truth's score can still
+        // hold equal-scoring candidates, which the tie-aware rank counts.
+        skip = batch.prune &&
+               norms[q] * double(bounds[tile]) < double(thresholds[q]);
+      } else {
+        skip = batch.prune
+                   ? heaps[q].CanSkipBound(norms[q] * double(bounds[tile]))
+                   : heaps[q].capacity() == 0;
+      }
       if (!skip) live[num_live++] = q;
     }
     skipped += num_queries - num_live;
@@ -362,6 +221,12 @@ void MultiEmbeddingModel::TopKWalk(const TopKWalkBatch& batch, int lane,
           batch.excluded.empty() ? std::span<const EntityId>()
                                  : batch.excluded[q];
       const float* row_scores = scores.data() + i * len;
+      if (rank) {
+        CountRankTile(std::span<const float>(row_scores, len), row0,
+                      thresholds[q], batch.truths[q], excluded, &cursor[q],
+                      &counts[q]);
+        continue;
+      }
       TopKHeap<float, EntityId>& heap = heaps[q];
       size_t c = cursor[q];
       for (size_t r = 0; r < len; ++r) {
@@ -381,7 +246,7 @@ void MultiEmbeddingModel::TopKWalk(const TopKWalkBatch& batch, int lane,
              batch.lane_claims.size() == size_t(num_lanes));
   const size_t stride = size_t(num_lanes);
   const size_t sequences = batch.lane_claims.empty() ? 1 : stride;
-  // Relaxed: a claim only has to be unique. The heaps a lane fills reach
+  // Relaxed: a claim only has to be unique. The sinks a lane fills reach
   // the merging thread through the caller's join, not through these.
   const auto claim = [&](size_t s, size_t unclaimed) {
     return batch.lane_claims.empty()

@@ -53,59 +53,6 @@ class MultiEmbeddingModel : public KgeModel {
   void ScoreHeadBatch(EntityId tail, RelationId relation,
                       std::span<const EntityId> heads,
                       std::span<float> out) const override;
-  // Batched full-vocabulary scoring: fold all B contexts into one
-  // per-thread B × width scratch matrix, then a single cache-blocked
-  // multi-query product against the entity table (simd::DotBatchMulti).
-  // Row q equals ScoreAllTails(heads[q], relation) bit-for-bit.
-  KGE_HOT_NOALLOC
-  void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                          RelationId relation,
-                          std::span<float> out) const override;
-  KGE_HOT_NOALLOC
-  void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                          RelationId relation,
-                          std::span<float> out) const override;
-  // Precision-tiered variants: the same fold step, with the multi-query
-  // product dispatched per tier — DotBatchMulti (kDouble),
-  // DotBatchMultiF32 (float accumulation over the same entity table), or
-  // DotBatchMultiI8 against the entity block's quantized ScoringReplica.
-  // The folds themselves always evaluate in float (they already do),
-  // so tiers differ only in the candidate product.
-  KGE_HOT_NOALLOC
-  void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                          RelationId relation, std::span<float> out,
-                          ScorePrecision precision) const override;
-  KGE_HOT_NOALLOC
-  void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                          RelationId relation, std::span<float> out,
-                          ScorePrecision precision) const override;
-
-  // Pruned rank counts (DESIGN.md §5h): fold the fixed context once,
-  // then walk only the entity-table tiles overlapping [begin, end); with
-  // `prune`, a tile whose Cauchy–Schwarz bound (‖fold‖₂ · tile max row
-  // norm · simd::kPruneBoundSlack) cannot reach the threshold is skipped
-  // without streaming a byte of it. Per-cell kernel contract ⇒ surviving
-  // scores are bit-identical to the exhaustive batched path, so pruning
-  // and sharding never change a metric.
-  KGE_HOT_NOALLOC
-  void CountTailsAbove(EntityId head, RelationId relation, float threshold,
-                       EntityId begin, EntityId end,
-                       std::span<const EntityId> excluded, EntityId also_skip,
-                       ScorePrecision precision, bool prune, uint64_t* better,
-                       uint64_t* equal, RankScanStats* stats) const override;
-  KGE_HOT_NOALLOC
-  void CountHeadsAbove(EntityId tail, RelationId relation, float threshold,
-                       EntityId begin, EntityId end,
-                       std::span<const EntityId> excluded, EntityId also_skip,
-                       ScorePrecision precision, bool prune, uint64_t* better,
-                       uint64_t* equal, RankScanStats* stats) const override;
-  KGE_HOT_NOALLOC
-  float ScoreOneTail(EntityId head, EntityId tail, RelationId relation,
-                     ScorePrecision precision) const override;
-  KGE_HOT_NOALLOC
-  float ScoreOneHead(EntityId head, EntityId tail, RelationId relation,
-                     ScorePrecision precision) const override;
-
   // Every score is Dot(fold, candidate row): the fold is ω-weighted
   // products of the anchor's and relation's vectors (FoldForTail /
   // FoldForHead), ne · dim floats wide.
@@ -118,11 +65,14 @@ class MultiEmbeddingModel : public KgeModel {
                    std::span<float> folds) const override;
   // The tile-strided multi-query walk over the entity table's 24 KiB
   // bound tiles (simd::PrunedTileRows), scoring each kept tile with the
-  // tier's DotBatchMulti{,F32,I8} for all its live queries at once.
+  // tier's DotBatchMulti{,F32,I8} for all its live queries at once. Per
+  // the kernels' per-cell contract every score is bit-identical to the
+  // same cell of a full-table product, so tiling, striding, pruning and
+  // batching never change a result.
   KGE_HOT_NOALLOC
   void TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
                 std::span<TopKHeap<float, EntityId>> heaps,
-                TopKWalkScratch* scratch,
+                std::span<RankCounts> counts, TopKWalkScratch* scratch,
                 RankScanStats* stats) const override;
 
   // The trilinear family supports every tier.
@@ -136,8 +86,8 @@ class MultiEmbeddingModel : public KgeModel {
     entity_replica_.EnsureFresh(precision);
   }
 
-  // Additionally rebuilds the per-tile score bounds the pruned scans
-  // read (stale iff training moved the master table).
+  // Additionally rebuilds the per-tile score bounds the pruned walk
+  // reads (stale iff training moved the master table).
   void PrepareForPrunedScoring(ScorePrecision precision) const override {
     entity_replica_.EnsureFresh(precision);
     entity_replica_.EnsureBoundsFresh(precision);
@@ -170,18 +120,6 @@ class MultiEmbeddingModel : public KgeModel {
   KGE_HOT_NOALLOC
   std::span<const float> FoldOne(QuerySide side, EntityId anchor,
                                  RelationId relation) const;
-  // Both sides of the precision-tiered ScoreAll*Batch.
-  KGE_HOT_NOALLOC
-  void ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
-                     RelationId relation, std::span<float> out,
-                     ScorePrecision precision) const;
-  // The tile walk behind both rank-count sides.
-  KGE_HOT_NOALLOC
-  void PrunedCountScan(std::span<const float> fold, float threshold,
-                       EntityId begin, EntityId end,
-                       std::span<const EntityId> excluded, EntityId also_skip,
-                       ScorePrecision precision, bool prune, uint64_t* better,
-                       uint64_t* equal, RankScanStats* stats) const;
 
   std::string name_;
   int32_t dim_;

@@ -258,7 +258,7 @@ void MicroBatcher::WalkAssembled(const KgeModel& model, ScorePrecision tier,
       model.TopKWalk(batch, int(s), lanes,
                      std::span(ws->lane_heaps.data() + s * max_batch,
                                num_valid),
-                     &ws->lane_scratch[s], &ws->lane_stats[s]);
+                     {}, &ws->lane_scratch[s], &ws->lane_stats[s]);
     }
   };
   if (shard_pool_ != nullptr) {

@@ -75,11 +75,10 @@ std::string CheckpointWatcher::ResolveLatestTarget() const {
 }
 
 Status CheckpointWatcher::TryAdopt(const std::string& path) {
-  // Cheap pre-pass: reject torn files via the streaming verifier before
-  // building a model for them. LoadServingSnapshot re-validates the
-  // mapped bytes, so a file that changes between the two checks still
-  // cannot be served.
-  KGE_RETURN_IF_ERROR(VerifyCheckpoint(path));
+  // One checksum per adoption: LoadServingSnapshot CRC-checks the exact
+  // mapped bytes before it trusts any field of them, so a torn file is
+  // rejected there, and a file that changes after its check is never
+  // read again.
   Result<std::shared_ptr<ModelSnapshot>> snapshot =
       LoadServingSnapshot(path, factory_, options_.prepare_tiers,
                           options_.prepare_bounds);

@@ -9,12 +9,12 @@
 // never block on a swap and never observe a half-swapped model.
 //
 // CheckpointWatcher is the hot-swap driver: a thread polls the
-// training-side `LATEST` pointer, CRC-verifies any new target
-// (VerifyCheckpoint) before building a snapshot from it, and on any
-// failure renames the bad file to `<name>.quarantine` and keeps serving
-// the last good snapshot. A corrupt checkpoint is therefore (a) never
-// scored from and (b) taken out of the rotation so the next poll does
-// not retry it forever.
+// training-side `LATEST` pointer, loads any new target through the
+// mapped loader (which CRC-verifies the mapped bytes before trusting
+// any of them), and on any failure renames the bad file to
+// `<name>.quarantine` and keeps serving the last good snapshot. A
+// corrupt checkpoint is therefore (a) never scored from and (b) taken
+// out of the rotation so the next poll does not retry it forever.
 #ifndef KGE_SERVE_SNAPSHOT_H_
 #define KGE_SERVE_SNAPSHOT_H_
 
@@ -99,7 +99,7 @@ class CheckpointWatcher {
   CheckpointWatcher(const CheckpointWatcher&) = delete;
   CheckpointWatcher& operator=(const CheckpointWatcher&) = delete;
 
-  // Startup load: adopt the LATEST target if it verifies; otherwise
+  // Startup load: adopt the LATEST target if it loads; otherwise
   // quarantine it and fall back to the newest ckpt_*.kge2 that passes
   // VerifyCheckpoint. NotFound when the directory has no usable
   // checkpoint. This is how a restart after a crash resumes from the

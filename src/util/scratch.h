@@ -1,11 +1,13 @@
-// Per-thread scratch buffers for hot-path code that must not allocate.
+// Scratch buffers for hot-path code that must not allocate.
 //
-// The evaluator's inner loop calls ScoreAllTails/ScoreAllHeads twice per
-// ranked triple; the trainer calls Score/AccumulateGradients per example.
-// Any `std::vector` constructed inside those calls is a heap allocation
-// per triple. The pattern below replaces them with a function-local
-// thread_local vector that grows to the high-water mark once per thread
-// and is reused forever after:
+// The evaluator walks the entity table once per batch of ranked
+// triples, a serving lane once per batch of queries, and the trainer
+// calls Score/AccumulateGradients per example. Any `std::vector`
+// constructed inside those calls is a heap allocation per call. The
+// pattern below replaces them with a vector owned by the thread (a
+// function-local thread_local) or by the caller (a walk's
+// TopKWalkScratch) that grows to the high-water mark once and is reused
+// forever after:
 //
 //   static thread_local std::vector<float> fold_buf;
 //   std::span<float> fold = ScratchSpan(fold_buf, n);

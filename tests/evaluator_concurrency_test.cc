@@ -120,11 +120,11 @@ TEST_F(EvaluatorConcurrencyTest, RepeatedParallelRunsAreStable) {
   }
 }
 
-// The batched GEMM ranking path regroups queries by (relation, side) and
-// scores whole batches with ScoreAllTailsBatch/ScoreAllHeadsBatch, but by
-// the DotBatchMulti contract every score — and therefore every rank — is
-// bit-identical to the per-query path, so the metrics must match exactly
-// for every batch size and thread count, filtered and raw.
+// Evaluate groups queries by (relation, side) and ranks each batch in
+// one walk of the entity table, but by the DotBatchMulti per-cell
+// contract every score — and therefore every rank — is bit-identical to
+// a batch of one, so the metrics must match exactly for every batch
+// size and thread count, filtered and raw.
 TEST_F(EvaluatorConcurrencyTest, BatchedRankingMatchesPerQueryExactly) {
   Evaluator evaluator(&filter_, kRelations);
   EvalOptions per_query;
@@ -175,31 +175,6 @@ TEST_F(EvaluatorConcurrencyTest, BatchedRankingHonorsSubsampling) {
   batched.num_threads = 3;
   ExpectSameMetrics(evaluator.Evaluate(*model_, triples_, per_query).overall,
                     evaluator.Evaluate(*model_, triples_, batched).overall);
-}
-
-TEST(ResolveEvalBatchQueriesTest, AutoSizesToScoreMatrixBudget) {
-  // Explicit requests pass through untouched.
-  EXPECT_EQ(ResolveEvalBatchQueries(1, 1000), 1);
-  EXPECT_EQ(ResolveEvalBatchQueries(7, 1000), 7);
-  // Auto starts at 32 and halves while 32 x E x bytes-per-score exceeds
-  // the 64 MiB budget, where a score is charged at the precision tier's
-  // streamed-candidate width (8 bytes at kDouble).
-  EXPECT_EQ(ResolveEvalBatchQueries(0, 1000), 32);
-  EXPECT_EQ(ResolveEvalBatchQueries(0, 1 << 20), 8);
-  EXPECT_EQ(ResolveEvalBatchQueries(0, 1 << 22), 2);
-}
-
-TEST(ResolveEvalBatchQueriesTest, NarrowTiersKeepLargerBatches) {
-  // 4 bytes per score at float32, 1 at int8: the same entity count
-  // admits 2x/8x more queries per batch than the double tier.
-  EXPECT_EQ(ResolveEvalBatchQueries(0, 1 << 20, ScorePrecision::kFloat32),
-            16);
-  EXPECT_EQ(ResolveEvalBatchQueries(0, 1 << 22, ScorePrecision::kFloat32),
-            4);
-  EXPECT_EQ(ResolveEvalBatchQueries(0, 1 << 20, ScorePrecision::kInt8), 32);
-  EXPECT_EQ(ResolveEvalBatchQueries(0, 1 << 22, ScorePrecision::kInt8), 16);
-  // Explicit requests still pass through at every tier.
-  EXPECT_EQ(ResolveEvalBatchQueries(5, 1 << 22, ScorePrecision::kInt8), 5);
 }
 
 // A read-only twin of a MultiEmbeddingModel that bypasses the SIMD

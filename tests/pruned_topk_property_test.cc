@@ -1,20 +1,24 @@
-// Property sweep for the multi-query top-k walk and the pruned rank
-// scans: for every trilinear model, scoring precision, lane count,
-// batch size and prune setting, the walk's merged lane heaps must equal
-// an exhaustive scan EXACTLY — same entities, same float bits, same
-// tie-breaks. Pruning is a work optimization (skipped tiles), never an
+// Property sweep for the multi-query tile walk and its two sinks: for
+// every trilinear model, scoring precision, lane count, batch size,
+// prune setting and lane schedule, the walk's merged top-k lanes and its
+// summed rank counts must equal a simd::ref oracle EXACTLY — same
+// entities, same float bits, same tie-breaks, same (better, equal)
+// counts. Pruning is a work optimization (skipped tiles), never an
 // answer approximation, and striding tiles across lanes — or letting
 // concurrent lanes claim each other's tiles — is a partition of the
 // candidates whose merge is total-order deterministic. The sweep
 // runs on norm-skewed models (where tiles actually get skipped), on a
 // table whose norms grow with id (each lane's heap fills from its
 // weakest tiles first, with no primed floor to help), and on edge
-// cases: per-query k and exclusions, duplicate anchors in one batch,
-// all-tied scores, fewer survivors than k, and more lanes than tiles.
+// cases: per-query k and exclusions, truths inside and outside their
+// own exclusions, duplicate anchors in one batch, all-tied scores,
+// fewer survivors than k, and more lanes than tiles. Evaluate, which
+// ranks through the rank sink, is checked against Evaluator::RankTail /
+// RankHead on the oracle's rows.
 //
 // Also runs under ASan/UBSan and TSan in CI (tests are built per
 // sanitizer), which checks the PrepareForPrunedScoring -> concurrent
-// scan handoff and the lanes' concurrent tile claims.
+// walk handoff and the lanes' concurrent tile claims.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,32 +88,86 @@ std::vector<NamedModel> MakeSkewedModels(uint64_t seed, bool grow) {
 struct Query {
   EntityId anchor = 0;
   int k = kTopK;
+  EntityId truth = 0;              // the rank sink's true entity
   std::vector<EntityId> excluded;  // sorted ascending
 };
 
-// The oracle: every candidate scored by the full-table batched kernel at
-// `precision`, then one heap pass.
-Entries Exhaustive(const KgeModel& model, QuerySide side,
+// The oracle's score of every candidate of (anchor, relation) on `side`
+// at `precision`: the model's fold, then the simd::ref kernel that
+// defines the tier, over the whole entity table (the int8 tier over a
+// table quantized here, by the same shared quantizer the replica uses).
+std::vector<float> OracleScores(const MultiEmbeddingModel& model,
+                                QuerySide side, RelationId relation,
+                                EntityId anchor, ScorePrecision precision) {
+  const size_t width = model.FoldWidth();
+  const size_t rows = size_t(model.num_entities());
+  std::vector<float> fold(width);
+  model.FoldQueries(side, relation, std::span<const EntityId>(&anchor, 1),
+                    fold);
+  const float* table = model.entity_store().block().Flat().data();
+  std::vector<float> scores(rows);
+  switch (precision) {
+    case ScorePrecision::kDouble:
+      simd::ref::DotBatchMulti(fold.data(), 1, table, rows, width,
+                               scores.data());
+      break;
+    case ScorePrecision::kFloat32:
+      simd::ref::DotBatchMultiF32(fold.data(), 1, table, rows, width,
+                                  scores.data());
+      break;
+    case ScorePrecision::kInt8: {
+      std::vector<std::int8_t> codes(rows * width);
+      std::vector<float> scales(rows);
+      simd::QuantizeRowsI8(table, rows, width, codes.data(), scales.data());
+      simd::ref::DotBatchMultiI8(fold.data(), 1, codes.data(), scales.data(),
+                                 rows, width, scores.data());
+      break;
+    }
+  }
+  return scores;
+}
+
+// The oracle top-k: one heap pass over the oracle's scores.
+Entries Exhaustive(const MultiEmbeddingModel& model, QuerySide side,
                    RelationId relation, const Query& query,
                    ScorePrecision precision) {
-  std::vector<float> scores(size_t(model.num_entities()));
-  const std::span<const EntityId> anchor(&query.anchor, 1);
-  if (side == QuerySide::kTail) {
-    model.ScoreAllTailsBatch(anchor, relation, scores, precision);
-  } else {
-    model.ScoreAllHeadsBatch(anchor, relation, scores, precision);
-  }
+  const std::vector<float> scores =
+      OracleScores(model, side, relation, query.anchor, precision);
   Heap heap(query.k);
   heap.PushScoresExcluding(scores, query.excluded);
   const auto sorted = heap.TakeSorted();
   return Entries(sorted.begin(), sorted.end());
 }
 
-// How Walk runs the lanes.
+// The oracle rank counts: every candidate but the truth and the
+// excluded ids, against the truth's oracle score.
+RankCounts ExhaustiveCounts(const MultiEmbeddingModel& model, QuerySide side,
+                            RelationId relation, const Query& query,
+                            ScorePrecision precision) {
+  const std::vector<float> scores =
+      OracleScores(model, side, relation, query.anchor, precision);
+  const float threshold = scores[size_t(query.truth)];
+  RankCounts counts;
+  for (size_t e = 0; e < scores.size(); ++e) {
+    if (EntityId(e) == query.truth ||
+        std::binary_search(query.excluded.begin(), query.excluded.end(),
+                           EntityId(e))) {
+      continue;
+    }
+    if (scores[e] > threshold) {
+      ++counts.better;
+    } else if (scores[e] == threshold) {
+      ++counts.equal;
+    }
+  }
+  return counts;
+}
+
+// How the lanes of a walk run.
 enum class LaneRun {
-  // One after another, each into its own heaps.
+  // One after another, each into its own sinks.
   kMerged,
-  // One after another into the same heaps, as PredictTails does.
+  // One after another into the same sinks, as PredictTails does.
   kShared,
   // With claim counters, last lane first: it claims every tile of every
   // lane, so each lane sequence is taken over from its start.
@@ -132,20 +190,28 @@ std::string LaneRunName(LaneRun run) {
   return "?";
 }
 
-// The walk as MicroBatcher runs it: fold the batch once, walk every lane
-// into its own heaps (armed with each query's k), then merge each
-// query's lane heaps in lane order. `run` picks the lane schedule.
-std::vector<Entries> Walk(const KgeModel& model, QuerySide side,
-                          RelationId relation,
-                          const std::vector<Query>& queries,
-                          ScorePrecision precision, int lanes, bool prune,
-                          RankScanStats* stats,
-                          LaneRun run = LaneRun::kMerged) {
+// What a walk returns once its lanes are merged: the top-k entries per
+// query (top-k sink) or the summed counts per query (rank sink).
+struct WalkResult {
+  std::vector<Entries> topk;
+  std::vector<RankCounts> counts;
+};
+
+// The walk as MicroBatcher (top-k) and Evaluate (rank) run it: fold the
+// batch once, walk every lane into its own sinks (heaps armed with each
+// query's k), then merge each query's lane heaps in lane order, or sum
+// its lane counts. `run` picks the lane schedule.
+WalkResult Walk(const KgeModel& model, QuerySide side, RelationId relation,
+                const std::vector<Query>& queries, ScorePrecision precision,
+                int lanes, bool prune, bool rank, RankScanStats* stats,
+                LaneRun run = LaneRun::kMerged) {
   const size_t batch_size = queries.size();
   std::vector<EntityId> anchors;
+  std::vector<EntityId> truths;
   std::vector<std::span<const EntityId>> excluded;
   for (const Query& q : queries) {
     anchors.push_back(q.anchor);
+    truths.push_back(q.truth);
     excluded.push_back(q.excluded);
   }
   std::vector<float> folds(batch_size * model.FoldWidth());
@@ -156,6 +222,7 @@ std::vector<Entries> Walk(const KgeModel& model, QuerySide side,
   batch.anchors = anchors;
   batch.folds = folds;
   batch.excluded = excluded;
+  if (rank) batch.truths = truths;
   batch.precision = precision;
   batch.prune = prune;
   const size_t num_lanes = size_t(lanes);
@@ -163,18 +230,23 @@ std::vector<Entries> Walk(const KgeModel& model, QuerySide side,
   if (run == LaneRun::kClaimedReversed || run == LaneRun::kClaimedThreads) {
     batch.lane_claims = claims;
   }
-  const bool shared_heap = run == LaneRun::kShared;
-  std::vector<Heap> lane_heaps(num_lanes * batch_size);
+  const bool shared = run == LaneRun::kShared;
+  std::vector<Heap> lane_heaps(rank ? 0 : num_lanes * batch_size);
   for (size_t h = 0; h < lane_heaps.size(); ++h) {
     lane_heaps[h].ResetCapacity(queries[h % batch_size].k);
   }
+  std::vector<RankCounts> lane_counts(rank ? num_lanes * batch_size : 0);
   std::vector<TopKWalkScratch> scratch(num_lanes);
   std::vector<RankScanStats> lane_stats(num_lanes);
   const auto walk_lane = [&](int lane) {
-    const size_t first = shared_heap ? 0 : size_t(lane) * batch_size;
-    model.TopKWalk(batch, lane, lanes,
-                   std::span<Heap>(lane_heaps.data() + first, batch_size),
-                   &scratch[size_t(lane)], &lane_stats[size_t(lane)]);
+    const size_t first = shared ? 0 : size_t(lane) * batch_size;
+    model.TopKWalk(
+        batch, lane, lanes,
+        rank ? std::span<Heap>()
+             : std::span<Heap>(lane_heaps.data() + first, batch_size),
+        rank ? std::span<RankCounts>(lane_counts.data() + first, batch_size)
+             : std::span<RankCounts>(),
+        &scratch[size_t(lane)], &lane_stats[size_t(lane)]);
   };
   if (run == LaneRun::kClaimedThreads) {
     std::vector<std::thread> threads;
@@ -191,16 +263,32 @@ std::vector<Entries> Walk(const KgeModel& model, QuerySide side,
     stats->tiles_total += lane.tiles_total;
     stats->tiles_skipped += lane.tiles_skipped;
   }
-  std::vector<Entries> merged;
+  WalkResult result;
+  const int merged_lanes = shared ? 1 : lanes;
   for (size_t q = 0; q < batch_size; ++q) {
+    if (rank) {
+      RankCounts sum;
+      for (int lane = 0; lane < merged_lanes; ++lane) {
+        sum.better += lane_counts[size_t(lane) * batch_size + q].better;
+        sum.equal += lane_counts[size_t(lane) * batch_size + q].equal;
+      }
+      result.counts.push_back(sum);
+      continue;
+    }
     Heap heap(queries[q].k);
-    for (int lane = 0; lane < (shared_heap ? 1 : lanes); ++lane) {
+    for (int lane = 0; lane < merged_lanes; ++lane) {
       heap.MergeFrom(lane_heaps[size_t(lane) * batch_size + q]);
     }
     const auto sorted = heap.TakeSorted();
-    merged.emplace_back(sorted.begin(), sorted.end());
+    result.topk.emplace_back(sorted.begin(), sorted.end());
   }
-  return merged;
+  return result;
+}
+
+void ExpectSameCounts(const RankCounts& expect, const RankCounts& got,
+                      const std::string& label) {
+  EXPECT_EQ(expect.better, got.better) << label;
+  EXPECT_EQ(expect.equal, got.equal) << label;
 }
 
 void ExpectSameTopK(const Entries& expect, const Entries& got,
@@ -218,7 +306,8 @@ void ExpectSameTopK(const Entries& expect, const Entries& got,
 
 // A batch of `size` queries with per-query k (including 0, 1 and more
 // than the vocabulary), per-query exclusions (some of them the query's
-// own best candidates) and duplicate anchors.
+// own best candidates), truths inside and outside their own exclusions,
+// and duplicate anchors with different truths.
 std::vector<Query> MakeBatch(size_t size, Rng* rng) {
   const int ks[] = {kTopK, 1, 0, 25, kEntities + 3};
   std::vector<Query> queries(size);
@@ -229,12 +318,15 @@ std::vector<Query> MakeBatch(size_t size, Rng* rng) {
                        ? queries[q - 3].anchor
                        : EntityId(rng->NextBounded(kEntities));
     query.k = size == 1 ? kTopK : ks[q % 5];
+    query.truth = EntityId(rng->NextBounded(kEntities));
     if (q % 2 == 1) {
       for (int i = 0; i < 40; ++i) {
         query.excluded.push_back(EntityId(rng->NextBounded(kEntities)));
       }
       // Low ids hold the largest norms of the decaying tables.
       for (EntityId e = 0; e < 8; ++e) query.excluded.push_back(e);
+      // Every other excluding query excludes its own truth.
+      if (q % 4 == 1) query.excluded.push_back(query.truth);
       std::sort(query.excluded.begin(), query.excluded.end());
       query.excluded.erase(
           std::unique(query.excluded.begin(), query.excluded.end()),
@@ -244,12 +336,13 @@ std::vector<Query> MakeBatch(size_t size, Rng* rng) {
   return queries;
 }
 
-// Every lane count × batch size × prune setting against the oracle, both
-// sides, every tier the model supports.
+// Every lane count × batch size × prune setting × lane schedule against
+// the oracle, both sides, both sinks, every tier the model supports.
 void SweepMatchesExhaustive(std::vector<NamedModel> models, uint64_t seed) {
   Rng rng(seed);
   for (NamedModel& nm : models) {
     const MultiEmbeddingModel& model = *nm.model;
+    const size_t tiles = simd::PrunedTileCount(kEntities, model.FoldWidth());
     for (const ScorePrecision precision : kPrecisions) {
       if (!model.SupportsScorePrecision(precision)) continue;
       model.PrepareForPrunedScoring(precision);
@@ -259,31 +352,42 @@ void SweepMatchesExhaustive(std::vector<NamedModel> models, uint64_t seed) {
         const RelationId relation = RelationId(rng.NextBounded(kRelations));
         const std::vector<Query> queries = MakeBatch(batch_size, &rng);
         std::vector<Entries> expect;
+        std::vector<RankCounts> expect_counts;
         for (const Query& q : queries) {
           expect.push_back(Exhaustive(model, side, relation, q, precision));
+          expect_counts.push_back(
+              ExhaustiveCounts(model, side, relation, q, precision));
         }
         for (const int lanes : kLaneCounts) {
           // Prune off/on × every lane schedule.
           for (int mode = 0; mode < 2 * int(std::size(kLaneRuns)); ++mode) {
             const bool prune = mode % 2 == 1;
             const LaneRun run = kLaneRuns[mode / 2];
+            const std::string label =
+                nm.name + " precision=" +
+                std::string(ScorePrecisionName(precision)) +
+                " batch=" + std::to_string(batch_size) +
+                " lanes=" + std::to_string(lanes) +
+                " prune=" + std::to_string(prune) + " run=" +
+                LaneRunName(run);
             RankScanStats stats;
-            const std::vector<Entries> got = Walk(
-                model, side, relation, queries, precision, lanes, prune,
-                &stats, run);
+            const std::vector<Entries> got =
+                Walk(model, side, relation, queries, precision, lanes, prune,
+                     /*rank=*/false, &stats, run)
+                    .topk;
             // Every tile is walked exactly once, whichever lane claims it.
-            const size_t tiles =
-                simd::PrunedTileCount(kEntities, model.FoldWidth());
             EXPECT_EQ(stats.tiles_total, tiles * batch_size);
+            RankScanStats rank_stats;
+            const std::vector<RankCounts> got_counts =
+                Walk(model, side, relation, queries, precision, lanes, prune,
+                     /*rank=*/true, &rank_stats, run)
+                    .counts;
+            EXPECT_EQ(rank_stats.tiles_total, tiles * batch_size);
             for (size_t q = 0; q < batch_size; ++q) {
-              ExpectSameTopK(
-                  expect[q], got[q],
-                  nm.name + " precision=" +
-                      std::string(ScorePrecisionName(precision)) +
-                      " batch=" + std::to_string(batch_size) +
-                      " lanes=" + std::to_string(lanes) +
-                      " prune=" + std::to_string(prune) + " run=" +
-                      LaneRunName(run) + " query=" + std::to_string(q));
+              ExpectSameTopK(expect[q], got[q],
+                             label + " query=" + std::to_string(q));
+              ExpectSameCounts(expect_counts[q], got_counts[q],
+                               label + " rank query=" + std::to_string(q));
             }
           }
         }
@@ -306,9 +410,11 @@ TEST(PrunedTopKProperty, NormsGrowingWithIdStayExact) {
 TEST(PrunedTopKProperty, PruningActuallySkipsTilesOnSkewedModels) {
   // Guards against the pruning predicate silently never firing (the
   // exactness sweeps would still pass). Skewed DistMult at kDouble must
-  // skip a nonzero fraction of (query, tile) pairs at every lane count —
-  // each lane prunes against its own heap minimum, with no shared floor.
-  // Ten times the sweep's vocabulary gives every lane several tiles.
+  // skip a nonzero fraction of (query, tile) pairs at every lane count,
+  // in both sinks — each top-k lane prunes against its own heap minimum,
+  // with no shared floor, and each rank query against its truth's score
+  // (here its best candidate, as for a converged model). Ten times the
+  // sweep's vocabulary gives every lane several tiles.
   auto model = MakeDistMult(10 * kEntities, kRelations, 16, 7);
   SkewEntityNorms(model.get());
   model->PrepareForPrunedScoring(ScorePrecision::kDouble);
@@ -316,13 +422,21 @@ TEST(PrunedTopKProperty, PruningActuallySkipsTilesOnSkewedModels) {
   std::vector<Query> queries(12);
   for (Query& q : queries) {
     q.anchor = EntityId(rng.NextBounded(uint64_t(10 * kEntities)));
+    Query best = q;
+    best.k = 1;
+    q.truth = Exhaustive(*model, QuerySide::kTail, 1, best,
+                         ScorePrecision::kDouble)[0]
+                  .entity;
   }
   for (const int lanes : kLaneCounts) {
-    RankScanStats stats;
-    Walk(*model, QuerySide::kTail, 1, queries, ScorePrecision::kDouble, lanes,
-         /*prune=*/true, &stats);
-    EXPECT_GT(stats.tiles_skipped, 0u) << "lanes=" << lanes;
-    EXPECT_LT(stats.tiles_skipped, stats.tiles_total);
+    for (const bool rank : {false, true}) {
+      RankScanStats stats;
+      Walk(*model, QuerySide::kTail, 1, queries, ScorePrecision::kDouble,
+           lanes, /*prune=*/true, rank, &stats);
+      EXPECT_GT(stats.tiles_skipped, 0u) << "lanes=" << lanes
+                                         << " rank=" << rank;
+      EXPECT_LT(stats.tiles_skipped, stats.tiles_total);
+    }
   }
 }
 
@@ -332,7 +446,10 @@ TEST(PrunedTopKProperty, AllTiedScoresKeepSmallestIds) {
   // non-excluded ids for every lane/batch/prune combination. Equality
   // must never skip a tile: with one heap shared across lanes and the
   // whole first tile excluded, lane 0 fills the heap from a later tile
-  // and lane 1's tile 1 holds the smaller-id winners.
+  // and lane 1's tile 1 holds the smaller-id winners. The rank sink
+  // counts every other candidate as equal to the truth (which is inside
+  // its own exclusions for some queries) and, the bound being equal to
+  // the truth's score, skips no tile.
   auto model = MakeDistMult(kEntities, kRelations, 16, 7);
   model->entity_store().block()->Zero();
   for (const ScorePrecision precision : kPrecisions) {
@@ -341,6 +458,7 @@ TEST(PrunedTopKProperty, AllTiedScoresKeepSmallestIds) {
       std::vector<Query> queries(batch_size);
       for (size_t q = 0; q < batch_size; ++q) {
         queries[q].anchor = EntityId(q % 4);
+        queries[q].truth = EntityId(3 * q);
         if (q % 3 == 2) {
           for (EntityId e = 0; e < 500; ++e) queries[q].excluded.push_back(e);
         } else if (q % 2 == 1) {
@@ -354,8 +472,24 @@ TEST(PrunedTopKProperty, AllTiedScoresKeepSmallestIds) {
           RankScanStats stats;
           const std::vector<Entries> got =
               Walk(*model, QuerySide::kTail, 1, queries, precision, lanes,
-                   prune, &stats, run);
+                   prune, /*rank=*/false, &stats, run)
+                  .topk;
+          RankScanStats rank_stats;
+          const std::vector<RankCounts> counts =
+              Walk(*model, QuerySide::kTail, 1, queries, precision, lanes,
+                   prune, /*rank=*/true, &rank_stats, run)
+                  .counts;
+          EXPECT_EQ(rank_stats.tiles_skipped, 0u);
           for (size_t q = 0; q < batch_size; ++q) {
+            const std::vector<EntityId>& excluded = queries[q].excluded;
+            const bool truth_excluded = std::binary_search(
+                excluded.begin(), excluded.end(), queries[q].truth);
+            const uint64_t others = uint64_t(kEntities) - excluded.size() -
+                                    (truth_excluded ? 0 : 1);
+            ExpectSameCounts(RankCounts{0, others}, counts[q],
+                             "tied lanes=" + std::to_string(lanes) +
+                                 " prune=" + std::to_string(prune) +
+                                 " run=" + LaneRunName(run));
             ASSERT_EQ(got[q].size(), size_t(kTopK));
             EntityId expect_id = 0;
             for (const Heap::Entry& entry : got[q]) {
@@ -396,7 +530,8 @@ TEST(PrunedTopKProperty, FewerSurvivorsThanKStaysExact) {
       RankScanStats stats;
       const std::vector<Entries> got =
           Walk(*model, QuerySide::kTail, 2, {query}, ScorePrecision::kDouble,
-               lanes, prune, &stats);
+               lanes, prune, /*rank=*/false, &stats)
+              .topk;
       EXPECT_EQ(stats.tiles_skipped, 0u);
       ExpectSameTopK(expect, got[0],
                      "survivors lanes=" + std::to_string(lanes) +
@@ -421,7 +556,8 @@ TEST(PrunedTopKProperty, MoreLanesThanTilesStaysExact) {
     RankScanStats stats;
     const std::vector<Entries> got =
         Walk(*model, QuerySide::kHead, 3, queries, ScorePrecision::kDouble,
-             7, prune, &stats);
+             7, prune, /*rank=*/false, &stats)
+            .topk;
     EXPECT_EQ(stats.tiles_total, queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
       ExpectSameTopK(Exhaustive(*model, QuerySide::kHead, 3, queries[q],
@@ -465,32 +601,139 @@ TEST(PrunedTopKProperty, PredictTailsInvariantAcrossOptions) {
   }
 }
 
-TEST(PrunedTopKProperty, EvaluatorMetricsInvariantToShardsAndPruning) {
-  // The rank scans behind Evaluate share the same bound logic; filtered
-  // MRR / Hits / MeanRank must be exactly invariant to both knobs.
+// A WordNet-like KG and a skewed DistMult over it, for the Evaluate
+// sweeps below.
+struct EvalFixture {
+  Dataset data;
+  std::unique_ptr<MultiEmbeddingModel> model;
+  FilterIndex filter;
+};
+
+EvalFixture MakeEvalFixture() {
   WordNetLikeOptions gen;
   gen.num_entities = 400;
   gen.seed = 21;
-  const Dataset data = GenerateWordNetLike(gen);
-  auto model = MakeDistMult(data.num_entities(), data.num_relations(), 16, 3);
-  SkewEntityNorms(model.get());
-  FilterIndex filter;
-  filter.Build(data.train, data.valid, data.test);
-  Evaluator evaluator(&filter, data.num_relations());
-  EvalOptions base;
-  base.max_triples = 80;
-  const EvalResult expect = evaluator.Evaluate(*model, data.test, base);
-  for (const int shards : kLaneCounts) {
-    for (const bool prune : {false, true}) {
-      EvalOptions options = base;
-      options.num_shards = shards;
-      options.prune = prune;
-      const EvalResult got = evaluator.Evaluate(*model, data.test, options);
-      EXPECT_EQ(expect.overall.Mrr(), got.overall.Mrr())
-          << "shards=" << shards << " prune=" << prune;
-      EXPECT_EQ(expect.overall.MeanRank(), got.overall.MeanRank());
-      EXPECT_EQ(expect.overall.HitsAt(10), got.overall.HitsAt(10));
-      EXPECT_EQ(expect.overall.count(), got.overall.count());
+  EvalFixture f;
+  f.data = GenerateWordNetLike(gen);
+  f.model = MakeDistMult(f.data.num_entities(), f.data.num_relations(), 16, 3);
+  SkewEntityNorms(f.model.get());
+  f.filter.Build(f.data.train, f.data.valid, f.data.test);
+  return f;
+}
+
+void ExpectSameMetrics(const RankingMetrics& expect, const RankingMetrics& got,
+                       const std::string& label) {
+  EXPECT_EQ(expect.count(), got.count()) << label;
+  EXPECT_EQ(expect.Mrr(), got.Mrr()) << label;
+  EXPECT_EQ(expect.MeanRank(), got.MeanRank()) << label;
+  EXPECT_EQ(expect.HitsAt(1), got.HitsAt(1)) << label;
+  EXPECT_EQ(expect.HitsAt(3), got.HitsAt(3)) << label;
+  EXPECT_EQ(expect.HitsAt(10), got.HitsAt(10)) << label;
+  EXPECT_EQ(expect.AdjustedMeanRankIndex(), got.AdjustedMeanRankIndex())
+      << label;
+}
+
+TEST(PrunedTopKProperty, EvaluatorMatchesReferenceRanksEverywhere) {
+  // Evaluate ranks through the walk's rank sink; every triple's rank must
+  // be Evaluator::RankTail/RankHead on the oracle's score rows, and the
+  // metrics overall and per relation exactly the reference accumulation,
+  // at every batch size, prune setting, thread count and tier.
+  const EvalFixture f = MakeEvalFixture();
+  const std::vector<Triple>& triples = f.data.test;
+  Evaluator evaluator(&f.filter, f.data.num_relations());
+  const int32_t num_entities = f.data.num_entities();
+  for (const ScorePrecision precision : kPrecisions) {
+    f.model->PrepareForScoring(precision);
+    EvalResult expect;
+    expect.per_relation.resize(size_t(f.data.num_relations()));
+    for (const Triple& t : triples) {
+      const double tail_rank = evaluator.RankTail(
+          t,
+          OracleScores(*f.model, QuerySide::kTail, t.relation, t.head,
+                       precision),
+          /*filtered=*/true);
+      const double head_rank = evaluator.RankHead(
+          t,
+          OracleScores(*f.model, QuerySide::kHead, t.relation, t.tail,
+                       precision),
+          /*filtered=*/true);
+      const size_t tail_cands =
+          evaluator.CountTailCandidates(t, num_entities, true);
+      const size_t head_cands =
+          evaluator.CountHeadCandidates(t, num_entities, true);
+      expect.tail_ranks.push_back(tail_rank);
+      expect.head_ranks.push_back(head_rank);
+      expect.overall.AddRank(tail_rank, tail_cands);
+      expect.overall.AddRank(head_rank, head_cands);
+      PerRelationMetrics& rel = expect.per_relation[size_t(t.relation)];
+      rel.tail_queries.AddRank(tail_rank, tail_cands);
+      rel.head_queries.AddRank(head_rank, head_cands);
+    }
+    for (const int batch_queries : {1, 3, 0}) {
+      for (const bool prune : {false, true}) {
+        for (const int threads : {1, 4}) {
+          EvalOptions options;
+          options.batch_queries = batch_queries;
+          options.prune = prune;
+          options.num_threads = threads;
+          options.score_precision = precision;
+          const std::string label =
+              std::string(ScorePrecisionName(precision)) +
+              " batch=" + std::to_string(batch_queries) +
+              " prune=" + std::to_string(prune) +
+              " threads=" + std::to_string(threads);
+          const EvalResult got = evaluator.Evaluate(*f.model, triples, options);
+          EXPECT_EQ(expect.tail_ranks, got.tail_ranks) << label;
+          EXPECT_EQ(expect.head_ranks, got.head_ranks) << label;
+          ExpectSameMetrics(expect.overall, got.overall, label);
+          ASSERT_EQ(expect.per_relation.size(), got.per_relation.size());
+          for (size_t r = 0; r < expect.per_relation.size(); ++r) {
+            ExpectSameMetrics(expect.per_relation[r].tail_queries,
+                              got.per_relation[r].tail_queries,
+                              label + " tail relation=" + std::to_string(r));
+            ExpectSameMetrics(expect.per_relation[r].head_queries,
+                              got.per_relation[r].head_queries,
+                              label + " head relation=" + std::to_string(r));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PrunedTopKProperty, EvalResultRanksReproduceMetricsAtEveryTier) {
+  // The per-triple ranks an EvalResult carries (what kge_eval
+  // --dump-ranks writes) are the ranks behind its metrics: accumulated
+  // in evaluation order, they give back `overall` exactly — at every
+  // tier, on a stride subsample of the training split, filtered and raw.
+  const EvalFixture f = MakeEvalFixture();
+  Evaluator evaluator(&f.filter, f.data.num_relations());
+  const std::vector<Triple>& triples = f.data.train;
+  for (const ScorePrecision precision : kPrecisions) {
+    for (const bool filtered : {true, false}) {
+      EvalOptions options;
+      options.max_triples = 90;
+      options.filtered = filtered;
+      options.score_precision = precision;
+      const EvalResult result = evaluator.Evaluate(*f.model, triples,
+                                                   options);
+      ASSERT_EQ(result.tail_ranks.size(), 90u);
+      ASSERT_EQ(result.head_ranks.size(), 90u);
+      const size_t stride = triples.size() / options.max_triples;
+      ASSERT_GT(stride, 1u);
+      RankingMetrics replay;
+      for (size_t i = 0; i < result.tail_ranks.size(); ++i) {
+        const Triple& t = triples[i * stride];
+        replay.AddRank(result.tail_ranks[i],
+                       evaluator.CountTailCandidates(
+                           t, f.data.num_entities(), filtered));
+        replay.AddRank(result.head_ranks[i],
+                       evaluator.CountHeadCandidates(
+                           t, f.data.num_entities(), filtered));
+      }
+      ExpectSameMetrics(result.overall, replay,
+                        std::string(ScorePrecisionName(precision)) +
+                            (filtered ? " filtered" : " raw"));
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/parameter_block.h"
+#include "core/topk_heap.h"
 #include "gtest/gtest.h"
 #include "models/trilinear_models.h"
 
@@ -149,6 +150,31 @@ TEST(ScoringReplicaTest, InitializersInvalidateToo) {
 
 // ---- Model-level integration ----------------------------------------------
 
+// Every candidate's score of (anchor, relation) on `side` at
+// `precision`, by entity id, read back from a model walk whose top-k
+// sink keeps the whole vocabulary.
+std::vector<float> WalkScores(const KgeModel& model, QuerySide side,
+                              EntityId anchor, RelationId relation,
+                              ScorePrecision precision) {
+  std::vector<float> fold(model.FoldWidth());
+  TopKWalkBatch batch;
+  batch.side = side;
+  batch.relation = relation;
+  batch.anchors = std::span<const EntityId>(&anchor, 1);
+  batch.folds = fold;
+  batch.precision = precision;
+  model.FoldQueries(side, relation, batch.anchors, fold);
+  TopKHeap<float, EntityId> heap(model.num_entities());
+  TopKWalkScratch scratch;
+  RankScanStats stats;
+  model.TopKWalk(batch, 0, 1, std::span(&heap, 1), {}, &scratch, &stats);
+  std::vector<float> scores(size_t(model.num_entities()));
+  for (const auto& entry : heap.TakeSorted()) {
+    scores[size_t(entry.entity)] = entry.score;
+  }
+  return scores;
+}
+
 TEST(ScoringReplicaTest, ModelTiersApproximateDoubleTier) {
   const int32_t num_entities = 50;
   const int32_t num_relations = 4;
@@ -156,46 +182,42 @@ TEST(ScoringReplicaTest, ModelTiersApproximateDoubleTier) {
   std::unique_ptr<MultiEmbeddingModel> model =
       MakeComplEx(num_entities, num_relations, dim, /*seed=*/11);
 
-  const std::vector<EntityId> heads = {0, 7, 13, 49};
-  const size_t cells = heads.size() * size_t(num_entities);
-  std::vector<float> exact(cells), f32(cells), i8(cells);
-
   model->PrepareForScoring(ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 1, std::span<float>(exact),
-                            ScorePrecision::kDouble);
-  model->ScoreAllTailsBatch(heads, 1, std::span<float>(f32),
-                            ScorePrecision::kFloat32);
-  model->ScoreAllTailsBatch(heads, 1, std::span<float>(i8),
-                            ScorePrecision::kInt8);
+  for (const EntityId head : {0, 7, 13, 49}) {
+    const std::vector<float> exact = WalkScores(
+        *model, QuerySide::kTail, head, 1, ScorePrecision::kDouble);
+    const std::vector<float> f32 = WalkScores(
+        *model, QuerySide::kTail, head, 1, ScorePrecision::kFloat32);
+    const std::vector<float> i8 = WalkScores(*model, QuerySide::kTail, head,
+                                             1, ScorePrecision::kInt8);
+    for (size_t e = 0; e < exact.size(); ++e) {
+      // Xavier-initialized 8-d ComplEx scores are O(1); float
+      // accumulation error is ~1e-6 relative, int8 error bounded by the
+      // absmax/254 per-element quantization step summed over 2*dim terms.
+      EXPECT_NEAR(double(f32[e]), double(exact[e]), 1e-5)
+          << "head=" << head << " e=" << e;
+      EXPECT_NEAR(double(i8[e]), double(exact[e]), 0.05)
+          << "head=" << head << " e=" << e;
+    }
 
-  for (size_t c = 0; c < cells; ++c) {
-    // Xavier-initialized 8-d ComplEx scores are O(1); float accumulation
-    // error is ~1e-6 relative, int8 error bounded by the absmax/254
-    // per-element quantization step summed over 2*dim terms.
-    EXPECT_NEAR(double(f32[c]), double(exact[c]), 1e-5) << "cell=" << c;
-    EXPECT_NEAR(double(i8[c]), double(exact[c]), 0.05) << "cell=" << c;
-  }
-
-  // The head-side scorer dispatches the same way.
-  std::vector<float> exact_h(cells), i8_h(cells);
-  model->ScoreAllHeadsBatch(heads, 1, std::span<float>(exact_h),
-                            ScorePrecision::kDouble);
-  model->ScoreAllHeadsBatch(heads, 1, std::span<float>(i8_h),
-                            ScorePrecision::kInt8);
-  for (size_t c = 0; c < cells; ++c) {
-    EXPECT_NEAR(double(i8_h[c]), double(exact_h[c]), 0.05) << "cell=" << c;
+    // The head side dispatches the same way.
+    const std::vector<float> exact_h = WalkScores(
+        *model, QuerySide::kHead, head, 1, ScorePrecision::kDouble);
+    const std::vector<float> i8_h = WalkScores(
+        *model, QuerySide::kHead, head, 1, ScorePrecision::kInt8);
+    for (size_t e = 0; e < exact_h.size(); ++e) {
+      EXPECT_NEAR(double(i8_h[e]), double(exact_h[e]), 0.05)
+          << "head=" << head << " e=" << e;
+    }
   }
 }
 
 TEST(ScoringReplicaTest, PrepareForScoringTracksTrainingUpdates) {
   std::unique_ptr<MultiEmbeddingModel> model =
       MakeComplEx(20, 2, 4, /*seed=*/5);
-  const std::vector<EntityId> heads = {3};
-  std::vector<float> before(20), after(20), exact(20);
+  const EntityId head = 3;
 
   model->PrepareForScoring(ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 0, std::span<float>(before),
-                            ScorePrecision::kInt8);
 
   // Mutate the entity table the way an optimizer step would.
   ParameterBlock* entity_block = model->Blocks()[0];
@@ -209,10 +231,10 @@ TEST(ScoringReplicaTest, PrepareForScoringTracksTrainingUpdates) {
   // negated scores. Tracking `exact` after the refresh therefore fails
   // unless PrepareForScoring actually requantized.
   model->PrepareForScoring(ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 0, std::span<float>(after),
-                            ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 0, std::span<float>(exact),
-                            ScorePrecision::kDouble);
+  const std::vector<float> after =
+      WalkScores(*model, QuerySide::kTail, head, 0, ScorePrecision::kInt8);
+  const std::vector<float> exact =
+      WalkScores(*model, QuerySide::kTail, head, 0, ScorePrecision::kDouble);
   for (size_t e = 0; e < 20; ++e) {
     EXPECT_NEAR(double(after[e]), double(exact[e]), 0.05) << "e=" << e;
   }

@@ -25,7 +25,6 @@ int Run(int argc, char** argv) {
   int64_t seed = 42;
   int64_t threads = 1;
   int64_t eval_batch = 0;
-  int64_t eval_shards = 1;
   bool prune = false;
   std::string eval_precision = "double";
   std::string scale;
@@ -48,18 +47,12 @@ int Run(int argc, char** argv) {
   parser.AddInt("seed", &seed, "seed used at training time");
   parser.AddInt("threads", &threads, "evaluation threads");
   parser.AddInt("eval-batch", &eval_batch,
-                "queries per batched ranking call; 1 = per-query GEMV, "
-                "0 = auto from entity count (metrics are identical "
-                "either way)");
-  parser.AddInt("eval-shards", &eval_shards,
-                "entity-table shards for the range-scoped ranking path; "
-                "> 1 ranks shard by shard instead of materializing "
-                "per-query score rows (metrics are identical at every "
-                "setting)");
+                "same-relation queries ranked per walk of the entity "
+                "table; 0 = 32 (metrics are identical at every setting)");
   parser.AddBool("prune", &prune,
                  "skip candidate tiles whose Cauchy-Schwarz score bound "
-                 "cannot reach the true score (exact; implies the "
-                 "range-scoped path)");
+                 "cannot reach the true score (exact: metrics are "
+                 "identical, only the work changes)");
   parser.AddString("eval-precision", &eval_precision,
                    "candidate-scoring tier: double (exact) | float32 | "
                    "int8 (quantized scoring replica; bounded metric "
@@ -89,8 +82,13 @@ int Run(int argc, char** argv) {
     }
     entities = preset;
   }
-  if (eval_shards < 1) {
-    std::fprintf(stderr, "--eval-shards must be >= 1\n");
+  if (eval_batch < 0 || eval_batch > INT32_MAX) {
+    std::fprintf(stderr, "--eval-batch must be between 0 and %d\n",
+                 INT32_MAX);
+    return 2;
+  }
+  if (threads < 1) {
+    std::fprintf(stderr, "--threads must be >= 1\n");
     return 2;
   }
   if (data_dir.empty()) {
@@ -147,7 +145,6 @@ int Run(int argc, char** argv) {
   EvalOptions options;
   options.num_threads = int(threads);
   options.batch_queries = int(eval_batch);
-  options.num_shards = int(eval_shards);
   options.prune = prune;
   if (!ParseScorePrecision(eval_precision, &options.score_precision)) {
     std::fprintf(stderr,
@@ -164,8 +161,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
   const int resolved_batch =
-      ResolveEvalBatchQueries(options.batch_queries, data.num_entities(),
-                              options.score_precision, options.num_shards);
+      eval_batch == 0 ? kDefaultEvalBatchQueries : int(eval_batch);
   Stopwatch eval_watch;
   const EvalResult result =
       evaluator.Evaluate(**model, eval_triples, options);
@@ -175,13 +171,13 @@ int Run(int argc, char** argv) {
   if (eval_seconds > 0.0 && !eval_triples.empty()) {
     std::printf(
         "eval throughput: %.0f triples/s (%zu triples, %d threads, "
-        "eval batch %d, precision %s, shards %d%s)\n",
+        "eval batch %d, precision %s%s)\n",
         double(eval_triples.size()) / eval_seconds, eval_triples.size(),
         int(threads), resolved_batch,
-        ScorePrecisionName(options.score_precision), options.num_shards,
+        ScorePrecisionName(options.score_precision),
         options.prune ? ", pruned" : "");
   }
-  if (result.scan_stats.tiles_total > 0) {
+  if (options.prune && result.scan_stats.tiles_total > 0) {
     std::printf("pruning: %llu / %llu tiles skipped (%.1f%%)\n",
                 (unsigned long long)result.scan_stats.tiles_skipped,
                 (unsigned long long)result.scan_stats.tiles_total,
@@ -203,18 +199,16 @@ int Run(int argc, char** argv) {
                 RenderEvaluationReport(result, stats, data.relations).c_str());
   }
   if (!dump_ranks.empty()) {
+    // The ranks behind the printed filtered metrics: every triple of the
+    // split, in order, at the chosen precision.
     std::string tsv = "head\trelation\ttail\ttail_rank\thead_rank\n";
-    std::vector<float> scores(size_t(data.num_entities()));
-    for (const Triple& t : eval_triples) {
-      (*model)->ScoreAllTails(t.head, t.relation, scores);
-      const double tail_rank = evaluator.RankTail(t, scores, true);
-      (*model)->ScoreAllHeads(t.tail, t.relation, scores);
-      const double head_rank = evaluator.RankHead(t, scores, true);
+    for (size_t i = 0; i < eval_triples.size(); ++i) {
+      const Triple& t = eval_triples[i];
       tsv += StrFormat("%s\t%s\t%s\t%.1f\t%.1f\n",
                        data.entities.NameOf(t.head).c_str(),
                        data.relations.NameOf(t.relation).c_str(),
-                       data.entities.NameOf(t.tail).c_str(), tail_rank,
-                       head_rank);
+                       data.entities.NameOf(t.tail).c_str(),
+                       result.tail_ranks[i], result.head_ranks[i]);
     }
     KGE_CHECK_OK(WriteStringToFile(dump_ranks, tsv));
     std::printf("per-triple ranks written to %s\n", dump_ranks.c_str());

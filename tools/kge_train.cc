@@ -76,9 +76,9 @@ int Run(int argc, char** argv) {
   parser.AddInt("threads", &threads, "evaluation threads");
   int64_t eval_batch = 0;
   parser.AddInt("eval-batch", &eval_batch,
-                "queries per batched ranking call during validation and "
-                "test evaluation; 1 = per-query GEMV, 0 = auto from entity "
-                "count (metrics are identical either way)");
+                "same-relation queries ranked per walk of the entity "
+                "table during validation and test evaluation; 0 = 32 "
+                "(metrics are identical at every setting)");
   std::string eval_precision = "double";
   parser.AddString("eval-precision", &eval_precision,
                    "candidate-scoring tier for validation and test "
@@ -113,6 +113,15 @@ int Run(int argc, char** argv) {
   if (status.code() == StatusCode::kNotFound) return 0;
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 2;
+  }
+  if (eval_batch < 0 || eval_batch > INT32_MAX) {
+    std::fprintf(stderr, "--eval-batch must be between 0 and %d\n",
+                 INT32_MAX);
+    return 2;
+  }
+  if (threads < 1) {
+    std::fprintf(stderr, "--threads must be >= 1\n");
     return 2;
   }
 
@@ -178,10 +187,10 @@ int Run(int argc, char** argv) {
   valid_eval.num_threads = int(threads);
   valid_eval.batch_queries = int(eval_batch);
   valid_eval.score_precision = score_precision;
-  std::printf("eval batch: %d queries per ranking call (precision %s)\n",
-              ResolveEvalBatchQueries(int(eval_batch), data.num_entities(),
-                                      score_precision),
-              ScorePrecisionName(score_precision));
+  const int resolved_batch =
+      eval_batch == 0 ? kDefaultEvalBatchQueries : int(eval_batch);
+  std::printf("eval batch: %d queries per ranking walk (precision %s)\n",
+              resolved_batch, ScorePrecisionName(score_precision));
   auto validate = [&](KgeModel* m) {
     return evaluator.EvaluateOverall(*m, data.valid, valid_eval).Mrr();
   };
@@ -276,8 +285,7 @@ int Run(int argc, char** argv) {
   if (eval_seconds > 0.0 && !data.test.empty()) {
     std::printf("eval throughput: %.0f triples/s (%d threads, eval batch %d)\n",
                 double(data.test.size()) / eval_seconds, int(threads),
-                ResolveEvalBatchQueries(int(eval_batch), data.num_entities(),
-                                        score_precision));
+                resolved_batch);
   }
   if (eval_train) {
     EvalOptions train_eval = test_eval;
