@@ -161,10 +161,13 @@ void GradientBuffer::Reserve(size_t rows_per_block) {
   for (size_t b = 0; b < blocks_.size(); ++b) {
     PerBlock& pb = per_block_[b];
     const auto dim = static_cast<size_t>(blocks_[b]->row_dim());
-    pb.rows.reserve(rows_per_block);
-    while (pb.pool.size() < rows_per_block) pb.pool.emplace_back(dim, 0.0f);
+    // A block cannot touch more distinct rows than it has.
+    const size_t rows =
+        std::min(rows_per_block, static_cast<size_t>(blocks_[b]->num_rows()));
+    pb.rows.reserve(rows);
+    while (pb.pool.size() < rows) pb.pool.emplace_back(dim, 0.0f);
     size_t capacity = pb.table_rows.empty() ? 64 : pb.table_rows.size();
-    while (capacity < (rows_per_block + 1) * 2) capacity *= 2;
+    while (capacity < (rows + 1) * 2) capacity *= 2;
     if (capacity > pb.table_rows.size()) Grow(pb, capacity);
   }
 }

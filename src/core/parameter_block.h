@@ -109,8 +109,9 @@ class ParameterBlock {
 // concurrently. Once a row is registered (touched since the last
 // Clear()), concurrent GradFor/Find calls for registered rows are pure
 // reads of the probe table and are safe, as is writing the returned
-// spans from one thread per row — the parallel merge/apply path
-// registers rows serially and then fans row work out by ShardOfRow().
+// spans from one thread per row — the trainer's step pass reads its
+// filled shard buffers from every worker, each worker taking the rows of
+// its ShardOfRow() partition.
 class GradientBuffer {
  public:
   // The referenced blocks must outlive the buffer.
@@ -133,15 +134,16 @@ class GradientBuffer {
   void Clear();
 
   // Pre-sizes every block's row pool and probe table for up to
-  // `rows_per_block` touched rows, so batches within that bound never
-  // allocate. Callers that know a worst-case rows-per-batch (the
-  // trainers) use this to make the steady state allocation-free from
-  // the first batch instead of after capacity has warmed up.
+  // min(rows_per_block, block->num_rows()) touched rows, so batches
+  // within that bound never allocate. Callers that know a worst-case
+  // rows-per-batch (the trainers) use this to make the steady state
+  // allocation-free from the first batch instead of after capacity has
+  // warmed up.
   void Reserve(size_t rows_per_block);
 
   // Deterministic row -> shard assignment (SplitMix64 over the pair) used
-  // to partition touched rows across threads for the parallel gradient
-  // merge and optimizer apply. Stable across platforms and runs.
+  // to partition touched rows across threads for the step pass and the
+  // optimizer apply. Stable across platforms and runs.
   KGE_HOT_NOALLOC
   static size_t ShardOfRow(size_t block_index, int64_t row,
                            size_t num_shards);
@@ -166,26 +168,23 @@ class GradientBuffer {
     for (size_t b = 0; b < blocks_.size(); ++b) {
       const PerBlock& pb = per_block_[b];
       for (size_t slot = 0; slot < pb.rows.size(); ++slot) {
-        if (ShardOfRow(b, pb.rows[slot], num_shards) != shard) continue;
+        if (num_shards > 1 &&
+            ShardOfRow(b, pb.rows[slot], num_shards) != shard) {
+          continue;
+        }
         fn(b, pb.rows[slot], std::span<const float>(pb.pool[slot]));
-      }
-    }
-  }
-
-  // Mutable variant of ForEachShard for the parallel gradient merge.
-  template <typename Fn>
-  KGE_HOT_NOALLOC void ForEachShardMut(size_t shard, size_t num_shards, Fn&& fn) {
-    for (size_t b = 0; b < blocks_.size(); ++b) {
-      PerBlock& pb = per_block_[b];
-      for (size_t slot = 0; slot < pb.rows.size(); ++slot) {
-        if (ShardOfRow(b, pb.rows[slot], num_shards) != shard) continue;
-        fn(b, pb.rows[slot], std::span<float>(pb.pool[slot]));
       }
     }
   }
 
   // Number of touched rows across all blocks.
   size_t NumTouchedRows() const;
+
+  // Rows of `block_index` with pooled gradient storage: the high-water
+  // touched-row count, or what Reserve set aside.
+  size_t PooledRows(size_t block_index) const {
+    return per_block_[block_index].pool.size();
+  }
 
  private:
   struct PerBlock {

@@ -705,6 +705,63 @@ void TripleGradAxpy(float w, const float* h, const float* t, const float* r,
   }
 }
 
+// The optimizer rows: the ref expressions lane by lane (IEEE mul, add,
+// div and sqrt round exactly like their scalar forms), tails via ref.
+void SgdRow(float lr, const float* g, float* p, size_t n) {
+  const __m256 vlr = _mm256_set1_ps(lr);
+  size_t d = 0;
+  for (; d + 8 <= n; d += 8) {
+    const __m256 step = _mm256_mul_ps(vlr, _mm256_loadu_ps(g + d));
+    _mm256_storeu_ps(p + d, _mm256_sub_ps(_mm256_loadu_ps(p + d), step));
+  }
+  ref::SgdRow(lr, g + d, p + d, n - d);
+}
+
+void AdagradRow(float lr, float eps, const float* g, float* acc, float* p,
+                size_t n) {
+  const __m256 vlr = _mm256_set1_ps(lr);
+  const __m256 veps = _mm256_set1_ps(eps);
+  size_t d = 0;
+  for (; d + 8 <= n; d += 8) {
+    const __m256 vg = _mm256_loadu_ps(g + d);
+    const __m256 va =
+        _mm256_add_ps(_mm256_loadu_ps(acc + d), _mm256_mul_ps(vg, vg));
+    _mm256_storeu_ps(acc + d, va);
+    const __m256 step =
+        _mm256_div_ps(_mm256_mul_ps(vlr, vg),
+                      _mm256_add_ps(_mm256_sqrt_ps(va), veps));
+    _mm256_storeu_ps(p + d, _mm256_sub_ps(_mm256_loadu_ps(p + d), step));
+  }
+  ref::AdagradRow(lr, eps, g + d, acc + d, p + d, n - d);
+}
+
+void AdamRow(const AdamRowStep& step, const float* g, float* m, float* v,
+             float* p, size_t n) {
+  const __m256d beta1 = _mm256_set1_pd(step.beta1);
+  const __m256d beta2 = _mm256_set1_pd(step.beta2);
+  const __m256d keep1 = _mm256_set1_pd(1.0 - step.beta1);
+  const __m256d keep2 = _mm256_set1_pd(1.0 - step.beta2);
+  const __m256d lr = _mm256_set1_pd(step.lr);
+  const __m256d eps = _mm256_set1_pd(step.eps);
+  size_t d = 0;
+  for (; d + 4 <= n; d += 4) {
+    const __m256d vg = _mm256_cvtps_pd(_mm_loadu_ps(g + d));
+    const __m256d vm = _mm256_cvtps_pd(_mm_loadu_ps(m + d));
+    const __m256d vv = _mm256_cvtps_pd(_mm_loadu_ps(v + d));
+    const __m128 m4 = _mm256_cvtpd_ps(
+        _mm256_add_pd(_mm256_mul_pd(beta1, vm), _mm256_mul_pd(keep1, vg)));
+    const __m128 v4 = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(beta2, vv), _mm256_mul_pd(_mm256_mul_pd(keep2, vg), vg)));
+    _mm_storeu_ps(m + d, m4);
+    _mm_storeu_ps(v + d, v4);
+    const __m128 delta = _mm256_cvtpd_ps(_mm256_div_pd(
+        _mm256_mul_pd(lr, _mm256_cvtps_pd(m4)),
+        _mm256_add_pd(_mm256_sqrt_pd(_mm256_cvtps_pd(v4)), eps)));
+    _mm_storeu_ps(p + d, _mm_sub_ps(_mm_loadu_ps(p + d), delta));
+  }
+  ref::AdamRow(step, g + d, m + d, v + d, p + d, n - d);
+}
+
 // ---- NEON (AArch64) --------------------------------------------------------
 
 #elif defined(KGE_SIMD_ISA_NEON)
@@ -1165,6 +1222,24 @@ void TripleGradAxpy(float w, const float* h, const float* t, const float* r,
 
 #endif  // ISA selection
 
+#if !defined(KGE_SIMD_ISA_AVX2)
+// NEON and scalar builds run the reference loops, which the compiler
+// may vectorize without changing a rounding.
+void SgdRow(float lr, const float* g, float* p, size_t n) {
+  ref::SgdRow(lr, g, p, n);
+}
+
+void AdagradRow(float lr, float eps, const float* g, float* acc, float* p,
+                size_t n) {
+  ref::AdagradRow(lr, eps, g, acc, p, n);
+}
+
+void AdamRow(const AdamRowStep& step, const float* g, float* m, float* v,
+             float* p, size_t n) {
+  ref::AdamRow(step, g, m, v, p, n);
+}
+#endif
+
 // ---- Multi-query driver (shared across ISAs) -------------------------------
 // Cache blocking is ISA-independent: walk the row matrix in tiles small
 // enough to stay resident in L1/L2, and score every query against the
@@ -1535,6 +1610,29 @@ void TripleGradAxpy(float w, const float* h, const float* t, const float* r,
     gh[d] += w * t[d] * r[d];
     gt[d] += w * h[d] * r[d];
     gr[d] += w * h[d] * t[d];
+  }
+}
+
+void SgdRow(float lr, const float* g, float* p, size_t n) {
+  for (size_t d = 0; d < n; ++d) p[d] -= lr * g[d];
+}
+
+void AdagradRow(float lr, float eps, const float* g, float* acc, float* p,
+                size_t n) {
+  for (size_t d = 0; d < n; ++d) {
+    acc[d] += g[d] * g[d];
+    p[d] -= lr * g[d] / (std::sqrt(acc[d]) + eps);
+  }
+}
+
+void AdamRow(const AdamRowStep& step, const float* g, float* m, float* v,
+             float* p, size_t n) {
+  for (size_t d = 0; d < n; ++d) {
+    m[d] = static_cast<float>(step.beta1 * m[d] + (1.0 - step.beta1) * g[d]);
+    v[d] = static_cast<float>(step.beta2 * v[d] +
+                              (1.0 - step.beta2) * g[d] * g[d]);
+    p[d] -= static_cast<float>(step.lr * m[d] /
+                               (std::sqrt(double(v[d])) + step.eps));
   }
 }
 

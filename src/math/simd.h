@@ -285,6 +285,38 @@ KGE_HOT_NOALLOC
 void TripleGradAxpy(float w, const float* h, const float* t, const float* r,
                     float* gh, float* gt, float* gr, size_t n);
 
+// ---- Optimizer row updates -------------------------------------------------
+// One descent step on one parameter row p given its gradient g, each the
+// single definition of its optimizer's update (optim/optimizer.h). Every
+// ISA evaluates the scalar expression below, operation for operation and
+// FMA-free, so the vector kernels equal their simd::ref twins bit for bit.
+
+// p[d] -= lr·g[d]   (float)
+KGE_HOT_NOALLOC
+void SgdRow(float lr, const float* g, float* p, size_t n);
+
+// acc[d] += g[d]·g[d];  p[d] -= (lr·g[d]) / (sqrt(acc[d]) + eps)   (float)
+KGE_HOT_NOALLOC
+void AdagradRow(float lr, float eps, const float* g, float* acc, float* p,
+                size_t n);
+
+// Adam's per-step constants: lr carries the step's bias correction,
+// eps is the float epsilon widened to double.
+struct AdamRowStep {
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double lr = 1e-3;
+  double eps = 0.0;
+};
+
+// In double, rounding each stored value to float:
+//   m[d] = float(beta1·m[d] + (1−beta1)·g[d])
+//   v[d] = float(beta2·v[d] + ((1−beta2)·g[d])·g[d])
+//   p[d] -= float((lr·m[d]) / (sqrt(v[d]) + eps))
+KGE_HOT_NOALLOC
+void AdamRow(const AdamRowStep& step, const float* g, float* m, float* v,
+             float* p, size_t n);
+
 // ---- Naive references ------------------------------------------------------
 // Strictly sequential left-to-right implementations, used by the kernel
 // equivalence tests as ground truth and by bench/perf_report as the
@@ -326,6 +358,11 @@ void HadamardAxpy(float scale, const float* a, const float* b, float* out,
 void Axpy(float scale, const float* a, float* out, size_t n);
 void TripleGradAxpy(float w, const float* h, const float* t, const float* r,
                     float* gh, float* gt, float* gr, size_t n);
+void SgdRow(float lr, const float* g, float* p, size_t n);
+void AdagradRow(float lr, float eps, const float* g, float* acc, float* p,
+                size_t n);
+void AdamRow(const AdamRowStep& step, const float* g, float* m, float* v,
+             float* p, size_t n);
 
 }  // namespace ref
 

@@ -1,6 +1,7 @@
 #include "models/conve.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "math/vec_ops.h"
 #include "util/check.h"
@@ -103,7 +104,7 @@ void ConvE::AccumulateGradients(const Triple& triple, float dscore,
                                 GradientBuffer* grads) {
   static thread_local Activations acts;
   ForwardQuery(triple.head, triple.relation, &acts);
-  const auto t = entities_.Of(triple.tail);
+  const auto t = std::as_const(entities_).Of(triple.tail);
 
   // dS/db_t = 1; dS/dt = projected; dS/dprojected = t.
   grads->GradFor(kEntityBias, triple.tail)[0] += dscore;
@@ -150,10 +151,6 @@ void ConvE::AccumulateGradients(const Triple& triple, float dscore,
     gh[i] += dinput[i];
     gr[i] += dinput[d + i];
   }
-}
-
-void ConvE::NormalizeEntities(std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
 }
 
 std::unique_ptr<ConvE> MakeConvE(int32_t num_entities, int32_t num_relations,

@@ -56,7 +56,7 @@ class ConvE : public KgeModel {
   KGE_HOT_NOALLOC
   void AccumulateGradients(const Triple& triple, float dscore,
                            GradientBuffer* grads) override;
-  void NormalizeEntities(std::span<const EntityId> entities) override;
+  int32_t EntityVectorDim() const override { return entities_.dim(); }
   void InitParameters(uint64_t seed) override;
 
   static constexpr size_t kEntityBlock = 0;

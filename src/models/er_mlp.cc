@@ -1,6 +1,7 @@
 #include "models/er_mlp.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -100,8 +101,9 @@ void ErMlp::AccumulateGradients(const Triple& triple, float dscore,
   const size_t d = size_t(dim());
   static thread_local std::vector<float> x_buf;
   const std::span<float> x = ScratchSpan(x_buf, 3 * d);
-  Concatenate(entities_.Of(triple.head), entities_.Of(triple.tail),
-              relations_.Of(triple.relation), x);
+  const EmbeddingStore& entities = entities_;
+  Concatenate(entities.Of(triple.head), entities.Of(triple.tail),
+              std::as_const(relations_).Of(triple.relation), x);
   static thread_local std::vector<float> a_buf;
   const std::span<float> a = ScratchSpan(a_buf, size_t(hidden_dim()));
   hidden_.Forward(x, a);
@@ -130,10 +132,6 @@ void ErMlp::AccumulateGradients(const Triple& triple, float dscore,
     gt[i] += dx[d + i];
     gr[i] += dx[2 * d + i];
   }
-}
-
-void ErMlp::NormalizeEntities(std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
 }
 
 std::unique_ptr<ErMlp> MakeErMlp(int32_t num_entities, int32_t num_relations,

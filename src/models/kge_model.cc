@@ -1,6 +1,7 @@
 #include "models/kge_model.h"
 
 #include "math/simd.h"
+#include "math/vec_ops.h"
 #include "util/check.h"
 #include "util/scratch.h"
 
@@ -96,6 +97,19 @@ void KgeModel::ScoreHeadBatch(EntityId tail, RelationId relation,
   for (size_t i = 0; i < heads.size(); ++i) {
     out[i] = static_cast<float>(Score({heads[i], tail, relation}));
   }
+}
+
+void KgeModel::NormalizeEntityRow(std::span<float> row) const {
+  const size_t dim = size_t(EntityVectorDim());
+  for (size_t offset = 0; offset < row.size(); offset += dim) {
+    NormalizeL2(row.subspan(offset, dim));
+  }
+}
+
+void KgeModel::NormalizeEntities(std::span<const EntityId> entities) {
+  ParameterBlock* block = Blocks()[0];
+  for (EntityId e : entities) NormalizeEntityRow(block->Row(e));
+  NormalizeAfterStep();
 }
 
 std::vector<const ParameterBlock*> KgeModel::Blocks() const {

@@ -7,8 +7,8 @@
 //   model->BeginBatch();
 //   for each (triple, dscore): model->AccumulateGradients(...);
 //   loss += model->FinishBatch(&grads);
-//   optimizer->Apply(grads);
-//   model->NormalizeEntities(touched_entities);
+//   optimizer step; with the unit-norm constraint on, each updated
+//   entity row through NormalizeEntityRow, then NormalizeAfterStep().
 #ifndef KGE_MODELS_KGE_MODEL_H_
 #define KGE_MODELS_KGE_MODEL_H_
 
@@ -230,8 +230,29 @@ class KgeModel {
     return 0.0;
   }
 
-  // Applies the paper's unit-norm constraint to the given entities.
-  virtual void NormalizeEntities(std::span<const EntityId> entities) = 0;
+  // ---- The unit-norm entity constraint (§5.3) ----------------------------
+  // Every embedding vector of an entity is kept at unit L2 norm: an
+  // entity row (block 0) holds row_dim / EntityVectorDim() vectors.
+
+  // Length of one entity embedding vector.
+  virtual int32_t EntityVectorDim() const = 0;
+
+  // Scales each EntityVectorDim()-long vector of `row`, one entity row,
+  // to unit L2 norm (an all-zero vector stays zero). Reads and writes
+  // only `row`, so the trainer's step pass normalizes each row right
+  // after its update, concurrently across rows.
+  KGE_HOT_NOALLOC
+  void NormalizeEntityRow(std::span<float> row) const;
+
+  // The rest of the constraint, once per step after the entity rows: a
+  // no-op except for models with further unit-norm parameters (TransH's
+  // hyperplane normals).
+  KGE_HOT_NOALLOC
+  virtual void NormalizeAfterStep() {}
+
+  // The whole constraint for one step that updated `entities`:
+  // NormalizeEntityRow on each of their rows, then NormalizeAfterStep.
+  void NormalizeEntities(std::span<const EntityId> entities);
 
   // True when AccumulateGradients only reads model parameters and writes
   // the given GradientBuffer (no shared mutable state), allowing the

@@ -1,5 +1,7 @@
 #include "models/learned_weight_model.h"
 
+#include <utility>
+
 #include "core/interaction.h"
 #include "util/check.h"
 
@@ -66,10 +68,12 @@ void LearnedWeightModel::AccumulateGradients(const Triple& triple,
   // Embedding gradients via the shared engine (uses the current ω).
   MultiEmbeddingModel::AccumulateGradients(triple, dscore, grads);
   // dL/dω accumulates locally; chained through f at FinishBatch.
-  AccumulateOmegaGradients(weights(), dim(), entity_store().Of(triple.head),
-                           entity_store().Of(triple.tail),
-                           relation_store().Of(triple.relation), dscore,
-                           omega_grad_);
+  const EmbeddingStore& entities = std::as_const(*this).entity_store();
+  AccumulateOmegaGradients(weights(), dim(), entities.Of(triple.head),
+                           entities.Of(triple.tail),
+                           std::as_const(*this).relation_store().Of(
+                               triple.relation),
+                           dscore, omega_grad_);
 }
 
 double LearnedWeightModel::FinishBatch(GradientBuffer* grads) {

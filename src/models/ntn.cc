@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "math/activations.h"
@@ -188,8 +189,9 @@ std::vector<ParameterBlock*> Ntn::Blocks() {
 
 void Ntn::AccumulateGradients(const Triple& triple, float dscore,
                               GradientBuffer* grads) {
-  const auto h = entities_.Of(triple.head);
-  const auto t = entities_.Of(triple.tail);
+  const EmbeddingStore& entities = entities_;
+  const auto h = entities.Of(triple.head);
+  const auto t = entities.Of(triple.tail);
   const RelationView view = ViewOf(triple.relation);
   const size_t d = size_t(dim());
   const size_t k = size_t(num_slices_);
@@ -242,10 +244,6 @@ void Ntn::AccumulateGradients(const Triple& triple, float dscore,
       gh[a] += dzf * static_cast<float>(wt_a);
     }
   }
-}
-
-void Ntn::NormalizeEntities(std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
 }
 
 std::unique_ptr<Ntn> MakeNtn(int32_t num_entities, int32_t num_relations,

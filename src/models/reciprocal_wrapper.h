@@ -63,9 +63,11 @@ class ReciprocalWrapper : public KgeModel {
                            GradientBuffer* grads) override {
     base_->AccumulateGradients(triple, dscore, grads);
   }
-  void NormalizeEntities(std::span<const EntityId> entities) override {
-    base_->NormalizeEntities(entities);
+  int32_t EntityVectorDim() const override {
+    return base_->EntityVectorDim();
   }
+  KGE_HOT_NOALLOC
+  void NormalizeAfterStep() override { base_->NormalizeAfterStep(); }
   void InitParameters(uint64_t seed) override {
     base_->InitParameters(seed);
   }

@@ -1,5 +1,6 @@
 #include "models/rescal.h"
 
+#include <utility>
 #include <vector>
 
 #include "math/vec_ops.h"
@@ -82,8 +83,9 @@ std::vector<ParameterBlock*> Rescal::Blocks() {
 
 void Rescal::AccumulateGradients(const Triple& triple, float dscore,
                                  GradientBuffer* grads) {
-  const auto h = entities_.Of(triple.head);
-  const auto t = entities_.Of(triple.tail);
+  const EmbeddingStore& entities = entities_;
+  const auto h = entities.Of(triple.head);
+  const auto t = entities.Of(triple.tail);
   const auto w = MatrixOf(triple.relation);
   const int32_t d = dim();
   std::span<float> gh = grads->GradFor(kEntityBlock, triple.head);
@@ -103,10 +105,6 @@ void Rescal::AccumulateGradients(const Triple& triple, float dscore,
     }
     gh[size_t(a)] += dscore * static_cast<float>(wt);
   }
-}
-
-void Rescal::NormalizeEntities(std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
 }
 
 std::unique_ptr<Rescal> MakeRescal(int32_t num_entities,

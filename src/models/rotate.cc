@@ -1,6 +1,7 @@
 #include "models/rotate.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "math/vec_ops.h"
@@ -110,9 +111,10 @@ std::vector<ParameterBlock*> RotatE::Blocks() {
 void RotatE::AccumulateGradients(const Triple& triple, float dscore,
                                  GradientBuffer* grads) {
   const int32_t d = dim();
-  const auto h = entities_.Of(triple.head);
-  const auto t = entities_.Of(triple.tail);
-  const auto theta = phases_.Of(triple.relation);
+  const EmbeddingStore& entities = entities_;
+  const auto h = entities.Of(triple.head);
+  const auto t = entities.Of(triple.tail);
+  const auto theta = std::as_const(phases_).Of(triple.relation);
   std::span<float> gh = grads->GradFor(kEntityBlock, triple.head);
   std::span<float> gt = grads->GradFor(kEntityBlock, triple.tail);
   std::span<float> gtheta = grads->GradFor(kPhaseBlock, triple.relation);
@@ -136,10 +138,6 @@ void RotatE::AccumulateGradients(const Triple& triple, float dscore,
     gt[size_t(d + i)] -= g_im;
     gtheta[size_t(i)] += g_re * (-hr_im) + g_im * hr_re;
   }
-}
-
-void RotatE::NormalizeEntities(std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
 }
 
 std::unique_ptr<RotatE> MakeRotatE(int32_t num_entities,

@@ -1,6 +1,7 @@
 #include "models/transe.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "math/vec_ops.h"
@@ -79,9 +80,10 @@ std::vector<ParameterBlock*> TransE::Blocks() {
 
 void TransE::AccumulateGradients(const Triple& triple, float dscore,
                                  GradientBuffer* grads) {
-  const auto h = entities_.Of(triple.head);
-  const auto t = entities_.Of(triple.tail);
-  const auto r = relations_.Of(triple.relation);
+  const EmbeddingStore& entities = entities_;
+  const auto h = entities.Of(triple.head);
+  const auto t = entities.Of(triple.tail);
+  const auto r = std::as_const(relations_).Of(triple.relation);
   std::span<float> gh = grads->GradFor(kEntityBlock, triple.head);
   std::span<float> gt = grads->GradFor(kEntityBlock, triple.tail);
   std::span<float> gr = grads->GradFor(kRelationBlock, triple.relation);
@@ -98,10 +100,6 @@ void TransE::AccumulateGradients(const Triple& triple, float dscore,
     gr[d] += g;
     gt[d] -= g;
   }
-}
-
-void TransE::NormalizeEntities(std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
 }
 
 std::unique_ptr<TransE> MakeTransE(int32_t num_entities,

@@ -1,5 +1,6 @@
 #include "models/transh.h"
 
+#include <utility>
 #include <vector>
 
 #include "math/vec_ops.h"
@@ -111,9 +112,10 @@ std::vector<ParameterBlock*> TransH::Blocks() {
 
 void TransH::AccumulateGradients(const Triple& triple, float dscore,
                                  GradientBuffer* grads) {
-  const auto h = entities_.Of(triple.head);
-  const auto t = entities_.Of(triple.tail);
-  const auto w = normals_.Of(triple.relation);
+  const EmbeddingStore& entities = entities_;
+  const auto h = entities.Of(triple.head);
+  const auto t = entities.Of(triple.tail);
+  const auto w = std::as_const(normals_).Of(triple.relation);
   const int32_t n = dim();
   static thread_local std::vector<float> diff_buf;
   const std::span<float> diff = ScratchSpan(diff_buf, static_cast<size_t>(n));
@@ -144,8 +146,7 @@ void TransH::AccumulateGradients(const Triple& triple, float dscore,
   }
 }
 
-void TransH::NormalizeEntities(std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
+void TransH::NormalizeAfterStep() {
   // Re-impose the unit-norm constraint on the hyperplane normals after
   // each optimizer step (TransH's hard constraint on w_r).
   for (int32_t r = 0; r < normals_.num_ids(); ++r) {

@@ -44,10 +44,11 @@ class TransH : public KgeModel {
   KGE_HOT_NOALLOC
   void AccumulateGradients(const Triple& triple, float dscore,
                            GradientBuffer* grads) override;
-  // Normalizes the given entity embeddings AND re-normalizes all
-  // hyperplane normals w_r to unit length (the TransH constraint); called
-  // by the trainer once per iteration.
-  void NormalizeEntities(std::span<const EntityId> entities) override;
+  int32_t EntityVectorDim() const override { return entities_.dim(); }
+  // Re-normalizes all hyperplane normals w_r to unit length (the TransH
+  // constraint) once per step, after the entity rows.
+  KGE_HOT_NOALLOC
+  void NormalizeAfterStep() override;
   void InitParameters(uint64_t seed) override;
 
   static constexpr size_t kEntityBlock = 0;

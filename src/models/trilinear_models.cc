@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "math/simd.h"
@@ -277,15 +278,13 @@ void MultiEmbeddingModel::AccumulateGradients(const Triple& triple,
   std::span<float> gh = grads->GradFor(kEntityBlock, triple.head);
   std::span<float> gt = grads->GradFor(kEntityBlock, triple.tail);
   std::span<float> gr = grads->GradFor(kRelationBlock, triple.relation);
-  AccumulateTripleGradients(weights_, dim_, entities_.Of(triple.head),
-                            entities_.Of(triple.tail),
-                            relations_.Of(triple.relation), dscore, gh, gt,
-                            gr);
-}
-
-void MultiEmbeddingModel::NormalizeEntities(
-    std::span<const EntityId> entities) {
-  for (EntityId e : entities) entities_.NormalizeVectorsOf(e);
+  // Const reads: a parameter read must not bump the block's mutation
+  // stamp (one shared atomic, hit by every worker for every example).
+  const EmbeddingStore& entities = entities_;
+  AccumulateTripleGradients(weights_, dim_, entities.Of(triple.head),
+                            entities.Of(triple.tail),
+                            std::as_const(relations_).Of(triple.relation),
+                            dscore, gh, gt, gr);
 }
 
 std::unique_ptr<MultiEmbeddingModel> MakeDistMult(

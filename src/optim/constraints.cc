@@ -1,19 +1,8 @@
 #include "optim/constraints.h"
 
-#include <unordered_set>
-
 #include "math/vec_ops.h"
 
 namespace kge {
-
-void CollectTouchedRows(const GradientBuffer& grads, size_t block_index,
-                        std::vector<EntityId>* out) {
-  out->clear();
-  grads.ForEach([&](size_t b, int64_t row, std::span<const float> grad) {
-    (void)grad;
-    if (b == block_index) out->push_back(static_cast<EntityId>(row));
-  });
-}
 
 double L2Regularizer::Accumulate(
     GradientBuffer* grads,
@@ -26,7 +15,8 @@ double L2Regularizer::Accumulate(
   const double inv_nd = 1.0 / double(n_d);
   double loss = 0.0;
   for (const auto& [block_index, row] : block_rows) {
-    std::span<const float> params = grads->block(block_index)->Row(row);
+    const ParameterBlock* block = grads->block(block_index);
+    const std::span<const float> params = block->Row(row);
     loss += lambda_ * inv_nd * SquaredNorm(params);
     std::span<float> grad = grads->GradFor(block_index, row);
     const float scale = static_cast<float>(2.0 * lambda_ * inv_nd);

@@ -1,21 +1,16 @@
-// Post-update constraints (§5.3: "We constrained entity embedding vectors
-// to have unit L2-norm after each training iteration") plus helpers to
-// collect which entities a batch touched.
+// The L2 regularizer of Eq. (16). The paper's other constraint — unit
+// L2-norm entity vectors after each training iteration (§5.3) — is
+// KgeModel::NormalizeEntityRow, applied row by row in Trainer's step.
 #ifndef KGE_OPTIM_CONSTRAINTS_H_
 #define KGE_OPTIM_CONSTRAINTS_H_
 
-#include <vector>
+#include <cstdint>
+#include <span>
+#include <utility>
 
 #include "core/parameter_block.h"
-#include "kg/triple.h"
 
 namespace kge {
-
-// Collects the distinct rows touched in `grads` for `block_index`,
-// appended to `out` (cleared first). Used to apply the unit-norm
-// constraint to exactly the entities updated this iteration.
-void CollectTouchedRows(const GradientBuffer& grads, size_t block_index,
-                        std::vector<EntityId>* out);
 
 // Adds the L2 regularization gradient of Eq. (16) for one triple's
 // parameter rows: grad += (2λ / n_D) * θ for each involved row, where
@@ -31,7 +26,8 @@ class L2Regularizer {
   // Loss contribution (λ / n_D) * ||θ||² for the given rows, adding the
   // matching gradients into `grads`. `blocks_rows` lists (block, row)
   // pairs; duplicated pairs are regularized multiple times, matching the
-  // per-example formulation.
+  // per-example formulation. Reads the parameters through const
+  // accessors, so it never bumps a block's mutation stamp.
   double Accumulate(GradientBuffer* grads,
                     std::span<const std::pair<size_t, int64_t>> block_rows);
 

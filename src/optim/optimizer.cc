@@ -1,17 +1,16 @@
 #include "optim/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
 
+#include "math/simd.h"
 #include "util/check.h"
 
 namespace kge {
 namespace {
 
-// Runs `row_fn(block, row, grad)` over every touched row — serially, or
-// hash-sharded across `pool` when it has workers. Each row is visited by
-// exactly one thread, so per-row updates need no synchronization, and
-// the arithmetic per row is independent of the shard count: the parallel
-// apply is bit-identical to the serial one.
 // Shared prologue of every optimizer's serialized state: name (verified
 // on load so a checkpoint cannot silently switch optimizers) and the
 // current base learning rate.
@@ -35,60 +34,77 @@ Status ReadStateHeader(const std::string& expected_name, BinaryReader* reader,
   return Status::Ok();
 }
 
-// Per-block moment vectors (Adagrad accumulators, Adam m/v) as
-// length-checked float arrays.
-Status WriteMoments(const std::vector<std::vector<float>>& moments,
-                    BinaryWriter* writer) {
-  for (const std::vector<float>& m : moments) {
-    KGE_RETURN_IF_ERROR(writer->WriteFloatArray(m.data(), m.size()));
-  }
-  return Status::Ok();
-}
-
-Status ReadMoments(std::vector<std::vector<float>>* moments,
-                   BinaryReader* reader) {
-  for (std::vector<float>& m : *moments) {
-    KGE_RETURN_IF_ERROR(reader->ReadFloatArray(m.data(), m.size()));
-  }
-  return Status::Ok();
-}
-
-template <typename RowFn>
-void ForEachRowSharded(const GradientBuffer& grads, ThreadPool* pool,
-                       const RowFn& row_fn) {
-  // Below ~64 rows the fan-out overhead exceeds the update work.
-  constexpr size_t kMinRowsForParallel = 64;
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      grads.NumTouchedRows() < kMinRowsForParallel) {
-    grads.ForEach(row_fn);
-    return;
-  }
-  const size_t shards = pool->num_threads();
-  // StageFor passes the body by context pointer through the pool's POD
-  // task ring — no std::function, so the per-batch apply allocates
-  // nothing at any thread count.
-  pool->StageFor(0, shards, [&grads, &row_fn, shards](size_t sb, size_t se) {
-    for (size_t s = sb; s < se; ++s) {
-      grads.ForEachShard(s, shards, row_fn);
+// Per-element optimizer state laid out like each block: `arrays` arrays
+// of block->size() floats per block (Adagrad's sums; Adam's m and v), in
+// one calloc'd allocation per block. Its pages stay unmapped zero pages
+// until a row is first updated, and an embedding table's state is large
+// enough that the allocator maps it directly (glibc: above its 32 MiB
+// threshold cap), so it never fragments the heap and freeing it returns
+// every page at once.
+class MomentTable {
+ public:
+  MomentTable(const std::vector<ParameterBlock*>& blocks, size_t arrays)
+      : arrays_(arrays) {
+    sizes_.reserve(blocks.size());
+    storage_.reserve(blocks.size());
+    for (const ParameterBlock* block : blocks) {
+      const size_t size = size_t(block->size());
+      sizes_.push_back(size);
+      // One spare float keeps an empty block's request nonzero.
+      storage_.emplace_back(
+          static_cast<float*>(std::calloc(arrays * size + 1, sizeof(float))));
+      KGE_CHECK(storage_.back() != nullptr);
     }
-  });
-}
+  }
+
+  // Array `array` of block `block_index`, laid out like the block.
+  float* Of(size_t block_index, size_t array) const {
+    return storage_[block_index].get() + array * sizes_[block_index];
+  }
+
+  void Zero() {
+    for (size_t b = 0; b < storage_.size(); ++b) {
+      std::fill_n(storage_[b].get(), arrays_ * sizes_[b], 0.0f);
+    }
+  }
+
+  // Array `array` of every block, as length-checked float arrays.
+  Status Write(size_t array, BinaryWriter* writer) const {
+    for (size_t b = 0; b < storage_.size(); ++b) {
+      KGE_RETURN_IF_ERROR(writer->WriteFloatArray(Of(b, array), sizes_[b]));
+    }
+    return Status::Ok();
+  }
+
+  Status Read(size_t array, BinaryReader* reader) {
+    for (size_t b = 0; b < storage_.size(); ++b) {
+      KGE_RETURN_IF_ERROR(reader->ReadFloatArray(Of(b, array), sizes_[b]));
+    }
+    return Status::Ok();
+  }
+
+ private:
+  struct FreeDeleter {
+    void operator()(float* p) const { std::free(p); }
+  };
+
+  size_t arrays_;
+  std::vector<size_t> sizes_;
+  std::vector<std::unique_ptr<float[], FreeDeleter>> storage_;
+};
 
 class SgdOptimizer : public Optimizer {
  public:
   SgdOptimizer(std::vector<ParameterBlock*> blocks, const SgdOptions& options)
-      : blocks_(std::move(blocks)), options_(options), name_("sgd") {}
+      : Optimizer(std::move(blocks)), options_(options), name_("sgd") {}
 
   const std::string& name() const override { return name_; }
 
-  void Apply(const GradientBuffer& grads, ThreadPool* pool) override {
-    const float lr = static_cast<float>(options_.learning_rate);
-    ForEachRowSharded(
-        grads, pool,
-        [&](size_t block_index, int64_t row, std::span<const float> grad) {
-          std::span<float> params = blocks_[block_index]->Row(row);
-          for (size_t d = 0; d < grad.size(); ++d) params[d] -= lr * grad[d];
-        });
+  std::span<float> UpdateRow(size_t block_index, int64_t row,
+                             std::span<const float> grad) override {
+    float* params = StepStorage(block_index) + RowOffset(block_index, row);
+    simd::SgdRow(lr_, grad.data(), params, grad.size());
+    return {params, grad.size()};
   }
 
   void Reset() override {}
@@ -106,44 +122,38 @@ class SgdOptimizer : public Optimizer {
     return ReadStateHeader(name_, reader, &options_.learning_rate);
   }
 
+ protected:
+  void AdvanceStep() override {
+    lr_ = static_cast<float>(options_.learning_rate);
+  }
+
  private:
-  std::vector<ParameterBlock*> blocks_;
   SgdOptions options_;
   std::string name_;
+  float lr_ = 0.0f;
 };
 
 class AdagradOptimizer : public Optimizer {
  public:
   AdagradOptimizer(std::vector<ParameterBlock*> blocks,
                    const AdagradOptions& options)
-      : blocks_(std::move(blocks)), options_(options), name_("adagrad") {
-    for (ParameterBlock* block : blocks_) {
-      accumulators_.emplace_back(size_t(block->size()), 0.0f);
-    }
-  }
+      : Optimizer(std::move(blocks)),
+        options_(options),
+        name_("adagrad"),
+        sums_(this->blocks(), 1) {}
 
   const std::string& name() const override { return name_; }
 
-  void Apply(const GradientBuffer& grads, ThreadPool* pool) override {
-    const float lr = static_cast<float>(options_.learning_rate);
-    const float eps = static_cast<float>(options_.epsilon);
-    ForEachRowSharded(
-        grads, pool,
-        [&](size_t block_index, int64_t row, std::span<const float> grad) {
-          ParameterBlock* block = blocks_[block_index];
-          std::span<float> params = block->Row(row);
-          float* acc = accumulators_[block_index].data() +
-                       size_t(row) * size_t(block->row_dim());
-          for (size_t d = 0; d < grad.size(); ++d) {
-            acc[d] += grad[d] * grad[d];
-            params[d] -= lr * grad[d] / (std::sqrt(acc[d]) + eps);
-          }
-        });
+  std::span<float> UpdateRow(size_t block_index, int64_t row,
+                             std::span<const float> grad) override {
+    const size_t offset = RowOffset(block_index, row);
+    float* params = StepStorage(block_index) + offset;
+    simd::AdagradRow(lr_, eps_, grad.data(), sums_.Of(block_index, 0) + offset,
+                     params, grad.size());
+    return {params, grad.size()};
   }
 
-  void Reset() override {
-    for (auto& acc : accumulators_) std::fill(acc.begin(), acc.end(), 0.0f);
-  }
+  void Reset() override { sums_.Zero(); }
 
   double learning_rate() const override { return options_.learning_rate; }
   void set_learning_rate(double learning_rate) override {
@@ -153,20 +163,27 @@ class AdagradOptimizer : public Optimizer {
   Status SaveState(BinaryWriter* writer) const override {
     KGE_RETURN_IF_ERROR(
         WriteStateHeader(name_, options_.learning_rate, writer));
-    return WriteMoments(accumulators_, writer);
+    return sums_.Write(0, writer);
   }
 
   Status LoadState(BinaryReader* reader) override {
     KGE_RETURN_IF_ERROR(
         ReadStateHeader(name_, reader, &options_.learning_rate));
-    return ReadMoments(&accumulators_, reader);
+    return sums_.Read(0, reader);
+  }
+
+ protected:
+  void AdvanceStep() override {
+    lr_ = static_cast<float>(options_.learning_rate);
+    eps_ = static_cast<float>(options_.epsilon);
   }
 
  private:
-  std::vector<ParameterBlock*> blocks_;
   AdagradOptions options_;
   std::string name_;
-  std::vector<std::vector<float>> accumulators_;
+  MomentTable sums_;
+  float lr_ = 0.0f;
+  float eps_ = 0.0f;
 };
 
 // Lazy Adam: first/second moments are stored for every row but decayed
@@ -176,45 +193,27 @@ class AdagradOptimizer : public Optimizer {
 class AdamOptimizer : public Optimizer {
  public:
   AdamOptimizer(std::vector<ParameterBlock*> blocks, const AdamOptions& options)
-      : blocks_(std::move(blocks)), options_(options), name_("adam") {
-    for (ParameterBlock* block : blocks_) {
-      m_.emplace_back(size_t(block->size()), 0.0f);
-      v_.emplace_back(size_t(block->size()), 0.0f);
-    }
-  }
+      : Optimizer(std::move(blocks)),
+        options_(options),
+        name_("adam"),
+        moments_(this->blocks(), 2) {}
 
   const std::string& name() const override { return name_; }
 
-  void Apply(const GradientBuffer& grads, ThreadPool* pool) override {
-    ++step_;
-    const double beta1 = options_.beta1;
-    const double beta2 = options_.beta2;
-    const double bias1 = 1.0 - std::pow(beta1, double(step_));
-    const double bias2 = 1.0 - std::pow(beta2, double(step_));
-    const double lr = options_.learning_rate * std::sqrt(bias2) / bias1;
-    const float eps = static_cast<float>(options_.epsilon);
-    ForEachRowSharded(
-        grads, pool,
-        [&](size_t block_index, int64_t row, std::span<const float> grad) {
-          ParameterBlock* block = blocks_[block_index];
-          std::span<float> params = block->Row(row);
-          const size_t offset = size_t(row) * size_t(block->row_dim());
-          float* m = m_[block_index].data() + offset;
-          float* v = v_[block_index].data() + offset;
-          for (size_t d = 0; d < grad.size(); ++d) {
-            m[d] = static_cast<float>(beta1 * m[d] + (1.0 - beta1) * grad[d]);
-            v[d] = static_cast<float>(beta2 * v[d] +
-                                      (1.0 - beta2) * grad[d] * grad[d]);
-            params[d] -= static_cast<float>(lr * m[d] /
-                                            (std::sqrt(double(v[d])) + eps));
-          }
-        });
+  std::span<float> UpdateRow(size_t block_index, int64_t row,
+                             std::span<const float> grad) override {
+    const size_t offset = RowOffset(block_index, row);
+    float* params = StepStorage(block_index) + offset;
+    simd::AdamRow(step_constants_, grad.data(),
+                  moments_.Of(block_index, kFirst) + offset,
+                  moments_.Of(block_index, kSecond) + offset, params,
+                  grad.size());
+    return {params, grad.size()};
   }
 
   void Reset() override {
     step_ = 0;
-    for (auto& m : m_) std::fill(m.begin(), m.end(), 0.0f);
-    for (auto& v : v_) std::fill(v.begin(), v.end(), 0.0f);
+    moments_.Zero();
   }
 
   double learning_rate() const override { return options_.learning_rate; }
@@ -226,8 +225,8 @@ class AdamOptimizer : public Optimizer {
     KGE_RETURN_IF_ERROR(
         WriteStateHeader(name_, options_.learning_rate, writer));
     KGE_RETURN_IF_ERROR(writer->WriteUint64(uint64_t(step_)));
-    KGE_RETURN_IF_ERROR(WriteMoments(m_, writer));
-    return WriteMoments(v_, writer);
+    KGE_RETURN_IF_ERROR(moments_.Write(kFirst, writer));
+    return moments_.Write(kSecond, writer);
   }
 
   Status LoadState(BinaryReader* reader) override {
@@ -236,20 +235,65 @@ class AdamOptimizer : public Optimizer {
     Result<uint64_t> step = reader->ReadUint64();
     if (!step.ok()) return step.status();
     step_ = int64_t(*step);
-    KGE_RETURN_IF_ERROR(ReadMoments(&m_, reader));
-    return ReadMoments(&v_, reader);
+    KGE_RETURN_IF_ERROR(moments_.Read(kFirst, reader));
+    return moments_.Read(kSecond, reader);
+  }
+
+ protected:
+  void AdvanceStep() override {
+    ++step_;
+    const double bias1 = 1.0 - std::pow(options_.beta1, double(step_));
+    const double bias2 = 1.0 - std::pow(options_.beta2, double(step_));
+    step_constants_.beta1 = options_.beta1;
+    step_constants_.beta2 = options_.beta2;
+    step_constants_.lr = options_.learning_rate * std::sqrt(bias2) / bias1;
+    step_constants_.eps = double(static_cast<float>(options_.epsilon));
   }
 
  private:
-  std::vector<ParameterBlock*> blocks_;
   AdamOptions options_;
   std::string name_;
   int64_t step_ = 0;
-  std::vector<std::vector<float>> m_;
-  std::vector<std::vector<float>> v_;
+  simd::AdamRowStep step_constants_;
+  // Arrays of moments_: the first (m) and second (v) moments.
+  static constexpr size_t kFirst = 0;
+  static constexpr size_t kSecond = 1;
+  MomentTable moments_;
 };
 
 }  // namespace
+
+Optimizer::Optimizer(std::vector<ParameterBlock*> blocks)
+    : blocks_(std::move(blocks)), step_storage_(blocks_.size(), nullptr) {}
+
+void Optimizer::BeginStep() {
+  AdvanceStep();
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    step_storage_[b] = blocks_[b]->Flat().data();
+  }
+}
+
+void Optimizer::Apply(const GradientBuffer& grads, ThreadPool* pool) {
+  BeginStep();
+  const auto update = [this](size_t block_index, int64_t row,
+                             std::span<const float> grad) {
+    UpdateRow(block_index, row, grad);
+  };
+  // Below ~64 rows the fan-out overhead exceeds the update work.
+  constexpr size_t kMinRowsForParallel = 64;
+  if (pool == nullptr || pool->num_threads() <= 1 ||
+      grads.NumTouchedRows() < kMinRowsForParallel) {
+    grads.ForEach(update);
+    return;
+  }
+  const size_t parts = pool->num_threads();
+  // StageFor passes the body by context pointer through the pool's POD
+  // task ring — no std::function, so the step allocates nothing at any
+  // thread count.
+  pool->StageFor(0, parts, [&grads, &update, parts](size_t pb, size_t pe) {
+    for (size_t p = pb; p < pe; ++p) grads.ForEachShard(p, parts, update);
+  });
+}
 
 std::unique_ptr<Optimizer> MakeSgd(std::vector<ParameterBlock*> blocks,
                                    const SgdOptions& options) {

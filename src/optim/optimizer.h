@@ -1,8 +1,11 @@
-// Sparse first-order optimizers over ParameterBlocks. Each Apply() step
-// consumes one GradientBuffer (a mini-batch worth of per-row gradients)
-// and performs a descent update on exactly the touched rows ("lazy"
-// updates — the standard approach for embedding models, where a batch
-// touches a tiny fraction of rows).
+// Sparse first-order optimizers over ParameterBlocks. One descent step
+// updates exactly the rows a mini-batch touched ("lazy" updates — the
+// standard approach for embedding models, where a batch touches a tiny
+// fraction of rows). A step is BeginStep() followed by one UpdateRow()
+// per touched row: each optimizer's row update is a single math/simd
+// kernel (simd::SgdRow / AdagradRow / AdamRow), shared by Apply() over a
+// GradientBuffer and by the negative-sampling trainer's fused step pass,
+// which sums a row's shard gradients and updates it in one visit.
 //
 // The paper trains with "SGD with learning rates auto-tuned by Adam"
 // (§5.3); Adam is the default in all benches. SGD and Adagrad are
@@ -11,10 +14,12 @@
 #define KGE_OPTIM_OPTIMIZER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/parameter_block.h"
+#include "util/check.h"
 #include "util/hotpath.h"
 #include "util/io.h"
 #include "util/status.h"
@@ -25,19 +30,35 @@ namespace kge {
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
+  Optimizer(const Optimizer&) = delete;
+  Optimizer& operator=(const Optimizer&) = delete;
 
   virtual const std::string& name() const = 0;
 
-  // Applies one descent step for all rows touched in `grads`. The buffer's
-  // block list must be the one this optimizer was constructed with.
-  //
-  // With a non-null `pool`, touched rows are partitioned across the pool
-  // by GradientBuffer::ShardOfRow and updated concurrently. Row updates
-  // are independent (per-row state only), so the result is bit-identical
+  // Starts one descent step: advances the step-dependent constants
+  // (Adam's bias correction) and takes every block's storage for
+  // writing, which bumps each block's mutation stamp once for the whole
+  // step (ParameterBlock::generation). Call from one thread, before the
+  // step's UpdateRow calls.
+  KGE_HOT_NOALLOC
+  void BeginStep();
+
+  // The current step's update of row `row` of block `block_index`, whose
+  // summed batch gradient is `grad` (row_dim floats): writes the row's
+  // parameters and optimizer state and returns the parameter row. A row
+  // reads and writes only its own state, so concurrent calls for
+  // distinct rows are safe and the call order never changes a bit.
+  KGE_HOT_NOALLOC
+  virtual std::span<float> UpdateRow(size_t block_index, int64_t row,
+                                     std::span<const float> grad) = 0;
+
+  // One whole step over the rows touched in `grads`: BeginStep, then
+  // UpdateRow per row. The buffer's block list must be the one this
+  // optimizer was constructed with. With a non-null `pool`, rows are
+  // partitioned across it by GradientBuffer::ShardOfRow — bit-identical
   // to the serial apply for every thread count.
   KGE_HOT_NOALLOC
-  virtual void Apply(const GradientBuffer& grads,
-                     ThreadPool* pool = nullptr) = 0;
+  void Apply(const GradientBuffer& grads, ThreadPool* pool = nullptr);
 
   // Resets all optimizer state (moments, step counters).
   virtual void Reset() = 0;
@@ -53,6 +74,28 @@ class Optimizer {
   // optimizer must have been constructed over the same blocks.
   virtual Status SaveState(BinaryWriter* writer) const = 0;
   virtual Status LoadState(BinaryReader* reader) = 0;
+
+ protected:
+  explicit Optimizer(std::vector<ParameterBlock*> blocks);
+
+  // BeginStep's hook for step-dependent constants.
+  virtual void AdvanceStep() {}
+
+  const std::vector<ParameterBlock*>& blocks() const { return blocks_; }
+  // Offset of `row` in its block's flat storage (and in any per-element
+  // state laid out like it).
+  size_t RowOffset(size_t block_index, int64_t row) const {
+    KGE_DCHECK(row >= 0 && row < blocks_[block_index]->num_rows());
+    return size_t(row) * size_t(blocks_[block_index]->row_dim());
+  }
+  // The block's storage as taken by the current step.
+  float* StepStorage(size_t block_index) const {
+    return step_storage_[block_index];
+  }
+
+ private:
+  std::vector<ParameterBlock*> blocks_;
+  std::vector<float*> step_storage_;
 };
 
 struct SgdOptions {

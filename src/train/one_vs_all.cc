@@ -72,8 +72,9 @@ double OneVsAllTrainer::ScoreQuery(const Query& query, std::span<float> fold,
   const WeightTable& weights = model_->weights();
   const int32_t dim = model_->dim();
   const EmbeddingStore& entities = model_->entity_store();
+  const EmbeddingStore& relations = model_->relation_store();
   const auto h = entities.Of(query.head);
-  const auto r = model_->relation_store().Of(query.relation);
+  const auto r = relations.Of(query.relation);
 
   FoldForTail(weights, dim, h, r, fold);
   // Score every entity in one blocked GEMV. By the DotBatch contract each
@@ -126,6 +127,7 @@ void OneVsAllTrainer::ScoreChunk(size_t qb, size_t qe) {
   const WeightTable& weights = model_->weights();
   const int32_t dim = model_->dim();
   const EmbeddingStore& entities = model_->entity_store();
+  const EmbeddingStore& relations = model_->relation_store();
   const size_t width = size_t(weights.ne()) * size_t(dim);
   const size_t num_entities = size_t(model_->num_entities());
   if (options_.batched_scoring) {
@@ -136,7 +138,7 @@ void OneVsAllTrainer::ScoreChunk(size_t qb, size_t qe) {
     for (size_t i = qb; i < qe; ++i) {
       const Query& query = queries_[order_[cur_begin_ + i]];
       FoldForTail(weights, dim, entities.Of(query.head),
-                  model_->relation_store().Of(query.relation),
+                  relations.Of(query.relation),
                   std::span<float>(folds_.data() + i * width, width));
     }
     DotBatchMulti(
@@ -183,6 +185,7 @@ void OneVsAllTrainer::FoldBackChunk(size_t qb, size_t qe) {
   const WeightTable& weights = model_->weights();
   const int32_t dim = model_->dim();
   const EmbeddingStore& entities = model_->entity_store();
+  const EmbeddingStore& relations = model_->relation_store();
   const size_t width = size_t(weights.ne()) * size_t(dim);
   const size_t head_dim =
       size_t(blocks_[MultiEmbeddingModel::kEntityBlock]->row_dim());
@@ -192,7 +195,7 @@ void OneVsAllTrainer::FoldBackChunk(size_t qb, size_t qe) {
     const Query& query = queries_[order_[cur_begin_ + i]];
     const std::span<const float> dfold(dfolds_.data() + i * width, width);
     FoldForHead(weights, dim, dfold,
-                model_->relation_store().Of(query.relation),
+                relations.Of(query.relation),
                 std::span<float>(head_folds_.data() + i * head_dim,
                                  head_dim));
     FoldForRelation(weights, dim, entities.Of(query.head), dfold,

@@ -34,8 +34,10 @@ using ValidationFn = std::function<double(int epoch)>;
 // of the overlapped stages (sampling prefetch / shard scoring — or flag
 // clearing / fused fold+score for 1-vs-all), so with T threads they can
 // exceed the wall clock; `merge_seconds`/`apply_seconds` are the caller's
-// wall time in those critical-path sections. Occupancy for the bench
-// report is stage_seconds / wall_seconds.
+// wall time in those critical-path sections. Trainer's step pass merges
+// and applies each row in one visit, so it reports all of it as apply
+// and merge stays 0. Occupancy for the bench report is
+// stage_seconds / wall_seconds.
 struct TrainStageStats {
   double sample_seconds = 0.0;
   double score_seconds = 0.0;

@@ -14,12 +14,60 @@
 namespace kge {
 
 namespace {
+
 // Indices into Trainer::stage_nanos_.
 constexpr int kStageSample = 0;
 constexpr int kStageScore = 1;
-constexpr int kStageMerge = 2;
-constexpr int kStageApply = 3;
+constexpr int kStageStep = 2;
+
+// StepOverShards' work for rows with ShardOfRow(block, row, num_parts)
+// == part.
+KGE_HOT_NOALLOC
+void StepPartition(std::span<const GradientBuffer* const> sources,
+                   const KgeModel& model, Optimizer* optimizer,
+                   bool unit_norm_entities, size_t part, size_t num_parts) {
+  // Grows once per thread to the widest row.
+  static thread_local std::vector<float> sum_buf;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    sources[s]->ForEachShard(part, num_parts, [&](size_t block, int64_t row,
+                                                  std::span<const float> grad) {
+      for (size_t earlier = 0; earlier < s; ++earlier) {
+        if (!sources[earlier]->Find(block, row).empty()) return;  // summed
+      }
+      // Zero, then add every source in order — exactly a merge into a
+      // freshly registered master row (0 + g also turns -0 into +0).
+      const std::span<float> sum = ScratchSpan(sum_buf, grad.size());
+      Fill(sum, 0.0f);
+      Axpy(1.0f, grad, sum);
+      for (size_t later = s + 1; later < sources.size(); ++later) {
+        const std::span<const float> src = sources[later]->Find(block, row);
+        if (!src.empty()) Axpy(1.0f, src, sum);
+      }
+      const std::span<float> params = optimizer->UpdateRow(block, row, sum);
+      if (unit_norm_entities && block == 0) model.NormalizeEntityRow(params);
+    });
+  }
+}
+
 }  // namespace
+
+void StepOverShards(std::span<const GradientBuffer* const> sources,
+                    KgeModel* model, Optimizer* optimizer,
+                    bool unit_norm_entities, ThreadPool* pool) {
+  optimizer->BeginStep();
+  // Below ~64 source rows the fan-out costs more than the rows.
+  constexpr size_t kMinRowsForParallel = 64;
+  size_t rows = 0;
+  for (const GradientBuffer* source : sources) rows += source->NumTouchedRows();
+  const size_t parts = rows < kMinRowsForParallel ? 1 : pool->num_threads();
+  const KgeModel& reader = *model;
+  pool->StageFor(0, parts, [&](size_t pb, size_t pe) {
+    for (size_t p = pb; p < pe; ++p) {
+      StepPartition(sources, reader, optimizer, unit_norm_entities, p, parts);
+    }
+  });
+  if (unit_norm_entities) model->NormalizeAfterStep();
+}
 
 Trainer::Trainer(KgeModel* model, const TrainerOptions& options)
     : model_(model), options_(options) {
@@ -33,14 +81,13 @@ Trainer::Trainer(KgeModel* model, const TrainerOptions& options)
       MakeOptimizer(options_.optimizer, blocks_, options_.learning_rate);
   KGE_CHECK_OK(optimizer.status());
   optimizer_ = std::move(*optimizer);
-  grads_ = std::make_unique<GradientBuffer>(blocks_);
-  // Reserving the true worst case up front makes the steady state
-  // allocation-free from the first batch — at every thread count.
+  // FinishBatch writes at most a model's shared weight row per block.
+  finish_grads_ = std::make_unique<GradientBuffer>(blocks_);
+  finish_grads_->Reserve(1);
   const size_t batch_size = size_t(options_.batch_size);
   const size_t negatives = size_t(options_.num_negatives);
-  grads_->Reserve(WorstCaseGradRows(batch_size, negatives));
   // The pool runs the pipeline stages (sampling prefetch, shard
-  // gradients, merge, optimizer apply); 1 thread degenerates to inline
+  // gradients, the step pass); 1 thread degenerates to inline
   // execution. Shard buffers themselves are grown on first use (their
   // count depends on batch size, not thread count).
   pool_ = std::make_unique<ThreadPool>(size_t(options_.num_threads));
@@ -243,41 +290,6 @@ void Trainer::ComputeShard(size_t shard) {
                &shard_examples_[shard]);
 }
 
-void Trainer::MergeOneShard(size_t shard) {
-  shard_grads_[shard]->ForEach(
-      [&](size_t block, int64_t row, std::span<const float> src) {
-        // GradFor registers the row on first touch (zero-filled), so the
-        // streaming merge needs no separate registration pass.
-        Axpy(1.0f, src, grads_->GradFor(block, row));
-      });
-}
-
-void Trainer::StreamingMergeShard(size_t shard) {
-  {
-    MutexLock lock(merge_mutex_);
-    merge_queue_[merge_queue_size_++] = shard;
-    if (merge_active_) return;  // The active merger will drain this too.
-    merge_active_ = true;
-  }
-  // This task now owns grads_ exclusively; drain until the queue is
-  // empty. The mutex hand-off orders every merge after the previous one,
-  // so the accumulator is never written concurrently (race-free) — only
-  // the shard summation ORDER depends on completion timing, which is
-  // exactly the documented deterministic=false trade.
-  for (;;) {
-    size_t next;
-    {
-      MutexLock lock(merge_mutex_);
-      if (merge_cursor_ == merge_queue_size_) {
-        merge_active_ = false;
-        return;
-      }
-      next = merge_queue_[merge_cursor_++];
-    }
-    MergeOneShard(next);
-  }
-}
-
 void Trainer::SampleTrampoline(void* ctx, size_t begin, size_t end) {
   auto* sample = static_cast<SampleCtx*>(ctx);
   Stopwatch watch;
@@ -289,18 +301,9 @@ void Trainer::SampleTrampoline(void* ctx, size_t begin, size_t end) {
 
 void Trainer::ComputeTrampoline(void* ctx, size_t begin, size_t end) {
   auto* trainer = static_cast<Trainer*>(ctx);
-  for (size_t s = begin; s < end; ++s) {
-    {
-      Stopwatch watch;
-      trainer->ComputeShard(s);
-      trainer->AddStageNanos(kStageScore, watch.ElapsedSeconds());
-    }
-    if (trainer->streaming_merge_) {
-      Stopwatch watch;
-      trainer->StreamingMergeShard(s);
-      trainer->AddStageNanos(kStageMerge, watch.ElapsedSeconds());
-    }
-  }
+  Stopwatch watch;
+  for (size_t s = begin; s < end; ++s) trainer->ComputeShard(s);
+  trainer->AddStageNanos(kStageScore, watch.ElapsedSeconds());
 }
 
 void Trainer::ScheduleSampling(size_t batch_index) {
@@ -318,39 +321,6 @@ void Trainer::ScheduleSampling(size_t batch_index) {
   for (size_t s = 0; s < shards; ++s) {
     pool_->ScheduleRange(group, &Trainer::SampleTrampoline, &ctx, s, s + 1);
   }
-}
-
-void Trainer::MergeShardGradients(size_t num_shards) {
-  // Register the union of touched rows serially (GradFor may insert, and
-  // inserts are not concurrent-safe); visiting shard 0's rows first makes
-  // the registration order independent of the thread count.
-  for (size_t s = 0; s < num_shards; ++s) {
-    shard_grads_[s]->ForEach(
-        [&](size_t block, int64_t row, std::span<const float>) {
-          grads_->GradFor(block, row);
-        });
-  }
-  // Accumulate each row over the shard buffers in shard order — the
-  // summation order per row never depends on which thread merges it.
-  auto merge_row = [this, num_shards](size_t block, int64_t row,
-                                      std::span<float> acc) {
-    for (size_t s = 0; s < num_shards; ++s) {
-      const std::span<const float> src = shard_grads_[s]->Find(block, row);
-      if (!src.empty()) Axpy(1.0f, src, acc);
-    }
-  };
-  constexpr size_t kMinRowsForParallel = 64;
-  const size_t workers = pool_->num_threads();
-  if (workers == 1 || grads_->NumTouchedRows() < kMinRowsForParallel) {
-    grads_->ForEachShardMut(0, 1, merge_row);
-    return;
-  }
-  pool_->StageFor(0, workers, [this, workers, &merge_row](size_t mb,
-                                                          size_t me) {
-    for (size_t m = mb; m < me; ++m) {
-      grads_->ForEachShardMut(m, workers, merge_row);
-    }
-  });
 }
 
 double Trainer::RunEpoch(const std::vector<Triple>& train_triples,
@@ -388,9 +358,8 @@ double Trainer::RunEpoch(const std::vector<Triple>& train_triples,
     shard_loss_.resize(max_shards);
     shard_examples_.resize(max_shards);
   }
-  {
-    MutexLock lock(merge_mutex_);
-    if (merge_queue_.size() < max_shards) merge_queue_.resize(max_shards);
+  if (step_sources_.size() < max_shards + 1) {
+    step_sources_.resize(max_shards + 1);
   }
 
   // Shard gradients run concurrently only for models whose
@@ -414,15 +383,7 @@ double Trainer::RunEpoch(const std::vector<Triple>& train_triples,
     cur_end_ = std::min(n, cur_begin_ + batch_size);
     const size_t shards =
         (cur_end_ - cur_begin_ + shard_size - 1) / shard_size;
-    grads_->Clear();
     model_->BeginBatch();
-    streaming_merge_ = !options_.deterministic && concurrent_shards;
-    if (streaming_merge_) {
-      MutexLock lock(merge_mutex_);
-      merge_queue_size_ = 0;
-      merge_cursor_ = 0;
-      merge_active_ = false;
-    }
     if (concurrent_shards) {
       for (size_t s = 0; s < shards; ++s) {
         pool_->ScheduleRange(&compute_group_, &Trainer::ComputeTrampoline,
@@ -435,29 +396,25 @@ double Trainer::RunEpoch(const std::vector<Triple>& train_triples,
       AddStageNanos(kStageScore, watch.ElapsedSeconds());
     }
     // This batch's sample buffer is free again: refill it with the batch
-    // `depth_` ahead while the merge/apply tail runs. (With depth 1 the
-    // prefetch still overlaps sampling with merge + apply.)
+    // `depth_` ahead while the step runs. (With depth 1 the prefetch
+    // still overlaps sampling with the step.)
     if (batch + depth_ < num_batches) ScheduleSampling(batch + depth_);
 
-    if (!streaming_merge_) {
-      Stopwatch watch;
-      MergeShardGradients(shards);
-      AddStageNanos(kStageMerge, watch.ElapsedSeconds());
-    }
     for (size_t s = 0; s < shards; ++s) {
       total_loss += shard_loss_[s];
       total_examples += shard_examples_[s];
+      step_sources_[s] = shard_grads_[s].get();
     }
-
-    total_loss += model_->FinishBatch(grads_.get());
+    finish_grads_->Clear();
+    total_loss += model_->FinishBatch(finish_grads_.get());
+    step_sources_[shards] = finish_grads_.get();
     {
       Stopwatch watch;
-      optimizer_->Apply(*grads_, pool_.get());
-      if (options_.unit_norm_entities) {
-        CollectTouchedRows(*grads_, 0, &touched_entities_);
-        model_->NormalizeEntities(touched_entities_);
-      }
-      AddStageNanos(kStageApply, watch.ElapsedSeconds());
+      StepOverShards(std::span<const GradientBuffer* const>(
+                         step_sources_.data(), shards + 1),
+                     model_, optimizer_.get(), options_.unit_norm_entities,
+                     pool_.get());
+      AddStageNanos(kStageStep, watch.ElapsedSeconds());
     }
   }
   epoch_triples_ = nullptr;
@@ -475,11 +432,10 @@ TrainStageStats Trainer::stage_stats() const {
   stats.score_seconds =
       double(stage_nanos_[kStageScore].load(std::memory_order_relaxed)) *
       1e-9;
-  stats.merge_seconds =
-      double(stage_nanos_[kStageMerge].load(std::memory_order_relaxed)) *
-      1e-9;
+  // The step pass merges and applies each row in one visit; its whole
+  // time is reported as apply, and merge stays 0.
   stats.apply_seconds =
-      double(stage_nanos_[kStageApply].load(std::memory_order_relaxed)) *
+      double(stage_nanos_[kStageStep].load(std::memory_order_relaxed)) *
       1e-9;
   stats.wall_seconds =
       double(wall_nanos_.load(std::memory_order_relaxed)) * 1e-9;

@@ -11,10 +11,10 @@
 // parameters (each shard draws from an independent
 // DeriveStreamSeed(seed, batch, shard) stream), so the overlap is
 // bit-identical to the unpipelined loop by construction — pipeline depth
-// and thread count can never change losses or final parameters. The only
-// overlap that cannot be deterministic — merging shard gradients in
-// completion order while later shards still score — is the opt-in
-// `deterministic = false` fast mode.
+// and thread count can never change losses or final parameters. A
+// batch's tail is one fork-join (StepOverShards): each worker sums its
+// rows' shard gradients in shard order, applies the optimizer's row
+// update and the unit-norm constraint, one row at a time.
 #ifndef KGE_TRAIN_TRAINER_H_
 #define KGE_TRAIN_TRAINER_H_
 
@@ -31,7 +31,6 @@
 #include "train/train_loop.h"
 #include "util/hotpath.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace kge {
@@ -47,12 +46,12 @@ enum class LossKind {
 
 // True worst-case distinct gradient rows per block for `positives`
 // examples with `negatives` corruptions each: head + tail rows per
-// positive, one fresh corrupted entity per negative, plus one auxiliary
-// row (a model's shared weight row accumulated in FinishBatch). Used to
-// pre-Reserve every GradientBuffer so the steady state — at any thread
-// count — performs zero heap allocations.
+// positive and one fresh corrupted entity per negative. Used to
+// pre-Reserve every shard GradientBuffer (Reserve caps it at each
+// block's row count) so the steady state — at any thread count —
+// performs zero heap allocations.
 constexpr size_t WorstCaseGradRows(size_t positives, size_t negatives) {
-  return positives * (2 + negatives) + 1;
+  return positives * (2 + negatives);
 }
 
 struct TrainerOptions {
@@ -95,8 +94,9 @@ struct TrainerOptions {
   // Worker threads; 0 auto-detects std::thread::hardware_concurrency()
   // (ResolveNumThreads). Every batch is split into fixed virtual shards
   // of `grad_shard_size` positives, each with an independent seed-derived
-  // sampling stream and its own gradient buffer; shard gradients are
-  // merged in shard order and applied with per-row-independent updates.
+  // sampling stream and its own gradient buffer; each row's shard
+  // gradients are summed in shard order and applied with a
+  // per-row-independent update.
   // Threads only decide how many shards run concurrently, so epoch
   // losses and final parameters are bit-identical for every num_threads.
   // Models whose AccumulateGradients is not thread-safe
@@ -109,17 +109,9 @@ struct TrainerOptions {
   int grad_shard_size = 64;
   // Batches whose negative samples may be in flight at once (1–3).
   // Depth d > 1 overlaps sampling of batches N+1..N+d-1 with the
-  // score/merge/apply stages of batch N. Sampling streams are keyed by
+  // score and step stages of batch N. Sampling streams are keyed by
   // batch index, never by schedule, so the depth cannot change results.
   int pipeline_depth = 2;
-  // When false AND the model supports parallel gradients, shard
-  // gradients are merged into the batch accumulator in completion order
-  // (streaming, overlapped with later shards' scoring) instead of shard
-  // order. Race-free, but float summation order then depends on thread
-  // timing, so results are only equivalent to ~ulp precision — see the
-  // loss-curve-equivalence test. The default keeps the bit-identical
-  // shard-order merge.
-  bool deterministic = true;
   // Durable checkpointing + exact resume (off unless `dir` is set) and
   // non-finite-loss rollback; see train/train_checkpoint.h.
   CheckpointingOptions checkpointing;
@@ -128,6 +120,25 @@ struct TrainerOptions {
 
 // TrainResult and ValidationFn live in train/train_loop.h (the epoch
 // loop shared with OneVsAllTrainer).
+
+// One optimizer step over a batch whose gradients are spread over
+// `sources` — the shard buffers in shard order, then the buffer
+// FinishBatch wrote — as one fork-join on `pool`. Rows are partitioned
+// by GradientBuffer::ShardOfRow; a partition visits each of its rows
+// once, at the first source holding it, and there
+//   * sums the row over `sources` in order into a zeroed scratch row:
+//     the adds, in the order, of a shard-order merge into a master
+//     buffer;
+//   * applies optimizer->UpdateRow (after one BeginStep for the batch);
+//   * with `unit_norm_entities`, normalizes an entity row (block 0)
+//     through model.NormalizeEntityRow while it is still in cache.
+// Then, with `unit_norm_entities`, model->NormalizeAfterStep(). Each
+// row's arithmetic is independent of the partition, so the result is
+// bit-identical for every pool size.
+KGE_HOT_NOALLOC
+void StepOverShards(std::span<const GradientBuffer* const> sources,
+                    KgeModel* model, Optimizer* optimizer,
+                    bool unit_norm_entities, ThreadPool* pool);
 
 class Trainer {
  public:
@@ -184,15 +195,6 @@ class Trainer {
   // gradients from the presampled negatives of the current batch.
   KGE_HOT_NOALLOC
   void ComputeShard(size_t shard);
-  // Fast-mode merge stage: enqueues `shard` for merging; at most one
-  // task drains the queue at a time (merge_mutex_ hands the accumulator
-  // off), overlapping the merge with later shards' scoring.
-  KGE_HOT_NOALLOC
-  void StreamingMergeShard(size_t shard) KGE_EXCLUDES(merge_mutex_);
-  // Adds one shard buffer's rows into grads_ (registering new rows —
-  // only ever called with the accumulator owned exclusively).
-  KGE_HOT_NOALLOC
-  void MergeOneShard(size_t shard);
 
   // Resizes + schedules the sample-stage tasks for `batch_index` into
   // its buffer's completion group.
@@ -211,13 +213,6 @@ class Trainer {
                     size_t end, std::span<const Triple> negatives,
                     GradientBuffer* grads, double* loss,
                     size_t* examples) const;
-  // Adds shard buffers [0, num_shards)'s gradients into grads_: rows are
-  // registered serially, then accumulated with simd::Axpy in shard order
-  // per row, hash-partitioned across the pool. Bit-identical for every
-  // thread count.
-  KGE_HOT_NOALLOC
-  void MergeShardGradients(size_t num_shards);
-
   void AddStageNanos(int stage, double seconds) {
     stage_nanos_[stage].fetch_add(int64_t(seconds * 1e9),
                                   std::memory_order_relaxed);
@@ -226,18 +221,21 @@ class Trainer {
   KgeModel* model_;
   TrainerOptions options_;
   std::unique_ptr<Optimizer> optimizer_;
-  std::unique_ptr<GradientBuffer> grads_;
-  // Worker pool for the pipeline stages, the merge, and the optimizer
-  // apply. Always constructed; 1 thread means "run inline".
+  // The rows FinishBatch writes (a model's batch-level gradients): the
+  // step's last source after the shard buffers.
+  std::unique_ptr<GradientBuffer> finish_grads_;
+  // Worker pool for the pipeline stages and the step pass. Always
+  // constructed; 1 thread means "run inline".
   std::unique_ptr<ThreadPool> pool_;
   // Per-virtual-shard state, grown to the epoch high-water shard count.
   std::vector<std::unique_ptr<GradientBuffer>> shard_grads_;
   std::vector<double> shard_loss_;
   std::vector<size_t> shard_examples_;
+  // The current batch's step sources: shard buffers, then finish_grads_.
+  std::vector<const GradientBuffer*> step_sources_;
   uint64_t batch_counter_ = 0;
   // Epoch-level scratch reused across epochs (zero steady-state allocs).
   std::vector<size_t> order_;
-  std::vector<EntityId> touched_entities_;
   std::vector<ParameterBlock*> blocks_;
 
   // ---- Pipeline state ----
@@ -256,18 +254,9 @@ class Trainer {
   size_t cur_batch_index_ = 0;
   size_t cur_begin_ = 0;
   size_t cur_end_ = 0;
-  bool streaming_merge_ = false;
 
-  // Fast-mode streaming merge: completed shard indices queue up here;
-  // exactly one task at a time owns grads_ and drains the queue.
-  Mutex merge_mutex_;
-  std::vector<size_t> merge_queue_ KGE_GUARDED_BY(merge_mutex_);
-  size_t merge_queue_size_ KGE_GUARDED_BY(merge_mutex_) = 0;
-  size_t merge_cursor_ KGE_GUARDED_BY(merge_mutex_) = 0;
-  bool merge_active_ KGE_GUARDED_BY(merge_mutex_) = false;
-
-  // Stage timing (sample/score/merge/apply; see TrainStageStats).
-  std::atomic<int64_t> stage_nanos_[4] = {};
+  // Stage timing (sample/score/step; see TrainStageStats).
+  std::atomic<int64_t> stage_nanos_[3] = {};
   std::atomic<int64_t> wall_nanos_{0};
 };
 

@@ -17,7 +17,7 @@
 //     WaitStage(group) waits for exactly that group's tasks — other
 //     stages keep flowing through the pool concurrently. This is what
 //     lets the trainers overlap sampling of batch N+1 with the
-//     score/merge/apply stages of batch N without a global barrier.
+//     score and step stages of batch N without a global barrier.
 //
 // Both Wait flavors may be called from inside a pool task (nested
 // parallelism): the calling thread helps drain the queue while it waits,

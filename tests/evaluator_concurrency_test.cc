@@ -222,7 +222,7 @@ class NaiveReferenceModel : public KgeModel {
 
   std::vector<ParameterBlock*> Blocks() override { return {}; }
   void AccumulateGradients(const Triple&, float, GradientBuffer*) override {}
-  void NormalizeEntities(std::span<const EntityId>) override {}
+  int32_t EntityVectorDim() const override { return 1; }
   void InitParameters(uint64_t) override {}
 
  private:

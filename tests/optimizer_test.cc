@@ -315,20 +315,6 @@ TEST(OptimizerTest, LoadStateRejectsWrongOptimizerKind) {
   std::remove(path.c_str());
 }
 
-TEST(ConstraintsTest, CollectTouchedRowsFiltersByBlock) {
-  ParameterBlock a("a", 10, 2);
-  ParameterBlock b("b", 10, 2);
-  GradientBuffer grads({&a, &b});
-  grads.GradFor(0, 3);
-  grads.GradFor(0, 7);
-  grads.GradFor(1, 5);
-  std::vector<EntityId> touched;
-  CollectTouchedRows(grads, 0, &touched);
-  ASSERT_EQ(touched.size(), 2u);
-  EXPECT_EQ(touched[0], 3);
-  EXPECT_EQ(touched[1], 7);
-}
-
 TEST(ConstraintsTest, L2RegularizerLossAndGradient) {
   ParameterBlock block("x", 2, 2);
   block.Row(0)[0] = 3.0f;

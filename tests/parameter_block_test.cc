@@ -2,10 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <map>
+#include <new>
 
 #include "math/vec_ops.h"
+
+// Counts operator-new calls so a test can assert a code region allocates
+// nothing. Sanitizers intercept operator new themselves, so the counter
+// (and the assertions on it) compile out under ASan/TSan.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define KGE_COUNT_ALLOCS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define KGE_COUNT_ALLOCS 0
+#else
+#define KGE_COUNT_ALLOCS 1
+#endif
+#else
+#define KGE_COUNT_ALLOCS 1
+#endif
+
+#if KGE_COUNT_ALLOCS
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+// Kept out of line: inlined into the containers' (de)allocate, the
+// malloc()/free() pairs read to GCC as mismatched new/delete.
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif  // KGE_COUNT_ALLOCS
 
 namespace kge {
 namespace {
@@ -231,6 +270,36 @@ TEST(GradientBufferTest, TableGrowthPreservesAccumulators) {
     EXPECT_EQ(g[1], 1.0f) << "row " << row;
   }
   EXPECT_EQ(first.data(), grads.Find(0, 0).data());  // span stayed valid
+}
+
+TEST(GradientBufferTest, ReserveIsCappedAtEachBlocksRowCount) {
+  // A batch-sized reservation must not pool more rows than a small
+  // block (a relation table) has — and touching every row of every block
+  // must still allocate nothing.
+  ParameterBlock entities("entities", 500, 8);
+  ParameterBlock relations("relations", 18, 8);
+  GradientBuffer grads({&entities, &relations});
+  grads.Reserve(300);
+  EXPECT_EQ(grads.PooledRows(0), 300u);
+  EXPECT_EQ(grads.PooledRows(1), 18u);
+
+  grads.Reserve(3000);  // more than either block has
+  EXPECT_EQ(grads.PooledRows(0), 500u);
+  EXPECT_EQ(grads.PooledRows(1), 18u);
+#if KGE_COUNT_ALLOCS
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+#endif
+  for (int round = 0; round < 2; ++round) {
+    grads.Clear();
+    for (int64_t row = 0; row < 500; ++row) grads.GradFor(0, row)[0] += 1.0f;
+    for (int64_t row = 0; row < 18; ++row) grads.GradFor(1, row)[0] += 1.0f;
+  }
+#if KGE_COUNT_ALLOCS
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
+#endif
+  EXPECT_EQ(grads.NumTouchedRows(), 518u);
+  EXPECT_EQ(grads.PooledRows(0), 500u);
+  EXPECT_EQ(grads.PooledRows(1), 18u);
 }
 
 }  // namespace

@@ -18,6 +18,8 @@
 #include "math/simd.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -662,6 +664,64 @@ TEST(SimdTest, HandlesUnalignedPointers) {
     const double expected = ref::Dot(a.data() + off, b.data() + off, n);
     EXPECT_NEAR(Dot(a.data() + off, b.data() + off, n), expected,
                 kReassocTol);
+  }
+}
+
+// The optimizer row kernels are their optimizers' one update definition:
+// pinned bit for bit to simd::ref at every length 0..67 (each vector
+// remainder class), at unaligned offsets, for ordinary, zero and huge
+// gradients (huge ones overflow g·g to inf, so inf/NaN patterns must
+// match too). Bitwise compares also catch writes outside [0, n).
+TEST(SimdTest, OptimizerRowKernelsMatchRefBitExactly) {
+  const auto same_bits = [](const std::vector<float>& a,
+                            const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  AdamRowStep adam;
+  adam.lr = 0.01 * std::sqrt(1.0 - 0.999 * 0.999) / (1.0 - 0.9 * 0.9);
+  adam.eps = double(1e-8f);
+  Rng rng(61);
+  for (size_t n = 0; n <= 67; ++n) {
+    for (const size_t off : {size_t(0), size_t(1), size_t(3)}) {
+      for (const float magnitude : {1.0f, 0.0f, 3e38f}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " off=" +
+                     std::to_string(off) + " |g|=" + std::to_string(magnitude));
+        const size_t len = n + off + 2;
+        std::vector<float> g = RandomVector(&rng, len);
+        for (float& x : g) x *= magnitude;
+        std::vector<float> p = RandomVector(&rng, len);
+        std::vector<float> m = RandomVector(&rng, len);
+        std::vector<float> v = RandomVector(&rng, len);
+        for (float& x : v) x = std::abs(x);
+
+        std::vector<float> p_ref = p;
+        SgdRow(0.05f, g.data() + off, p.data() + off, n);
+        ref::SgdRow(0.05f, g.data() + off, p_ref.data() + off, n);
+        EXPECT_TRUE(same_bits(p, p_ref)) << "SgdRow";
+
+        std::vector<float> acc = v;
+        std::vector<float> acc_ref = v;
+        p_ref = p;
+        AdagradRow(0.05f, 1e-8f, g.data() + off, acc.data() + off,
+                   p.data() + off, n);
+        ref::AdagradRow(0.05f, 1e-8f, g.data() + off, acc_ref.data() + off,
+                        p_ref.data() + off, n);
+        EXPECT_TRUE(same_bits(acc, acc_ref)) << "AdagradRow acc";
+        EXPECT_TRUE(same_bits(p, p_ref)) << "AdagradRow p";
+
+        std::vector<float> m_ref = m;
+        std::vector<float> v_ref = v;
+        p_ref = p;
+        AdamRow(adam, g.data() + off, m.data() + off, v.data() + off,
+                p.data() + off, n);
+        ref::AdamRow(adam, g.data() + off, m_ref.data() + off,
+                     v_ref.data() + off, p_ref.data() + off, n);
+        EXPECT_TRUE(same_bits(m, m_ref)) << "AdamRow m";
+        EXPECT_TRUE(same_bits(v, v_ref)) << "AdamRow v";
+        EXPECT_TRUE(same_bits(p, p_ref)) << "AdamRow p";
+      }
+    }
   }
 }
 

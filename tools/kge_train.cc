@@ -93,13 +93,8 @@ int Run(int argc, char** argv) {
   parser.AddInt("pipeline-depth", &pipeline_depth,
                 "training batches in flight (1-3): depth d overlaps "
                 "negative sampling of the next d-1 batches with "
-                "score/merge/apply (results are identical for every "
-                "depth)");
-  bool fast_merge = false;
-  parser.AddBool("fast-merge", &fast_merge,
-                 "merge shard gradients in completion order, overlapped "
-                 "with scoring (deterministic=false fast mode: results "
-                 "vary at float rounding level across runs/threads)");
+                "scoring and the optimizer step (results are identical "
+                "for every depth)");
   parser.AddDouble("learning-rate", &learning_rate, "optimizer step size");
   parser.AddDouble("l2-lambda", &l2_lambda, "L2 regularization strength");
   parser.AddString("optimizer", &optimizer, "sgd | adagrad | adam");
@@ -208,13 +203,11 @@ int Run(int argc, char** argv) {
   options.log_every_epochs = 20;
   options.num_threads = int(train_threads);
   options.pipeline_depth = int(pipeline_depth);
-  options.deterministic = !fast_merge;
   const size_t resolved_train_threads = ResolveNumThreads(int(train_threads));
-  std::printf("train threads: %zu%s, pipeline depth %d%s\n",
+  std::printf("train threads: %zu%s, pipeline depth %d\n",
               resolved_train_threads,
               train_threads == 0 ? " (auto-detected)" : "",
-              int(pipeline_depth),
-              fast_merge ? ", fast (non-deterministic) merge" : "");
+              int(pipeline_depth));
   options.checkpointing.dir = checkpoint_dir;
   options.checkpointing.every_epochs = int(checkpoint_every);
   options.checkpointing.keep_last = int(keep_last);
