@@ -32,6 +32,12 @@
 // tiers against double on a briefly-trained model. CI jq-gates the
 // drift deltas and the zero-allocation contract per tier.
 //
+// BENCH_serving.json covers kge_serve's batcher and socket paths, the
+// multi-lane pruned walk at the scale tiers, and an "adoption" section:
+// the two passes a snapshot adoption makes over the table (the mapped
+// load's CRC and the tile bounds), inline and on a 4-lane batcher's
+// pool, with a bit-identity check.
+//
 // "meta" records the ISA the binary dispatches to (scalar / avx2+fma /
 // neon), compiler, and workload shape, so JSON files from different
 // builds are self-describing. CI runs this with --quick and validates
@@ -46,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <new>
@@ -1690,6 +1697,136 @@ ServeScaleReport BenchServingScale(const PerfConfig& config) {
   return report;
 }
 
+// ---- Snapshot adoption on the lane pool (serving.adoption) -----------------
+//
+// What kge_serve does to adopt a snapshot, at start-up and on every hot
+// swap, timed inline (no pool: --shards=1) and on the pool of a 4-lane
+// batcher (MicroBatcher::lane_pool(), as kge_serve passes it): the
+// mapped load's whole-file CRC (MappedCheckpoint::LoadInto on a fresh
+// mapping, so its time includes the first touch of the mapped pages,
+// plus the O(blocks) header walk) and the tile-bound pass
+// (ScoringReplica::EnsureBoundsFresh). The tables are the shapes the
+// benchmark's hot-swap and 1M workloads adopt.
+
+struct AdoptionRow {
+  int64_t entities = 0;
+  int64_t dim = 0;
+  double file_mb = 0.0;
+  double crc_ms_1t = 0.0;
+  double crc_ms_lanes = 0.0;
+  double bounds_ms_1t = 0.0;
+  double bounds_ms_lanes = 0.0;
+  double crc_gb_per_s_1t = 0.0;
+  double crc_gb_per_s_lanes = 0.0;
+  double bounds_gb_per_s_1t = 0.0;
+  double bounds_gb_per_s_lanes = 0.0;
+  // The pooled CRC equals the serial one, both loads pass it, and the
+  // pooled bounds equal the inline ones bit for bit.
+  bool bit_identical = false;
+};
+
+struct AdoptionReport {
+  int lanes = 4;
+  size_t pool_threads = 0;
+  int reps = 0;
+  std::vector<AdoptionRow> rows;
+};
+
+AdoptionRow BenchAdoptionTier(int64_t entities, int64_t dim, int reps,
+                              ThreadPool* pool, const std::string& dir) {
+  AdoptionRow row;
+  row.entities = entities;
+  row.dim = dim;
+  const std::string path = dir + "/adopt_" + std::to_string(entities) +
+                           "x" + std::to_string(dim) + ".kge2";
+  {
+    std::unique_ptr<MultiEmbeddingModel> model =
+        MakeSkewedDistMult(int32_t(entities), int32_t(dim));
+    KGE_CHECK_OK(SaveModelCheckpoint(*model, path));
+  }
+  Result<std::string> bytes = ReadFileToString(path);
+  KGE_CHECK_OK(bytes.status());
+  const double file_bytes = double(bytes->size());
+  row.file_mb = file_bytes / 1e6;
+  row.bit_identical =
+      Crc32cOnPool(bytes->data(), bytes->size(), pool) ==
+      Crc32c(bytes->data(), bytes->size());
+  bytes = std::string();
+
+  std::vector<double> crc_ms[2];
+  std::vector<double> bounds_ms[2];
+  std::vector<float> bounds[2];
+  for (int rep = 0; rep < reps; ++rep) {
+    // Alternate which side goes first, so neither always meets a warmer
+    // cache.
+    for (int turn = 0; turn < 2; ++turn) {
+      const int side = (rep + turn) % 2;  // 0 inline, 1 pooled
+      ThreadPool* use = side == 1 ? pool : nullptr;
+      std::unique_ptr<MultiEmbeddingModel> model =
+          MakeDistMult(int32_t(entities), 8, int32_t(dim), std::nullopt);
+      Result<std::unique_ptr<MappedCheckpoint>> mapping =
+          MappedCheckpoint::Open(path);
+      KGE_CHECK_OK(mapping.status());
+      Stopwatch watch;
+      const Status loaded = (*mapping)->LoadInto(model.get(), use);
+      crc_ms[side].push_back(watch.ElapsedMillis());
+      if (!loaded.ok()) row.bit_identical = false;
+      ScoringReplica replica(model->entity_store().block());
+      watch.Restart();
+      replica.EnsureBoundsFresh(ScorePrecision::kDouble, use);
+      bounds_ms[side].push_back(watch.ElapsedMillis());
+      const std::span<const float> built =
+          replica.TileBounds(ScorePrecision::kDouble);
+      if (rep == 0) bounds[side].assign(built.begin(), built.end());
+      model.reset();  // before its mapping
+    }
+  }
+  row.bit_identical =
+      row.bit_identical && bounds[0].size() == bounds[1].size() &&
+      std::memcmp(bounds[0].data(), bounds[1].data(),
+                  bounds[0].size() * sizeof(float)) == 0;
+  row.crc_ms_1t = PercentileMs(&crc_ms[0], 0.5);
+  row.crc_ms_lanes = PercentileMs(&crc_ms[1], 0.5);
+  row.bounds_ms_1t = PercentileMs(&bounds_ms[0], 0.5);
+  row.bounds_ms_lanes = PercentileMs(&bounds_ms[1], 0.5);
+  const double table_bytes = double(entities) * double(dim) * sizeof(float);
+  row.crc_gb_per_s_1t = file_bytes / (row.crc_ms_1t * 1e6);
+  row.crc_gb_per_s_lanes = file_bytes / (row.crc_ms_lanes * 1e6);
+  row.bounds_gb_per_s_1t = table_bytes / (row.bounds_ms_1t * 1e6);
+  row.bounds_gb_per_s_lanes = table_bytes / (row.bounds_ms_lanes * 1e6);
+  std::remove(path.c_str());
+  return row;
+}
+
+AdoptionReport BenchAdoption(const PerfConfig& config) {
+  AdoptionReport report;
+  report.reps = config.quick ? 3 : 7;
+  // The pool kge_serve --shards=4 adopts on: the batcher's own.
+  SnapshotRegistry registry;
+  BatcherOptions options;
+  options.num_shards = report.lanes;
+  MicroBatcher batcher(&registry, options);
+  batcher.Start();
+  ThreadPool* pool = batcher.lane_pool();
+  KGE_CHECK(pool != nullptr);
+  report.pool_threads = pool->num_threads();
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "kge_adoption.XXXXXX")
+          .string();
+  KGE_CHECK(::mkdtemp(dir.data()) != nullptr);
+  const std::vector<std::pair<int64_t, int64_t>> tiers =
+      config.quick ? std::vector<std::pair<int64_t, int64_t>>{{20000, 64}}
+                   : std::vector<std::pair<int64_t, int64_t>>{
+                         {kWordNetScaleMedium, 256}, {kWordNetScaleXl, 64}};
+  for (const auto& [entities, dim] : tiers) {
+    report.rows.push_back(
+        BenchAdoptionTier(entities, dim, report.reps, pool, dir));
+  }
+  batcher.Stop();
+  ::rmdir(dir.c_str());
+  return report;
+}
+
 // ---- JSON ------------------------------------------------------------------
 
 std::string JsonNumber(double v) {
@@ -1941,7 +2078,8 @@ std::string BuildEvalJson(const PerfConfig& config,
 
 std::string BuildServingJson(const PerfConfig& config,
                              const ServingReport& report,
-                             const ServeScaleReport& scaling) {
+                             const ServeScaleReport& scaling,
+                             const AdoptionReport& adoption) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"schema_version\": 1,\n";
@@ -2010,6 +2148,30 @@ std::string BuildServingJson(const PerfConfig& config,
     }
     out << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false")
         << "}" << (i + 1 < scaling.rows.size() ? "," : "") << "\n";
+  }
+  out << "      ]\n";
+  out << "    },\n";
+  out << "    \"adoption\": {\n";
+  out << "      \"model\": \"DistMult\",\n";
+  out << "      \"lanes\": " << adoption.lanes << ",\n";
+  out << "      \"pool_threads\": " << adoption.pool_threads << ",\n";
+  out << "      \"reps\": " << adoption.reps << ",\n";
+  out << "      \"tiers\": [\n";
+  for (size_t i = 0; i < adoption.rows.size(); ++i) {
+    const AdoptionRow& r = adoption.rows[i];
+    out << "        {\"entities\": " << r.entities << ", \"dim\": " << r.dim
+        << ", \"file_mb\": " << JsonNumber(r.file_mb)
+        << ", \"crc_ms_1t\": " << JsonNumber(r.crc_ms_1t)
+        << ", \"crc_ms_lanes\": " << JsonNumber(r.crc_ms_lanes)
+        << ", \"crc_gb_per_s_1t\": " << JsonNumber(r.crc_gb_per_s_1t)
+        << ", \"crc_gb_per_s_lanes\": " << JsonNumber(r.crc_gb_per_s_lanes)
+        << ", \"bounds_ms_1t\": " << JsonNumber(r.bounds_ms_1t)
+        << ", \"bounds_ms_lanes\": " << JsonNumber(r.bounds_ms_lanes)
+        << ", \"bounds_gb_per_s_1t\": " << JsonNumber(r.bounds_gb_per_s_1t)
+        << ", \"bounds_gb_per_s_lanes\": "
+        << JsonNumber(r.bounds_gb_per_s_lanes) << ", \"bit_identical\": "
+        << (r.bit_identical ? "true" : "false") << "}"
+        << (i + 1 < adoption.rows.size() ? "," : "") << "\n";
   }
   out << "      ]\n";
   out << "    }\n";
@@ -2192,6 +2354,17 @@ int Run(int argc, char** argv) {
                   << (row.bit_identical ? "bit-identical" : "MISMATCH");
   }
 
+  KGE_LOG(Info) << "benchmarking snapshot adoption (CRC + tile bounds)...";
+  const AdoptionReport adoption = BenchAdoption(config);
+  for (const AdoptionRow& row : adoption.rows) {
+    KGE_LOG(Info) << "  " << row.entities << "x" << row.dim << ": crc "
+                  << row.crc_ms_1t << " -> " << row.crc_ms_lanes
+                  << " ms, bounds " << row.bounds_ms_1t << " -> "
+                  << row.bounds_ms_lanes << " ms on " << adoption.lanes
+                  << " lanes, "
+                  << (row.bit_identical ? "bit-identical" : "MISMATCH");
+  }
+
   const std::string json = BuildJson(config, kernels, ranking, eval);
   std::ofstream file(config.out);
   if (!file) {
@@ -2221,7 +2394,7 @@ int Run(int argc, char** argv) {
   KGE_LOG(Info) << "wrote " << config.eval_out;
 
   const std::string serving_json =
-      BuildServingJson(config, serving, serve_scaling);
+      BuildServingJson(config, serving, serve_scaling, adoption);
   std::ofstream serving_file(config.serve_out);
   if (!serving_file) {
     KGE_LOG(Error) << "cannot write " << config.serve_out;

@@ -10,9 +10,10 @@
 #   2. serves an older checkpoint and answers a query over TCP,
 #   3. repoints LATEST at a newer checkpoint and waits for the watcher
 #      to hot-swap (snapshot_version bumps in responses),
-#   4. repoints LATEST at a corrupt checkpoint and checks it is
-#      quarantined (renamed to *.quarantine) while queries keep being
-#      answered from the last good snapshot,
+#   4. repoints LATEST at a corrupt checkpoint (one byte flipped past
+#      the first CRC chunk) and checks it is quarantined (renamed to
+#      *.quarantine) while queries keep being answered from the last
+#      good snapshot,
 #   5. kills the server with SIGKILL and restarts it against the same
 #      directory, checking it resumes from the newest CRC-valid
 #      checkpoint even though LATEST still names the quarantined file,
@@ -20,6 +21,11 @@
 #      is refused at load (exit 1): kge_serve sizes a generated wordnet
 #      vocabulary from --entities without generating it, so the
 #      checkpoint's shape check is what keeps a mismatched table out.
+#
+# Legs 2-5 serve with --shards=4 --prune, so every adoption (start-up,
+# hot swap, the quarantined file, the restart) checksums the ~4.6 MB
+# training checkpoints in 1 MiB chunks and builds the tile bounds on the
+# scan lanes' pool.
 #
 # Usage: scripts/serve_smoke.sh [BUILD_DIR]
 #   BUILD_DIR  build tree with kge_train/kge_serve/kge_query (default build)
@@ -69,8 +75,8 @@ expect_usage_error "--entities must be between 200" --generate=freebase \
     --entities=150
 
 CKPTS="${WORK_DIR}/ckpts"
-MODEL_ARGS=(--model=complex --generate=wordnet --entities=300
-            --dim-budget=32 --seed=7)
+MODEL_ARGS=(--model=complex --generate=wordnet --entities=3000
+            --dim-budget=128 --seed=7)
 
 echo "== training checkpoints =="
 "${TRAIN}" "${MODEL_ARGS[@]}" --max-epochs=4 --eval-every=100 \
@@ -85,8 +91,8 @@ fi
 start_server() {
   : > "${WORK_DIR}/serve.log"
   "${SERVE}" "${MODEL_ARGS[@]}" --checkpoint-dir="${CKPTS}" \
-      --watch-latest --poll-ms=50 --port=0 --deadline-ms=5000 \
-      >> "${WORK_DIR}/serve.log" 2>&1 &
+      --shards=4 --prune --watch-latest --poll-ms=50 --port=0 \
+      --deadline-ms=5000 >> "${WORK_DIR}/serve.log" 2>&1 &
   SERVER_PID=$!
   disown "${SERVER_PID}"  # silence bash's job notice on the SIGKILL leg
   PORT=""
@@ -133,7 +139,21 @@ printf 'ckpt_4.kge2\n' > "${CKPTS}/LATEST"
 await_snapshot 2
 
 echo "== corrupt checkpoint is quarantined, serving continues =="
-head -c 512 "${CKPTS}/ckpt_4.kge2" > "${CKPTS}/ckpt_9.kge2"
+# A copy of ckpt_4 with one byte flipped in its second 1 MiB CRC chunk,
+# which a pool thread checksums.
+FLIP_AT=1100000
+if (( $(stat -c %s "${CKPTS}/ckpt_4.kge2") <= FLIP_AT )); then
+  echo "serve_smoke: ckpt_4 is too small to corrupt past its first chunk" >&2
+  exit 1
+fi
+cp "${CKPTS}/ckpt_4.kge2" "${CKPTS}/ckpt_9.kge2"
+byte="$(od -An -tu1 -j "${FLIP_AT}" -N1 "${CKPTS}/ckpt_9.kge2" | tr -d ' ')"
+printf "\\$(printf '%03o' $(( byte ^ 1 )))" |
+  dd of="${CKPTS}/ckpt_9.kge2" bs=1 seek="${FLIP_AT}" conv=notrunc status=none
+if cmp -s "${CKPTS}/ckpt_4.kge2" "${CKPTS}/ckpt_9.kge2"; then
+  echo "serve_smoke: failed to corrupt the checkpoint copy" >&2
+  exit 1
+fi
 printf 'ckpt_9.kge2\n' > "${CKPTS}/LATEST"
 for _ in $(seq 1 100); do
   if [[ -f "${CKPTS}/ckpt_9.kge2.quarantine" ]]; then break; fi
@@ -162,12 +182,12 @@ await_snapshot 1
 
 echo "== a vocabulary that does not match the checkpoint is refused =="
 status=0
-"${SERVE}" "${MODEL_ARGS[@]}" --entities=301 \
+"${SERVE}" "${MODEL_ARGS[@]}" --entities=3001 \
     --checkpoint="${CKPTS}/ckpt_4.kge2" --port=0 \
     > "${WORK_DIR}/mismatch.log" 2>&1 || status=$?
 if [[ "${status}" != 1 ]] ||
     ! grep -q "cannot load a serving checkpoint" "${WORK_DIR}/mismatch.log"; then
-  echo "serve_smoke: --entities=301 on a 300-entity checkpoint exited ${status}, want 1" >&2
+  echo "serve_smoke: --entities=3001 on a 3000-entity checkpoint exited ${status}, want 1" >&2
   cat "${WORK_DIR}/mismatch.log" >&2
   exit 1
 fi

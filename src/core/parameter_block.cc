@@ -1,5 +1,7 @@
 #include "core/parameter_block.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -8,13 +10,38 @@
 
 namespace kge {
 
+void ParameterBlock::StorageDeleter::operator()(float* p) const {
+  if (mapped_bytes != 0) {
+    ::munmap(p, mapped_bytes);
+  } else {
+    std::free(p);
+  }
+}
+
 ParameterBlock::ParameterBlock(std::string name, int64_t num_rows,
                                int64_t row_dim)
     : name_(std::move(name)), num_rows_(num_rows), row_dim_(row_dim) {
   KGE_CHECK(num_rows_ >= 0 && row_dim_ > 0);
   const size_t count = static_cast<size_t>(num_rows_ * row_dim_);
-  data_.reset(static_cast<float*>(std::calloc(count, sizeof(float))));
-  KGE_CHECK(data_ != nullptr || count == 0);
+  const size_t bytes = count * sizeof(float);
+  if (bytes >= kMappedStorageBytes) {
+    // Not calloc: glibc raises its mmap threshold to the size of each
+    // mapped chunk it frees, so after the first large table is freed
+    // the next one would come from the heap, resident or not.
+    void* storage = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    KGE_CHECK(storage != MAP_FAILED);
+    // A fresh table is written whole by its initializer: with huge pages
+    // that costs a fault per 2 MiB instead of per 4 KiB (and fewer TLB
+    // misses after). Advice only; untouched pages stay unmapped either
+    // way.
+    ::madvise(storage, bytes, MADV_HUGEPAGE);
+    data_ = std::unique_ptr<float[], StorageDeleter>(
+        static_cast<float*>(storage), StorageDeleter(bytes));
+  } else {
+    data_.reset(static_cast<float*>(std::calloc(count, sizeof(float))));
+    KGE_CHECK(data_ != nullptr || count == 0);
+  }
 }
 
 std::span<float> ParameterBlock::Row(int64_t row) {

@@ -21,12 +21,17 @@ namespace kge {
 
 class ParameterBlock {
  public:
-  // Zero-filled. The storage comes from calloc, which hands out large
-  // blocks as fresh zero pages the kernel maps only on first write, so
-  // an embedding table that is never written before BorrowStorage
-  // replaces it (a serving snapshot's) costs neither time nor resident
-  // memory.
+  // Zero-filled. A block of at least kMappedStorageBytes gets its own
+  // anonymous mapping: fresh zero pages the kernel maps only on first
+  // write, so an embedding table that is never written before
+  // BorrowStorage replaces it (a serving snapshot's) costs neither time
+  // nor resident memory, and a freed table goes back to the kernel
+  // instead of staying resident on the heap for the next one. The
+  // mapping asks for transparent huge pages. Smaller blocks come from
+  // calloc.
   ParameterBlock(std::string name, int64_t num_rows, int64_t row_dim);
+
+  static constexpr size_t kMappedStorageBytes = size_t{1} << 20;
 
   const std::string& name() const { return name_; }
   int64_t num_rows() const { return num_rows_; }
@@ -85,14 +90,19 @@ class ParameterBlock {
     return view_ != nullptr ? view_ : data_.get();
   }
 
-  struct FreeDeleter {
-    void operator()(float* p) const { std::free(p); }
+  // munmap()s a mapped block's storage (mapped_bytes != 0), free()s a
+  // calloc'd one.
+  struct StorageDeleter {
+    StorageDeleter() : mapped_bytes(0) {}
+    explicit StorageDeleter(size_t bytes) : mapped_bytes(bytes) {}
+    void operator()(float* p) const;
+    size_t mapped_bytes;
   };
 
   std::string name_;
   int64_t num_rows_;
   int64_t row_dim_;
-  std::unique_ptr<float[], FreeDeleter> data_;
+  std::unique_ptr<float[], StorageDeleter> data_;
   // When non-null, the block reads/writes this caller-owned storage
   // instead of data_ (see BorrowStorage).
   float* view_ = nullptr;

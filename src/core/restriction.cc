@@ -1,5 +1,6 @@
 #include "core/restriction.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -32,6 +33,25 @@ Result<RestrictionKind> RestrictionKindFromString(const std::string& name) {
 
 void ApplyRestriction(RestrictionKind kind, std::span<const float> raw,
                       std::span<float> omega) {
+  std::vector<double> scratch(
+      kind == RestrictionKind::kSoftmax
+          ? kRestrictionScratchPerWeight * raw.size()
+          : 0);
+  ApplyRestriction(kind, raw, omega, scratch);
+}
+
+void RestrictionBackward(RestrictionKind kind, std::span<const float> omega,
+                         std::span<const float> omega_grad,
+                         std::span<float> raw_grad) {
+  std::vector<double> scratch(
+      kind == RestrictionKind::kSoftmax
+          ? kRestrictionScratchPerWeight * omega.size()
+          : 0);
+  RestrictionBackward(kind, omega, omega_grad, raw_grad, scratch);
+}
+
+void ApplyRestriction(RestrictionKind kind, std::span<const float> raw,
+                      std::span<float> omega, std::span<double> scratch) {
   KGE_CHECK(raw.size() == omega.size());
   switch (kind) {
     case RestrictionKind::kNone:
@@ -46,11 +66,13 @@ void ApplyRestriction(RestrictionKind kind, std::span<const float> raw,
         omega[m] = static_cast<float>(Sigmoid(double(raw[m])));
       return;
     case RestrictionKind::kSoftmax: {
-      std::vector<double> in(raw.begin(), raw.end());
-      std::vector<double> out(raw.size());
+      const size_t n = raw.size();
+      KGE_CHECK(scratch.size() >= 2 * n);
+      const std::span<double> in = scratch.first(n);
+      const std::span<double> out = scratch.subspan(n, n);
+      std::copy(raw.begin(), raw.end(), in.begin());
       Softmax(in, out);
-      for (size_t m = 0; m < raw.size(); ++m)
-        omega[m] = static_cast<float>(out[m]);
+      for (size_t m = 0; m < n; ++m) omega[m] = static_cast<float>(out[m]);
       return;
     }
   }
@@ -58,7 +80,8 @@ void ApplyRestriction(RestrictionKind kind, std::span<const float> raw,
 
 void RestrictionBackward(RestrictionKind kind, std::span<const float> omega,
                          std::span<const float> omega_grad,
-                         std::span<float> raw_grad) {
+                         std::span<float> raw_grad,
+                         std::span<double> scratch) {
   KGE_CHECK(omega.size() == omega_grad.size() &&
             omega.size() == raw_grad.size());
   switch (kind) {
@@ -78,11 +101,15 @@ void RestrictionBackward(RestrictionKind kind, std::span<const float> omega,
       }
       return;
     case RestrictionKind::kSoftmax: {
-      std::vector<double> y(omega.begin(), omega.end());
-      std::vector<double> g(omega_grad.begin(), omega_grad.end());
-      std::vector<double> out(omega.size());
+      const size_t n = omega.size();
+      KGE_CHECK(scratch.size() >= 3 * n);
+      const std::span<double> y = scratch.first(n);
+      const std::span<double> g = scratch.subspan(n, n);
+      const std::span<double> out = scratch.subspan(2 * n, n);
+      std::copy(omega.begin(), omega.end(), y.begin());
+      std::copy(omega_grad.begin(), omega_grad.end(), g.begin());
       SoftmaxBackward(y, g, out);
-      for (size_t m = 0; m < omega.size(); ++m) {
+      for (size_t m = 0; m < n; ++m) {
         raw_grad[m] += static_cast<float>(out[m]);
       }
       return;

@@ -5,6 +5,7 @@
 #ifndef KGE_CORE_RESTRICTION_H_
 #define KGE_CORE_RESTRICTION_H_
 
+#include <cstddef>
 #include <span>
 #include <string>
 
@@ -31,6 +32,19 @@ void ApplyRestriction(RestrictionKind kind, std::span<const float> raw,
 void RestrictionBackward(RestrictionKind kind, std::span<const float> omega,
                          std::span<const float> omega_grad,
                          std::span<float> raw_grad);
+
+// The same two functions with caller-owned working memory, for callers
+// that run them every batch and must not allocate: the softmax kind
+// computes in double through `scratch`, which must hold at least
+// kRestrictionScratchPerWeight doubles per weight; the other kinds do
+// not touch it. Identical arithmetic to the forms above.
+inline constexpr size_t kRestrictionScratchPerWeight = 3;
+void ApplyRestriction(RestrictionKind kind, std::span<const float> raw,
+                      std::span<float> omega, std::span<double> scratch);
+void RestrictionBackward(RestrictionKind kind, std::span<const float> omega,
+                         std::span<const float> omega_grad,
+                         std::span<float> raw_grad,
+                         std::span<double> scratch);
 
 }  // namespace kge
 

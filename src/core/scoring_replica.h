@@ -26,7 +26,10 @@
 // Thread-safety: EnsureFresh() mutates and is NOT safe to call
 // concurrently with anything. Models call it from
 // KgeModel::PrepareForScoring before fanning scoring out; the hot
-// accessors (Int8Rows/Int8Scales) are then pure reads.
+// accessors (Int8Rows/Int8Scales) are then pure reads. Given a pool, a
+// rebuild splits the table's rows on bound-tile boundaries across it
+// (the caller helps); every row and every tile is still built whole by
+// one thread, so the result is bit-identical to the inline build.
 #ifndef KGE_CORE_SCORING_REPLICA_H_
 #define KGE_CORE_SCORING_REPLICA_H_
 
@@ -39,6 +42,8 @@
 #include "util/hotpath.h"
 
 namespace kge {
+
+class ThreadPool;
 
 // The numeric tier full-vocabulary ranking kernels score at
 // (EvalOptions::score_precision, kge_eval/kge_train --eval-precision).
@@ -66,8 +71,9 @@ class ScoringReplica {
 
   // Materializes (or requantizes) the tier's backing data if stale; a
   // cheap stamp comparison when fresh. NOT thread-safe — run once
-  // before fanning scoring out.
-  void EnsureFresh(ScorePrecision precision);
+  // before fanning scoring out. The rows are quantized across `pool`
+  // when one is given, inline otherwise.
+  void EnsureFresh(ScorePrecision precision, ThreadPool* pool = nullptr);
 
   // The quantized table: num_rows × row_dim int8 codes and one
   // dequantization scale per row, laid out for simd::DotBatchMultiI8.
@@ -87,10 +93,12 @@ class ScoringReplica {
   // lets the pruned scans skip provably sub-threshold tiles without
   // ever changing a result. Generation-stamped exactly like the int8
   // table; EnsureBoundsFresh is NOT thread-safe (call it from
-  // PrepareForScoring, before the scoring fanout).
+  // PrepareForScoring, before the scoring fanout). Given a pool, the
+  // tiles are built across it.
 
   bool BoundsFresh(ScorePrecision precision) const;
-  void EnsureBoundsFresh(ScorePrecision precision);
+  void EnsureBoundsFresh(ScorePrecision precision,
+                         ThreadPool* pool = nullptr);
 
   // The bound array for `precision`'s table (kDouble and kFloat32 share
   // the master-table bounds). Bounds must be fresh.

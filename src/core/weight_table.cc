@@ -28,6 +28,8 @@ void WeightTable::SetFlat(std::span<const float> values) {
 
 void WeightTable::RebuildTerms() {
   terms_.clear();
+  // At most one term per weight, so a rebuild never reallocates.
+  terms_.reserve(data_.size());
   for (int32_t i = 0; i < ne_; ++i) {
     for (int32_t j = 0; j < ne_; ++j) {
       for (int32_t k = 0; k < nr_; ++k) {

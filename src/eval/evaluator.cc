@@ -146,11 +146,12 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
                                    : size_t(kDefaultEvalBatchQueries);
   // Refresh any scoring replica (and, to prune, the tile bounds) the
   // tier needs ONCE, before the fanout: the rebuild mutates the replica,
-  // the walks below only read it.
+  // the walks below only read it. The rebuild itself runs on the pool.
+  ThreadPool pool(size_t(std::max(1, options.num_threads)));
   if (options.prune) {
-    model.PrepareForPrunedScoring(precision);
+    model.PrepareForPrunedScoring(precision, &pool);
   } else {
-    model.PrepareForScoring(precision);
+    model.PrepareForScoring(precision, &pool);
   }
 
   // Counting-sort the triple indices by relation (stable, deterministic),
@@ -195,7 +196,6 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
   result.tail_ranks.resize(num_triples);
   result.head_ranks.resize(num_triples);
   std::vector<RankScanStats> batch_stats(batches.size());
-  ThreadPool pool(size_t(std::max(1, options.num_threads)));
   pool.ParallelFor(0, batches.size(), [&](size_t begin, size_t end) {
     static thread_local RankWalkScratch scratch;
     for (size_t bi = begin; bi < end; ++bi) {

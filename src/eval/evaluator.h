@@ -46,8 +46,8 @@ struct EvalOptions {
   // metric drift (measured in BENCH_eval.json's precision section) for
   // ranking throughput. The model must report
   // SupportsScorePrecision(score_precision); Evaluate refreshes the
-  // model's scoring replicas once (PrepareForScoring) before fanning
-  // out.
+  // model's scoring replicas once (PrepareForScoring, on its own pool)
+  // before fanning out.
   ScorePrecision score_precision = ScorePrecision::kDouble;
   // Skip (query, tile) pairs whose Cauchy–Schwarz score bound proves no
   // candidate in the tile can reach the true triple's score.

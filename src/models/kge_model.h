@@ -126,19 +126,25 @@ class KgeModel {
   // Rebuilds any scoring replica `precision` needs if it is stale
   // against the master parameters — free at pure-eval time, one
   // requantization pass after training steps. Must be called from one
-  // thread with no concurrent scoring; `const` because replicas are
-  // derived caches, not model state. No-op by default and for kDouble.
-  virtual void PrepareForScoring(ScorePrecision precision) const {
+  // thread with no concurrent scoring of this model; the rebuild itself
+  // runs across `pool` when one is given (the serving lane pool, the
+  // evaluator's pool) and inline otherwise, with identical results.
+  // `const` because replicas are derived caches, not model state. No-op
+  // by default and for kDouble.
+  virtual void PrepareForScoring(ScorePrecision precision,
+                                 ThreadPool* pool = nullptr) const {
     (void)precision;
+    (void)pool;
   }
 
   // PrepareForScoring plus a rebuild of the per-tile score bounds the
   // pruned walk reads (ScoringReplica::EnsureBoundsFresh). Models
   // without tile bounds just forward to PrepareForScoring — their
   // exhaustive fallback needs no bounds. Same threading contract as
-  // PrepareForScoring: one thread, no concurrent scoring.
-  virtual void PrepareForPrunedScoring(ScorePrecision precision) const {
-    PrepareForScoring(precision);
+  // PrepareForScoring.
+  virtual void PrepareForPrunedScoring(ScorePrecision precision,
+                                       ThreadPool* pool = nullptr) const {
+    PrepareForScoring(precision, pool);
   }
 
   // ---- The tile walk: top-k (serving, PredictTails/PredictHeads) and

@@ -25,7 +25,9 @@ LearnedWeightModel::LearnedWeightModel(std::string name, int32_t num_entities,
       raw_weights_("omega_raw", 1,
                    int64_t(options.ne) * options.ne * options.nr),
       omega_grad_(size_t(options.ne) * size_t(options.ne) * size_t(options.nr),
-                  0.0f) {
+                  0.0f),
+      omega_scratch_(omega_grad_.size()),
+      restriction_scratch_(kRestrictionScratchPerWeight * omega_grad_.size()) {
   if (seed) {
     for (float& x : raw_weights_.Row(0)) x = options_.initial_raw_weight;
   }
@@ -50,11 +52,9 @@ std::vector<ParameterBlock*> LearnedWeightModel::Blocks() {
 }
 
 void LearnedWeightModel::RefreshWeights() {
-  WeightTable table(options_.ne, options_.nr);
-  std::vector<float> omega(size_t(raw_weights_.row_dim()));
-  ApplyRestriction(options_.restriction, raw_weights_.Row(0), omega);
-  table.SetFlat(omega);
-  SetWeights(table);
+  ApplyRestriction(options_.restriction, std::as_const(raw_weights_).Row(0),
+                   omega_scratch_, restriction_scratch_);
+  SetWeights(omega_scratch_);
 }
 
 void LearnedWeightModel::BeginBatch() {
@@ -77,14 +77,16 @@ void LearnedWeightModel::AccumulateGradients(const Triple& triple,
 }
 
 double LearnedWeightModel::FinishBatch(GradientBuffer* grads) {
-  std::vector<float> omega = CurrentOmega();
+  // ω as BeginBatch installed it; nothing below changes the table.
+  const std::span<const float> omega = weights().Flat();
   double extra_loss = 0.0;
   if (options_.dirichlet.has_value()) {
     extra_loss = DirichletNll(omega, *options_.dirichlet);
     AddDirichletGradient(omega, *options_.dirichlet, omega_grad_);
   }
   std::span<float> raw_grad = grads->GradFor(kOmegaBlock, 0);
-  RestrictionBackward(options_.restriction, omega, omega_grad_, raw_grad);
+  RestrictionBackward(options_.restriction, omega, omega_grad_, raw_grad,
+                      restriction_scratch_);
   return extra_loss;
 }
 

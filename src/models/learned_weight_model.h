@@ -58,6 +58,11 @@ class LearnedWeightModel : public MultiEmbeddingModel {
   LearnedWeightOptions options_;
   ParameterBlock raw_weights_;        // ρ, one row of ne*ne*nr floats
   std::vector<float> omega_grad_;     // dL/dω accumulated over the batch
+  // Per-batch working memory, sized once so training never allocates:
+  // f(ρ) before it is installed in the weight table, and the double
+  // buffers of the softmax restriction.
+  std::vector<float> omega_scratch_;
+  std::vector<double> restriction_scratch_;
 };
 
 // Factory with a descriptive name, e.g.

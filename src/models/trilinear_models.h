@@ -82,15 +82,17 @@ class MultiEmbeddingModel : public KgeModel {
   }
 
   // Requantizes the entity replica if training moved the master table.
-  void PrepareForScoring(ScorePrecision precision) const override {
-    entity_replica_.EnsureFresh(precision);
+  void PrepareForScoring(ScorePrecision precision,
+                         ThreadPool* pool = nullptr) const override {
+    entity_replica_.EnsureFresh(precision, pool);
   }
 
   // Additionally rebuilds the per-tile score bounds the pruned walk
   // reads (stale iff training moved the master table).
-  void PrepareForPrunedScoring(ScorePrecision precision) const override {
-    entity_replica_.EnsureFresh(precision);
-    entity_replica_.EnsureBoundsFresh(precision);
+  void PrepareForPrunedScoring(ScorePrecision precision,
+                               ThreadPool* pool = nullptr) const override {
+    entity_replica_.EnsureFresh(precision, pool);
+    entity_replica_.EnsureBoundsFresh(precision, pool);
   }
 
   std::vector<ParameterBlock*> Blocks() override;
@@ -111,8 +113,9 @@ class MultiEmbeddingModel : public KgeModel {
   static constexpr size_t kRelationBlock = 1;
 
  protected:
-  // Subclass hook: replace ω (LearnedWeightModel recomputes it per batch).
-  void SetWeights(const WeightTable& weights) { weights_ = weights; }
+  // Subclass hook: replace ω's values in place, same shape
+  // (LearnedWeightModel recomputes it per batch without allocating).
+  void SetWeights(std::span<const float> omega) { weights_.SetFlat(omega); }
 
  private:
   // Folds one context into per-thread scratch (valid until the next

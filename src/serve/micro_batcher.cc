@@ -46,12 +46,14 @@ void MicroBatcher::Start() {
     // Lane fan-out pool, shared by all workers. The dispatching worker
     // walks lanes too, so lanes - 1 threads give each lane a thread (a
     // pool needs two to run off the caller at all); capped at the
-    // machine, and pre-reserved so the steady-state StageFor never
-    // grows the task ring.
+    // machine, and pre-reserved so neither the steady-state StageFor
+    // nor one snapshot adoption's fan-out (lane_pool()) grows the task
+    // ring.
     shard_pool_ = std::make_unique<ThreadPool>(std::min(
         std::max(size_t(lanes) - 1, size_t{2}), ResolveNumThreads(0)));
-    shard_pool_->ReserveStageTasks(size_t(options_.num_workers) *
-                                   size_t(lanes));
+    shard_pool_->ReserveStageTasks(
+        size_t(options_.num_workers) * size_t(lanes) +
+        shard_pool_->MaxFanOutTasks());
   }
   for (int w = 0; w < options_.num_workers; ++w) {
     auto ws = std::make_unique<WorkerState>();

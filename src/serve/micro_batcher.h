@@ -143,6 +143,12 @@ class MicroBatcher {
   // Current occupancy-EWMA percentage driving tier selection.
   int ewma_queue_pct() const;
 
+  // The lanes' shared pool once Start() has run with num_shards > 1;
+  // null otherwise. kge_serve hands it to snapshot adoption
+  // (CheckpointWatcher::Options::pool), whose fan-out Start() reserves
+  // task-ring room for, so a hot swap never grows the ring.
+  ThreadPool* lane_pool() const { return shard_pool_.get(); }
+
  private:
   struct Slot {
     ServeRequest request;

@@ -101,7 +101,7 @@ MappedCheckpoint::~MappedCheckpoint() {
   if (base_ != nullptr) ::munmap(base_, length_);
 }
 
-Status MappedCheckpoint::LoadInto(KgeModel* model) {
+Status MappedCheckpoint::LoadInto(KgeModel* model, ThreadPool* pool) {
   KGE_RETURN_IF_ERROR(KGE_FAILPOINT("serve.load.verify"));
   const uint8_t* bytes = static_cast<const uint8_t*>(base_);
   if (length_ < 4 * sizeof(uint32_t)) {
@@ -112,7 +112,7 @@ Status MappedCheckpoint::LoadInto(KgeModel* model) {
   const size_t crc_offset = length_ - sizeof(uint32_t);
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes + crc_offset, sizeof(uint32_t));
-  if (Crc32c(bytes, crc_offset) != stored_crc) {
+  if (Crc32cOnPool(bytes, crc_offset, pool) != stored_crc) {
     return Status::IoError(path_ +
                            ": checkpoint CRC mismatch (torn or corrupt file)");
   }

@@ -25,6 +25,8 @@
 
 namespace kge {
 
+class ThreadPool;
+
 class MappedCheckpoint {
  public:
   // Maps `path` read-only-private into memory. Fails cleanly on
@@ -44,9 +46,11 @@ class MappedCheckpoint {
   // model->OnParametersLoaded(). On error the model may hold a
   // mix of old and new block contents and must be discarded — the
   // serving layer always loads into a freshly constructed model and
-  // publishes only on Ok. The mapping must outlive the model.
+  // publishes only on Ok. The mapping must outlive the model. Given a
+  // pool, the whole-file CRC is checksummed as chunks across it
+  // (Crc32cOnPool, the same value bit for bit); without one, inline.
   // Failpoint: "serve.load.verify".
-  Status LoadInto(KgeModel* model);
+  Status LoadInto(KgeModel* model, ThreadPool* pool = nullptr);
 
   const std::string& path() const { return path_; }
   size_t length() const { return length_; }

@@ -17,19 +17,20 @@ namespace kge {
 
 Result<std::shared_ptr<ModelSnapshot>> LoadServingSnapshot(
     const std::string& path, const ModelFactory& factory,
-    const std::vector<ScorePrecision>& prepare_tiers, bool prepare_bounds) {
+    const std::vector<ScorePrecision>& prepare_tiers, bool prepare_bounds,
+    ThreadPool* pool) {
   Result<std::unique_ptr<MappedCheckpoint>> mapping =
       MappedCheckpoint::Open(path);
   if (!mapping.ok()) return mapping.status();
   Result<std::unique_ptr<KgeModel>> model = factory();
   if (!model.ok()) return model.status();
-  KGE_RETURN_IF_ERROR((*mapping)->LoadInto(model->get()));
+  KGE_RETURN_IF_ERROR((*mapping)->LoadInto(model->get(), pool));
   for (ScorePrecision tier : prepare_tiers) {
     if ((*model)->SupportsScorePrecision(tier)) {
       if (prepare_bounds) {
-        (*model)->PrepareForPrunedScoring(tier);
+        (*model)->PrepareForPrunedScoring(tier, pool);
       } else {
-        (*model)->PrepareForScoring(tier);
+        (*model)->PrepareForScoring(tier, pool);
       }
     }
   }
@@ -81,7 +82,7 @@ Status CheckpointWatcher::TryAdopt(const std::string& path) {
   // read again.
   Result<std::shared_ptr<ModelSnapshot>> snapshot =
       LoadServingSnapshot(path, factory_, options_.prepare_tiers,
-                          options_.prepare_bounds);
+                          options_.prepare_bounds, options_.pool);
   if (!snapshot.ok()) return snapshot.status();
   KGE_RETURN_IF_ERROR(KGE_FAILPOINT("serve.swap.publish"));
   registry_->Publish(std::move(*snapshot));

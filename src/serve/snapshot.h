@@ -51,12 +51,14 @@ struct ModelSnapshot {
 // `prepare_bounds` the per-tile score bounds of the pruned ranking
 // scans are rebuilt too (PrepareForPrunedScoring) — required before a
 // batcher with prune enabled scores the snapshot, since bounds cannot
-// be rebuilt safely once concurrent workers read the model.
+// be rebuilt safely once concurrent workers read the model. Given a
+// pool (kge_serve's lane pool), the checksum and the replica and bound
+// rebuilds run across it; without one, inline. Same snapshot either way.
 using ModelFactory = std::function<Result<std::unique_ptr<KgeModel>>()>;
 Result<std::shared_ptr<ModelSnapshot>> LoadServingSnapshot(
     const std::string& path, const ModelFactory& factory,
     const std::vector<ScorePrecision>& prepare_tiers,
-    bool prepare_bounds = false);
+    bool prepare_bounds = false, ThreadPool* pool = nullptr);
 
 class SnapshotRegistry {
  public:
@@ -91,6 +93,11 @@ class CheckpointWatcher {
     // Also rebuild each tier's pruned-scan tile bounds
     // (PrepareForPrunedScoring). Set when serving with --prune.
     bool prepare_bounds = false;
+    // Pool every adoption's passes over the table run on (the checksum,
+    // the replica and bound rebuilds); kge_serve passes the batcher's
+    // lane pool. Null runs them on the adopting thread. Must outlive
+    // the watcher.
+    ThreadPool* pool = nullptr;
   };
 
   CheckpointWatcher(SnapshotRegistry* registry, ModelFactory factory,

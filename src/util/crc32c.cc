@@ -1,7 +1,11 @@
 #include "util/crc32c.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <vector>
+
+#include "util/thread_pool.h"
 
 #if defined(__x86_64__)
 #include <nmmintrin.h>
@@ -46,8 +50,6 @@ inline uint32_t LoadLe32(const uint8_t* p) {
          uint32_t(p[3]) << 24;
 }
 
-#if KGE_CRC32C_X86_64
-
 // a * b mod P over GF(2), in the reflected representation the CRC
 // register uses (bit 31 is x^0).
 constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
@@ -70,6 +72,8 @@ constexpr uint32_t XPow8N(size_t n) {
   }
   return result;
 }
+
+#if KGE_CRC32C_X86_64
 
 // Multiplication by one fixed x^(8n), one table per register byte (the
 // product is linear in the register), so a shift is four lookups.
@@ -185,6 +189,35 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t count) {
 
 uint32_t Crc32c(const void* data, size_t count) {
   return Crc32cExtend(0, data, count);
+}
+
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, size_t len_b) {
+  return MultModP(XPow8N(len_b), crc_a) ^ crc_b;
+}
+
+uint32_t Crc32cOnPool(const void* data, size_t count, ThreadPool* pool) {
+  if (pool == nullptr || count <= kCrc32cChunkBytes) {
+    return Crc32c(data, count);
+  }
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  const size_t chunks = (count + kCrc32cChunkBytes - 1) / kCrc32cChunkBytes;
+  std::vector<uint32_t> crcs(chunks);
+  pool->StageFor(0, chunks, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      const size_t offset = c * kCrc32cChunkBytes;
+      crcs[c] = Crc32c(bytes + offset,
+                       std::min(kCrc32cChunkBytes, count - offset));
+    }
+  });
+  // Every chunk but the last is full-length, so one constant shifts the
+  // running checksum past each of them.
+  constexpr uint32_t kChunkShift = XPow8N(kCrc32cChunkBytes);
+  uint32_t crc = crcs[0];
+  for (size_t c = 1; c + 1 < chunks; ++c) {
+    crc = MultModP(kChunkShift, crc) ^ crcs[c];
+  }
+  return Crc32cCombine(crc, crcs.back(),
+                       count - (chunks - 1) * kCrc32cChunkBytes);
 }
 
 }  // namespace kge

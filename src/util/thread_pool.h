@@ -69,6 +69,10 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.empty() ? 1 : threads_.size(); }
 
+  // Most tasks one StageFanOut/StageFor call enqueues (it over-shards to
+  // four per thread): what ReserveStageTasks needs per concurrent fan-out.
+  size_t MaxFanOutTasks() const { return 4 * num_threads(); }
+
   // Schedules `task`; Wait() blocks until all scheduled tasks are done.
   // Tasks may themselves call Schedule; Wait() covers those too. Stage
   // tasks are NOT counted by Wait() — use WaitStage for those.
@@ -109,7 +113,7 @@ class ThreadPool {
       return;
     }
     // Over-shard lightly so uneven tasks balance.
-    const size_t shards = n < workers * 4 ? n : workers * 4;
+    const size_t shards = n < MaxFanOutTasks() ? n : MaxFanOutTasks();
     const size_t chunk = (n + shards - 1) / shards;
     for (size_t s = begin; s < end; s += chunk) {
       ScheduleRange(group, tramp, ctx, s, s + chunk < end ? s + chunk : end);

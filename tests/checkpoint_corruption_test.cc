@@ -14,7 +14,9 @@
 #include "optim/optimizer.h"
 #include "serve/mmap_checkpoint.h"
 #include "train/train_checkpoint.h"
+#include "util/crc32c.h"
 #include "util/io.h"
+#include "util/thread_pool.h"
 
 namespace kge {
 namespace {
@@ -178,6 +180,44 @@ TEST(CheckpointCorruptionTest, BitFlipDeepInAMultiMegabytePayloadIsRejected) {
       MappedCheckpoint::Open(path);
   ASSERT_TRUE(mapping.ok());
   EXPECT_EQ((*mapping)->LoadInto(mapped->get()).code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+// The pooled checksum (a 4-thread pool, one chunk per
+// kCrc32cChunkBytes) rejects a flipped byte in the first, a middle and
+// the last chunk and in the stored CRC, before any header field is
+// read; the intact file loads.
+TEST(CheckpointCorruptionTest, PooledLoadRejectsAFlippedByteInEveryChunk) {
+  const std::string path = TempPath("pooled.kge2");
+  auto model = MakeModelByName("distmult", 24000, kRelations, 64, 3);
+  ASSERT_TRUE(SaveModelCheckpoint(**model, path).ok());
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  const size_t size = bytes->size();
+  ASSERT_GT(size, 5 * kCrc32cChunkBytes);
+  ThreadPool pool(4);
+  const auto load = [&](const std::string& label) {
+    auto mapped =
+        MakeModelByName("distmult", 24000, kRelations, 64, std::nullopt);
+    Result<std::unique_ptr<MappedCheckpoint>> mapping =
+        MappedCheckpoint::Open(path);
+    EXPECT_TRUE(mapping.ok()) << label;
+    return mapping.ok() ? (*mapping)->LoadInto(mapped->get(), &pool)
+                        : mapping.status();
+  };
+  EXPECT_TRUE(load("intact").ok());
+  for (const size_t offset :
+       {size_t(3), kCrc32cChunkBytes / 2, 2 * kCrc32cChunkBytes + 4097,
+        size - sizeof(uint32_t) - 9, size - 2}) {
+    const std::string label = "flip at " + std::to_string(offset);
+    std::string corrupted = *bytes;
+    corrupted[offset] = char(corrupted[offset] ^ 0x10);
+    ASSERT_TRUE(WriteStringToFile(path, corrupted).ok());
+    const Status status = load(label);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << label;
+    EXPECT_NE(status.message().find("CRC mismatch"), std::string::npos)
+        << label << ": " << status.ToString();
+  }
   std::remove(path.c_str());
 }
 

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include "util/thread_pool.h"
 
 namespace kge {
 namespace {
@@ -134,6 +137,82 @@ TEST(Crc32cTest, ExtendChainsAcrossInterleaveBlockBoundaries) {
       portable =
           Crc32cExtendPortable(portable, data.data() + split, total - split);
       EXPECT_EQ(portable, whole) << "portable split at " << split;
+    }
+  }
+}
+
+// Piece lengths around every step of the hardware loop (the 8-byte and
+// byte tails, the short and long interleave blocks) and past one pooled
+// chunk.
+const size_t kSplitLengths[] = {0,
+                                1,
+                                7,
+                                8,
+                                255,
+                                256,
+                                257,
+                                8191,
+                                8192,
+                                8193,
+                                3 * kCrc32cLongStride - 1,
+                                3 * kCrc32cLongStride + 1,
+                                (size_t{1} << 20) + 3};
+
+TEST(Crc32cTest, CombineJoinsEverySplitOnBothPaths) {
+  const size_t longest = kSplitLengths[std::size(kSplitLengths) - 1];
+  const std::vector<unsigned char> data = PseudoRandomBytes(2 * longest);
+  for (const size_t len_a : kSplitLengths) {
+    for (const size_t len_b : kSplitLengths) {
+      const unsigned char* a = data.data();
+      const unsigned char* b = data.data() + len_a;
+      EXPECT_EQ(Crc32cCombine(Crc32c(a, len_a), Crc32c(b, len_b), len_b),
+                Crc32c(a, len_a + len_b))
+          << "dispatched, " << len_a << " + " << len_b;
+      EXPECT_EQ(Crc32cCombine(Crc32cExtendPortable(0, a, len_a),
+                              Crc32cExtendPortable(0, b, len_b), len_b),
+                Crc32cExtendPortable(0, a, len_a + len_b))
+          << "portable, " << len_a << " + " << len_b;
+    }
+  }
+}
+
+TEST(Crc32cTest, CombineJoinsRandomSplitsIntoTheSerialChecksum) {
+  const std::vector<unsigned char> data = PseudoRandomBytes(3 << 20);
+  uint64_t x = 99;
+  for (int trial = 0; trial < 64; ++trial) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const size_t total = size_t(x >> 33) % data.size();
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const size_t split = total == 0 ? 0 : size_t(x >> 33) % (total + 1);
+    const uint32_t joined =
+        Crc32cCombine(Crc32c(data.data(), split),
+                      Crc32c(data.data() + split, total - split),
+                      total - split);
+    EXPECT_EQ(joined, Crc32c(data.data(), total))
+        << "split " << split << " of " << total;
+  }
+}
+
+// Every chunk count from 1 to 8, with a full, a short and a one-byte last
+// chunk, on no pool, an inline pool and pools of 2 and 4 threads.
+TEST(Crc32cTest, PooledChecksumEqualsTheSerialOneForEveryChunkCount) {
+  const std::vector<unsigned char> data =
+      PseudoRandomBytes(8 * kCrc32cChunkBytes);
+  ThreadPool inline_pool(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &inline_pool,
+                           &two, &four}) {
+    for (size_t chunks = 1; chunks <= 8; ++chunks) {
+      for (const size_t last :
+           {size_t(1), kCrc32cChunkBytes / 2 + 3, kCrc32cChunkBytes}) {
+        const size_t count = (chunks - 1) * kCrc32cChunkBytes + last;
+        ASSERT_EQ((count + kCrc32cChunkBytes - 1) / kCrc32cChunkBytes, chunks);
+        EXPECT_EQ(Crc32cOnPool(data.data(), count, pool),
+                  Crc32c(data.data(), count))
+            << (pool == nullptr ? 0 : pool->num_threads()) << " threads, "
+            << chunks << " chunks, " << count << " bytes";
+      }
     }
   }
 }

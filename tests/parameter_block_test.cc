@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "math/vec_ops.h"
 
@@ -105,6 +111,60 @@ TEST(ParameterBlockTest, ZeroResets) {
   block.InitUniform(&rng, 1.0f, 2.0f);
   block.Zero();
   for (float x : block.Flat()) EXPECT_EQ(x, 0.0f);
+}
+
+// Pages wholly inside `block`'s storage that the kernel has resident,
+// per mincore().
+size_t ResidentPages(const ParameterBlock& block) {
+  const auto page = uintptr_t(::sysconf(_SC_PAGESIZE));
+  const std::span<const float> flat = block.Flat();
+  const auto begin =
+      (reinterpret_cast<uintptr_t>(flat.data()) + page - 1) & ~(page - 1);
+  const auto end =
+      reinterpret_cast<uintptr_t>(flat.data() + flat.size()) & ~(page - 1);
+  const size_t length = size_t(end - begin);
+  std::vector<unsigned char> resident((length + page - 1) / page);
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(begin), length,
+                      resident.data()),
+            0);
+  size_t count = 0;
+  for (unsigned char r : resident) count += r & 1u;
+  return count;
+}
+
+// A large block is fresh zero pages however many tables of its size
+// were written and freed before it: its storage is its own anonymous
+// mapping, not heap memory a freed table left resident (glibc raises
+// its mmap threshold to the size of each freed mapped chunk up to
+// 32 MiB, so calloc'd tables after the first came from the heap, and
+// the third reused the second's written pages). Nothing is resident
+// until a row is written.
+TEST(ParameterBlockTest, LargeBlocksStartWithNoResidentPages) {
+  constexpr int64_t kRows = 4096;
+  constexpr int64_t kDim = 1024;  // 16 MiB
+  static_assert(size_t(kRows * kDim) * sizeof(float) >=
+                ParameterBlock::kMappedStorageBytes);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ParameterBlock block("table", kRows, kDim);
+    EXPECT_EQ(ResidentPages(block), 0u);
+    block.Row(kRows / 2)[0] = 1.0f;
+    EXPECT_GE(ResidentPages(block), 1u);
+    // Write every page, then free the block.
+    for (float& x : block.Flat()) x = 2.0f;
+  }
+}
+
+TEST(ParameterBlockTest, SmallAndLargeBlocksStartZeroAndBorrowCleanly) {
+  for (const int64_t rows : {int64_t{4}, int64_t{1} << 16}) {
+    ParameterBlock block("table", rows, 8);
+    for (float x : std::as_const(block).Flat()) ASSERT_EQ(x, 0.0f);
+    block.Row(rows - 1)[7] = 3.0f;
+    std::vector<float> backing(size_t(block.size()), 5.0f);
+    block.BorrowStorage(backing.data(), block.size());
+    EXPECT_TRUE(block.borrows_storage());
+    EXPECT_EQ(std::as_const(block).Row(rows - 1)[7], 5.0f);
+  }
 }
 
 TEST(GradientBufferTest, GradForZeroedOnFirstTouch) {

@@ -7,12 +7,17 @@
 #include "core/scoring_replica.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/parameter_block.h"
 #include "core/topk_heap.h"
 #include "gtest/gtest.h"
+#include "math/simd.h"
 #include "models/trilinear_models.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace kge {
 namespace {
@@ -46,6 +51,61 @@ TEST(ScoringReplicaTest, MasterReadingTiersAreAlwaysFresh) {
   replica.EnsureFresh(ScorePrecision::kDouble);
   replica.EnsureFresh(ScorePrecision::kFloat32);
   EXPECT_EQ(replica.built_generation(), 0u);
+}
+
+template <typename T>
+bool SameBits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+// Built on a pool, the int8 codes and scales and both tiers' tile bounds
+// equal the inline build bit for bit: the rows are split on tile
+// boundaries, so every row and every tile is still built whole by one
+// thread. Row counts cover zero rows, one tile, a partial last tile,
+// fewer tiles than workers and many tiles.
+TEST(ScoringReplicaTest, PooledRebuildEqualsInlineBitForBit) {
+  constexpr int64_t kDim = 16;
+  const auto rows_per_tile = int64_t(simd::PrunedTileRows(kDim));
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (const int64_t rows :
+       {int64_t{0}, int64_t{1}, rows_per_tile - 1, rows_per_tile,
+        rows_per_tile + 1, 3 * rows_per_tile - 5,
+        17 * rows_per_tile + 9}) {
+    ParameterBlock block("entities", rows, kDim);
+    Rng rng(uint64_t(rows) + 3);
+    block.InitUniform(&rng, -1.0f, 1.0f);
+    // Skew the row norms so tiles have different bounds.
+    for (int64_t r = 0; r < rows; ++r) {
+      for (float& x : block.Row(r)) x *= float(1 + (r * 7) % 13);
+    }
+    ScoringReplica inline_replica(&block);
+    inline_replica.EnsureBoundsFresh(ScorePrecision::kDouble);
+    inline_replica.EnsureBoundsFresh(ScorePrecision::kInt8);
+    ASSERT_EQ(inline_replica.TileBounds(ScorePrecision::kDouble).size(),
+              simd::PrunedTileCount(size_t(rows), kDim));
+    for (ThreadPool* pool : {&one, &two, &four}) {
+      SCOPED_TRACE(std::to_string(rows) + " rows, " +
+                   std::to_string(pool->num_threads()) + " threads");
+      ScoringReplica pooled(&block);
+      pooled.EnsureBoundsFresh(ScorePrecision::kDouble, pool);
+      pooled.EnsureBoundsFresh(ScorePrecision::kInt8, pool);
+      EXPECT_TRUE(SameBits(pooled.TileBounds(ScorePrecision::kDouble),
+                           inline_replica.TileBounds(ScorePrecision::kDouble)));
+      EXPECT_TRUE(SameBits(pooled.TileBounds(ScorePrecision::kInt8),
+                           inline_replica.TileBounds(ScorePrecision::kInt8)));
+      EXPECT_TRUE(SameBits(pooled.Int8Rows(), inline_replica.Int8Rows()));
+      EXPECT_TRUE(SameBits(pooled.Int8Scales(), inline_replica.Int8Scales()));
+      // The int8 table alone, through EnsureFresh.
+      ScoringReplica codes_only(&block);
+      codes_only.EnsureFresh(ScorePrecision::kInt8, pool);
+      EXPECT_TRUE(SameBits(codes_only.Int8Rows(), inline_replica.Int8Rows()));
+      EXPECT_TRUE(
+          SameBits(codes_only.Int8Scales(), inline_replica.Int8Scales()));
+    }
+  }
 }
 
 TEST(ScoringReplicaTest, PerRowScalesAreAbsmaxOver127) {

@@ -1,19 +1,28 @@
 // Hot-swap consistency: a storm of concurrent queries racing an
 // RCU-style snapshot swap must each be answered entirely from exactly
 // one snapshot — the results always match the snapshot_version the
-// reply reports, and no reply mixes old and new embeddings. Run under
-// TSan in CI.
+// reply reports, and no reply mixes old and new embeddings, also when
+// the swaps are adopted on the pool the queries' lanes run on. Run
+// under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "eval/topk.h"
+#include "models/checkpoint.h"
 #include "models/model_factory.h"
 #include "serve/micro_batcher.h"
 #include "serve/snapshot.h"
+#include "util/crc32c.h"
+#include "util/io.h"
 #include "util/thread_annotations.h"
 
 namespace kge {
@@ -161,6 +170,138 @@ TEST(ServeHotSwapTest, StormAcrossSwapSeesExactlyOneSnapshotPerReply) {
     }
   }
   batcher.Stop();
+}
+
+// Hot swaps adopted on the lanes' own pool while queries walk it: a
+// CheckpointWatcher handed MicroBatcher::lane_pool() checksums each new
+// checkpoint in chunks and builds its tile bounds across the pool that a
+// 4-lane pruned batcher is scoring on. Every reply must be the exact
+// top-k of the snapshot it reports, every publish must become visible,
+// and a checkpoint with a flipped byte must be quarantined. Run under
+// TSan in CI.
+TEST(ServeHotSwapTest, PooledAdoptionRacesFourLanePrunedQueries) {
+  constexpr int32_t kSwapEntities = 6000;  // two CRC chunks, 63 tiles
+  constexpr int32_t kSwapBudget = 64;
+  constexpr int kCheckpoints = 3;
+  constexpr int kAnchors = 16;
+  const std::string dir = testing::TempDir() + "/pooled_swap";
+  ::mkdir(dir.c_str(), 0755);
+  const auto path_of = [&](int i) {
+    return dir + "/ckpt_" + std::to_string(i) + ".kge2";
+  };
+  const ModelFactory factory = [] {
+    return MakeModelByName("distmult", kSwapEntities, kRelations, kSwapBudget,
+                           std::nullopt);
+  };
+  // Exhaustive answers per checkpoint, from loads without a pool.
+  TopKOptions exhaustive;
+  exhaustive.k = kTopK;
+  std::vector<std::vector<std::vector<ScoredEntity>>> expected(kCheckpoints);
+  for (int i = 0; i < kCheckpoints; ++i) {
+    auto model = MakeModelByName("distmult", kSwapEntities, kRelations,
+                                 kSwapBudget, uint64_t(500 + i));
+    ASSERT_TRUE(model.ok());
+    ASSERT_TRUE(SaveModelCheckpoint(**model, path_of(i + 1)).ok());
+    Result<std::shared_ptr<ModelSnapshot>> loaded =
+        LoadServingSnapshot(path_of(i + 1), factory,
+                            {ScorePrecision::kDouble});
+    ASSERT_TRUE(loaded.ok());
+    for (EntityId anchor = 0; anchor < kAnchors; ++anchor) {
+      expected[size_t(i)].push_back(
+          PredictTails(*(*loaded)->model, anchor, 0, exhaustive));
+    }
+  }
+  // A copy of the last checkpoint with one byte flipped in its second
+  // CRC chunk.
+  const std::string corrupt = dir + "/ckpt_9.kge2";
+  std::remove((corrupt + ".quarantine").c_str());
+  {
+    Result<std::string> bytes = ReadFileToString(path_of(kCheckpoints));
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_GT(bytes->size(), kCrc32cChunkBytes + 64);
+    char& flipped = (*bytes)[kCrc32cChunkBytes + 64];
+    flipped = char(flipped ^ 0x01);
+    ASSERT_TRUE(WriteStringToFile(corrupt, *bytes).ok());
+  }
+
+  SnapshotRegistry registry;
+  BatcherOptions options;
+  options.max_queue = 512;
+  options.num_workers = 2;
+  options.num_shards = 4;
+  options.prune = true;
+  options.default_deadline_ms = kServeMaxDeadlineMs;
+  MicroBatcher batcher(&registry, options);
+  batcher.Start();
+  ASSERT_NE(batcher.lane_pool(), nullptr);
+  CheckpointWatcher::Options watcher_options;
+  watcher_options.dir = dir;
+  watcher_options.prepare_tiers = {ScorePrecision::kDouble};
+  watcher_options.prepare_bounds = true;
+  watcher_options.pool = batcher.lane_pool();
+  CheckpointWatcher watcher(&registry, factory, watcher_options);
+  ASSERT_TRUE(watcher.AdoptPath(path_of(1)).ok());  // version 1
+
+  std::atomic<bool> swapping{true};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> ok_replies{0};
+  std::atomic<uint64_t> versions_seen{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClientThreads; ++c) {
+    clients.emplace_back([&, c] {
+      for (int q = 0; q < kQueriesPerClient || swapping.load(); ++q) {
+        ServeRequest request;
+        request.side = QuerySide::kTail;
+        request.entity = EntityId((c * 7 + q) % kAnchors);
+        request.relation = 0;
+        request.k = kTopK;
+        Waiter waiter;
+        batcher.Submit(request, &Waiter::OnReply, &waiter);
+        waiter.Await();
+        MutexLock lock(waiter.mutex);
+        const uint64_t version = waiter.snapshot_version;
+        if (waiter.status != ServeStatusCode::kOk || version < 1 ||
+            version > uint64_t(kCheckpoints)) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        ok_replies.fetch_add(1);
+        versions_seen.fetch_or(1ull << version);
+        const std::vector<ScoredEntity>& expect =
+            expected[size_t(version - 1)][size_t(request.entity)];
+        bool matches = waiter.results.size() == expect.size();
+        for (size_t i = 0; matches && i < expect.size(); ++i) {
+          matches = waiter.results[i].entity == expect[i].entity &&
+                    waiter.results[i].score == expect[i].score;
+        }
+        if (!matches) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (int i = 2; i <= kCheckpoints; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(WriteStringToFile(dir + "/LATEST",
+                                  "ckpt_" + std::to_string(i) + ".kge2\n")
+                    .ok());
+    watcher.PollOnce();
+    EXPECT_EQ(registry.current_version(), uint64_t(i));
+  }
+  ASSERT_TRUE(WriteStringToFile(dir + "/LATEST", "ckpt_9.kge2\n").ok());
+  watcher.PollOnce();
+  swapping.store(false);
+  for (auto& client : clients) client.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(ok_replies.load(), kClientThreads * kQueriesPerClient);
+  EXPECT_EQ(registry.current_version(), uint64_t(kCheckpoints));
+  EXPECT_EQ(watcher.stats().swaps, uint64_t(kCheckpoints));
+  EXPECT_EQ(watcher.stats().quarantines, 1u);
+  EXPECT_TRUE(FileExists(corrupt + ".quarantine"));
+  EXPECT_EQ(versions_seen.load() & ~uint64_t(0b1110), 0u);
+  batcher.Stop();
+  for (int i = 1; i <= kCheckpoints; ++i) std::remove(path_of(i).c_str());
+  std::remove((corrupt + ".quarantine").c_str());
+  std::remove((dir + "/LATEST").c_str());
 }
 
 // The registry's RCU property in isolation: a reader that acquired the

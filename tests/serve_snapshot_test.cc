@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <vector>
 
+#include "eval/topk.h"
 #include "models/checkpoint.h"
 #include "models/model_factory.h"
 #include "optim/optimizer.h"
@@ -17,6 +18,7 @@
 #include "serve/snapshot.h"
 #include "train/train_checkpoint.h"
 #include "util/io.h"
+#include "util/thread_pool.h"
 
 namespace kge {
 namespace {
@@ -240,6 +242,59 @@ TEST(LoadServingSnapshotTest, BuildsScoringReadySnapshot) {
   auto reference = MakeFreshModel(0);
   ASSERT_TRUE(LoadModelCheckpoint(reference->get(), path).ok());
   ExpectModelsEqual(**reference, *(*snapshot)->model);
+  std::remove(path.c_str());
+}
+
+// A load on a 4-thread pool (the checksum in chunks, the int8 codes and
+// every tier's tile bounds split on tile boundaries) serves the same
+// top-k, pruned on four lanes, as a load without one — which is the
+// exhaustive top-k.
+TEST(LoadServingSnapshotTest, PooledLoadServesTheSameTopK) {
+  constexpr int32_t kLargeEntities = 6000;
+  constexpr int32_t kLargeBudget = 64;
+  const std::string path = testing::TempDir() + "/snap_pooled.kge2";
+  {
+    auto model = MakeModelByName("distmult", kLargeEntities, kRelations,
+                                 kLargeBudget, 31);
+    ASSERT_TRUE(model.ok());
+    ASSERT_TRUE(SaveModelCheckpoint(**model, path).ok());
+  }
+  const ModelFactory factory = [] {
+    return MakeModelByName("distmult", kLargeEntities, kRelations,
+                           kLargeBudget, std::nullopt);
+  };
+  const std::vector<ScorePrecision> tiers = {
+      ScorePrecision::kDouble, ScorePrecision::kFloat32, ScorePrecision::kInt8};
+  ThreadPool pool(4);
+  Result<std::shared_ptr<ModelSnapshot>> inline_load =
+      LoadServingSnapshot(path, factory, tiers, /*prepare_bounds=*/true);
+  Result<std::shared_ptr<ModelSnapshot>> pooled_load = LoadServingSnapshot(
+      path, factory, tiers, /*prepare_bounds=*/true, &pool);
+  ASSERT_TRUE(inline_load.ok());
+  ASSERT_TRUE(pooled_load.ok());
+  ExpectModelsEqual(*(*inline_load)->model, *(*pooled_load)->model);
+
+  TopKOptions pruned;
+  pruned.k = 10;
+  pruned.num_shards = 4;
+  pruned.prune = true;
+  TopKOptions exhaustive;
+  exhaustive.k = 10;
+  for (EntityId anchor = 0; anchor < kLargeEntities; anchor += 997) {
+    for (RelationId relation = 0; relation < kRelations; ++relation) {
+      const std::vector<ScoredEntity> expect =
+          PredictTails(*(*inline_load)->model, anchor, relation, exhaustive);
+      for (const auto& snapshot : {*inline_load, *pooled_load}) {
+        const std::vector<ScoredEntity> got =
+            PredictTails(*snapshot->model, anchor, relation, pruned);
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].entity, expect[i].entity);
+          EXPECT_EQ(got[i].score, expect[i].score);
+        }
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -19,9 +19,11 @@
 
 #include "datagen/pattern_kg_generator.h"
 #include "kg/negative_sampler.h"
+#include "models/model_factory.h"
 #include "models/trilinear_models.h"
 #include "train/one_vs_all.h"
 #include "train/trainer.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -54,7 +56,6 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace kge {
 namespace {
 
-#if KGE_COUNT_ALLOCS
 std::vector<Triple> MakeWorkload() {
   PatternKgOptions options;
   options.num_entities = 60;
@@ -64,6 +65,7 @@ std::vector<Triple> MakeWorkload() {
   return GeneratePatternKg(options, nullptr);
 }
 
+#if KGE_COUNT_ALLOCS
 uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
@@ -112,6 +114,92 @@ TEST(TrainAllocTest, NegativeSamplingEpochsAllocateNothingAtFourThreads) {
         << "steady-state training epochs must stop allocating";
   }
 #endif
+}
+
+// The learned-weight models refresh ω from ρ at every BeginBatch and
+// chain dL/dω through the restriction at every FinishBatch; both run on
+// member scratch, so their batches allocate nothing either — at one
+// thread and at four.
+TEST(TrainAllocTest, AutoWeightEpochsAllocateNothing) {
+#if !KGE_COUNT_ALLOCS
+  GTEST_SKIP() << "operator-new counting is disabled under sanitizers";
+#else
+  const std::vector<Triple> train = MakeWorkload();
+  for (const char* name : {"autoweight", "autoweight-softmax"}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      TrainerOptions options;
+      options.batch_size = 32;
+      options.num_negatives = 4;
+      options.learning_rate = 0.05;
+      options.seed = 99;
+      options.grad_shard_size = 8;
+      options.num_threads = threads;
+      Result<std::unique_ptr<KgeModel>> model =
+          MakeModelByName(name, 60, 3, 16, 42);
+      ASSERT_TRUE(model.ok());
+      Trainer trainer(model->get(), options);
+      NegativeSampler sampler(60, 3, train, NegativeSamplerOptions());
+      Rng rng(11);
+      // Same bounded search for the steady state as above.
+      int consecutive = 0;
+      for (int epoch = 0; epoch < 50 && consecutive < 3; ++epoch) {
+        const uint64_t before = AllocCount();
+        trainer.RunEpoch(train, sampler, &rng);
+        consecutive = (AllocCount() == before) ? consecutive + 1 : 0;
+      }
+      EXPECT_EQ(consecutive, 3)
+          << "steady-state training epochs must stop allocating";
+    }
+  }
+#endif
+}
+
+// CRC32C over the bytes of every parameter block, in block order.
+uint32_t ParameterFingerprint(const KgeModel& model) {
+  uint32_t crc = 0;
+  for (const ParameterBlock* block : model.Blocks()) {
+    const std::span<const float> flat = block->Flat();
+    crc = Crc32cExtend(crc, flat.data(), flat.size_bytes());
+  }
+  return crc;
+}
+
+// Moving the learned-weight models onto member scratch changed no
+// arithmetic: five epochs leave every parameter bit-identical to the
+// allocating implementation's, whose fingerprints are pinned here, at
+// one thread and at four.
+TEST(TrainAllocTest, AutoWeightTrainsBitIdenticallyToTheAllocatingPath) {
+  const std::vector<Triple> train = MakeWorkload();
+  const struct {
+    const char* name;
+    uint32_t fingerprint;
+  } kCases[] = {{"autoweight", 0x91485db6u},
+                {"autoweight-softmax", 0x5f9977f5u}};
+  for (const auto& c : kCases) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.name) + " threads=" +
+                   std::to_string(threads));
+      TrainerOptions options;
+      options.batch_size = 32;
+      options.num_negatives = 4;
+      options.learning_rate = 0.05;
+      options.seed = 99;
+      options.grad_shard_size = 8;
+      options.num_threads = threads;
+      Result<std::unique_ptr<KgeModel>> model =
+          MakeModelByName(c.name, 60, 3, 16, 42);
+      ASSERT_TRUE(model.ok());
+      Trainer trainer(model->get(), options);
+      NegativeSampler sampler(60, 3, train, NegativeSamplerOptions());
+      Rng rng(11);
+      for (int epoch = 0; epoch < 5; ++epoch) {
+        trainer.RunEpoch(train, sampler, &rng);
+      }
+      EXPECT_EQ(ParameterFingerprint(**model), c.fingerprint)
+          << std::hex << "fingerprint 0x" << ParameterFingerprint(**model);
+    }
+  }
 }
 
 TEST(TrainAllocTest, OneVsAllEpochsAllocateNothingAtFourThreads) {

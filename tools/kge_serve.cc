@@ -21,6 +21,9 @@
 //   * hot swap: --watch-latest polls LATEST, CRC-verifies new
 //     checkpoints before an atomic swap, quarantines corrupt ones, and
 //     keeps serving the last good snapshot meanwhile
+//   * adoption on every lane: with --shards > 1 the start-up load and
+//     every hot swap checksum the file and build the tile bounds on the
+//     scan lanes' pool
 #include <csignal>
 #include <cstdio>
 
@@ -217,7 +220,14 @@ int Run(int argc, char** argv) {
   // a snapshot sees concurrent workers, so the loader prepares them.
   watcher_options.prepare_bounds = prune;
 
+  // The batcher starts first so that every snapshot adoption — this
+  // first load and each hot swap — checksums the file and builds the
+  // bounds on the scan lanes' pool (--shards > 1) instead of on one
+  // core. Its workers idle until the server admits a query.
   SnapshotRegistry registry;
+  MicroBatcher batcher(&registry, batcher_options);
+  batcher.Start();
+  watcher_options.pool = batcher.lane_pool();
   CheckpointWatcher watcher(&registry, factory, watcher_options);
   const Status loaded = checkpoint.empty() ? watcher.LoadInitial()
                                            : watcher.AdoptPath(checkpoint);
@@ -227,8 +237,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  MicroBatcher batcher(&registry, batcher_options);
-  batcher.Start();
   KgeServer server(&batcher, ServerOptions{int(port), 64});
   const Status started = server.Start();
   if (!started.ok()) {
