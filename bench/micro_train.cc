@@ -64,8 +64,9 @@ void BM_EpochQuaternion(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochQuaternion)->Unit(benchmark::kMillisecond);
 
-// Optimizer step cost over a synthetic sparse gradient buffer.
-void BM_OptimizerApply(benchmark::State& state) {
+// Optimizer step cost (BeginStep + one UpdateRow per row) over a
+// synthetic sparse gradient buffer.
+void BM_OptimizerStep(benchmark::State& state) {
   ParameterBlock block("e", 10000, 256);
   AdamOptions options;
   auto optimizer = MakeAdam({&block}, options);
@@ -76,11 +77,14 @@ void BM_OptimizerApply(benchmark::State& state) {
     for (float& x : g) x = rng.NextUniform(-1, 1);
   }
   for (auto _ : state) {
-    optimizer->Apply(grads);
+    optimizer->BeginStep();
+    grads.ForEach([&](size_t b, int64_t row, std::span<const float> g) {
+      optimizer->UpdateRow(b, row, g);
+    });
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_OptimizerApply)->Arg(64)->Arg(512)->Arg(2048);
+BENCHMARK(BM_OptimizerStep)->Arg(64)->Arg(512)->Arg(2048);
 
 }  // namespace
 }  // namespace kge

@@ -122,7 +122,7 @@ struct PerfConfig {
   int64_t eval_entities = 3000;  // WN18-like KG size for end-to-end eval
   int64_t eval_triples = 500;    // test triples evaluated end-to-end
   int64_t train_entities = 2000;  // WN18-like KG size for training bench
-  int64_t train_epochs = 2;       // timed epochs (one warm-up on top)
+  int64_t train_epochs = 2;       // timed epochs (after the warm-up)
   int64_t train_negatives = 4;    // negatives per positive
   int64_t drift_epochs = 30;      // training epochs before drift measurement
   int64_t serve_entities = 8000;      // vocab for the serving bench
@@ -1067,6 +1067,8 @@ struct TrainingRow {
   std::string model;
   std::string regime;  // "negative_sampling" | "one_vs_all"
   int threads = 1;
+  // Batches in flight: Trainer::kPipelineDepth for negative sampling, 1
+  // for 1-vs-all (no sampling stage runs ahead).
   int pipeline_depth = 1;
   int64_t train_triples = 0;
   double epoch_seconds = 0.0;
@@ -1102,6 +1104,27 @@ std::unique_ptr<MultiEmbeddingModel> MakeTrainModel(const std::string& name,
                      int32_t(dim_budget / 2), /*seed=*/42);
 }
 
+// Warm-up epochs until one allocates nothing, at most 20 (one when
+// allocations are not counted): every per-thread scratch buffer, shard
+// buffer and gradient pool has then grown to its high-water mark, so
+// the timed (and allocation-counted) epochs are steady state. One epoch
+// is not enough with a pool: a worker may run its first task, and grow
+// its thread_local scratch, only in a later epoch.
+template <typename Epoch>
+void WarmUpTraining(const Epoch& run_epoch) {
+  constexpr int kMaxWarmUpEpochs = 20;
+  for (int epoch = 0; epoch < kMaxWarmUpEpochs; ++epoch) {
+#if KGE_COUNT_ALLOCS
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    run_epoch();
+    if (g_alloc_count.load(std::memory_order_relaxed) == before) return;
+#else
+    run_epoch();
+    return;
+#endif
+  }
+}
+
 TrainingRow BenchNegativeSampling(const PerfConfig& config,
                                   const Dataset& data,
                                   const std::string& model_name,
@@ -1118,17 +1141,15 @@ TrainingRow BenchNegativeSampling(const PerfConfig& config,
   NegativeSampler sampler(model->num_entities(), model->num_relations(),
                           data.train, sampler_options);
   Rng rng(42);
-  // Warm-up epoch: grows every per-thread scratch buffer, shard buffer,
-  // and gradient pool to its high-water mark, so the timed (and
-  // allocation-counted) epochs are steady state.
-  g_sink = g_sink + trainer.RunEpoch(data.train, sampler, &rng);
+  WarmUpTraining(
+      [&] { g_sink = g_sink + trainer.RunEpoch(data.train, sampler, &rng); });
   trainer.ResetStageStats();
 
   TrainingRow row;
   row.model = model_name;
   row.regime = "negative_sampling";
   row.threads = threads;
-  row.pipeline_depth = options.pipeline_depth;
+  row.pipeline_depth = int(Trainer::kPipelineDepth);
   row.train_triples = int64_t(data.train.size());
 #if KGE_COUNT_ALLOCS
   const uint64_t allocs_before =
@@ -1164,10 +1185,12 @@ TrainingRow BenchOneVsAll(const PerfConfig& config, const Dataset& data,
   options.num_threads = threads;
   options.seed = 42;
   OneVsAllTrainer trainer(model.get(), options);
-  // Warm-up: Train() builds the query index and runs one epoch.
+  // Train() builds the query index and runs the first warm-up epoch.
   const Result<TrainResult> warmup =
       trainer.Train(data.train, OneVsAllTrainer::ValidationFn());
   KGE_CHECK_OK(warmup.status());
+  Rng rng(43);
+  WarmUpTraining([&] { g_sink = g_sink + trainer.RunEpoch(&rng); });
 
   // Distinct (h, r) queries, to convert epoch time into candidate
   // scoring throughput (each query scores every entity).
@@ -1181,10 +1204,8 @@ TrainingRow BenchOneVsAll(const PerfConfig& config, const Dataset& data,
   row.model = model_name;
   row.regime = "one_vs_all";
   row.threads = threads;
-  row.pipeline_depth = options.pipeline_depth;
   row.train_triples = int64_t(data.train.size());
   trainer.ResetStageStats();
-  Rng rng(43);
 #if KGE_COUNT_ALLOCS
   const uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);

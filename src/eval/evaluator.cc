@@ -196,7 +196,7 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
   result.tail_ranks.resize(num_triples);
   result.head_ranks.resize(num_triples);
   std::vector<RankScanStats> batch_stats(batches.size());
-  pool.ParallelFor(0, batches.size(), [&](size_t begin, size_t end) {
+  pool.StageFor(0, batches.size(), [&](size_t begin, size_t end) {
     static thread_local RankWalkScratch scratch;
     for (size_t bi = begin; bi < end; ++bi) {
       const QueryBatch& query_batch = batches[bi];

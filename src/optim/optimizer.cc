@@ -273,28 +273,6 @@ void Optimizer::BeginStep() {
   }
 }
 
-void Optimizer::Apply(const GradientBuffer& grads, ThreadPool* pool) {
-  BeginStep();
-  const auto update = [this](size_t block_index, int64_t row,
-                             std::span<const float> grad) {
-    UpdateRow(block_index, row, grad);
-  };
-  // Below ~64 rows the fan-out overhead exceeds the update work.
-  constexpr size_t kMinRowsForParallel = 64;
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      grads.NumTouchedRows() < kMinRowsForParallel) {
-    grads.ForEach(update);
-    return;
-  }
-  const size_t parts = pool->num_threads();
-  // StageFor passes the body by context pointer through the pool's POD
-  // task ring — no std::function, so the step allocates nothing at any
-  // thread count.
-  pool->StageFor(0, parts, [&grads, &update, parts](size_t pb, size_t pe) {
-    for (size_t p = pb; p < pe; ++p) grads.ForEachShard(p, parts, update);
-  });
-}
-
 std::unique_ptr<Optimizer> MakeSgd(std::vector<ParameterBlock*> blocks,
                                    const SgdOptions& options) {
   return std::make_unique<SgdOptimizer>(std::move(blocks), options);

@@ -3,9 +3,8 @@
 // standard approach for embedding models, where a batch touches a tiny
 // fraction of rows). A step is BeginStep() followed by one UpdateRow()
 // per touched row: each optimizer's row update is a single math/simd
-// kernel (simd::SgdRow / AdagradRow / AdamRow), shared by Apply() over a
-// GradientBuffer and by the negative-sampling trainer's fused step pass,
-// which sums a row's shard gradients and updates it in one visit.
+// kernel (simd::SgdRow / AdagradRow / AdamRow). Both trainers' step
+// passes sum a row's batch gradient and update it in the same visit.
 //
 // The paper trains with "SGD with learning rates auto-tuned by Adam"
 // (§5.3); Adam is the default in all benches. SGD and Adagrad are
@@ -23,7 +22,6 @@
 #include "util/hotpath.h"
 #include "util/io.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace kge {
 
@@ -51,14 +49,6 @@ class Optimizer {
   KGE_HOT_NOALLOC
   virtual std::span<float> UpdateRow(size_t block_index, int64_t row,
                                      std::span<const float> grad) = 0;
-
-  // One whole step over the rows touched in `grads`: BeginStep, then
-  // UpdateRow per row. The buffer's block list must be the one this
-  // optimizer was constructed with. With a non-null `pool`, rows are
-  // partitioned across it by GradientBuffer::ShardOfRow — bit-identical
-  // to the serial apply for every thread count.
-  KGE_HOT_NOALLOC
-  void Apply(const GradientBuffer& grads, ThreadPool* pool = nullptr);
 
   // Resets all optimizer state (moments, step counters).
   virtual void Reset() = 0;

@@ -7,13 +7,43 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "models/checkpoint.h"
 #include "util/failpoint.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
 
 namespace kge {
+namespace {
+
+// Every ckpt_<epoch>.kge2 under `dir`, newest epoch first; empty when
+// the directory cannot be read.
+std::vector<std::string> CheckpointsNewestFirst(const std::string& dir) {
+  std::vector<int> epochs;
+  if (DIR* handle = ::opendir(dir.c_str())) {
+    while (struct dirent* entry = ::readdir(handle)) {
+      const std::string name = entry->d_name;
+      if (name.rfind("ckpt_", 0) != 0) continue;
+      const size_t suffix = name.find(".kge2");
+      if (suffix == std::string::npos || suffix + 5 != name.size()) continue;
+      const std::string digits = name.substr(5, suffix - 5);
+      if (digits.empty() ||
+          digits.find_first_not_of("0123456789") != std::string::npos) {
+        continue;
+      }
+      epochs.push_back(std::atoi(digits.c_str()));
+    }
+    ::closedir(handle);
+  }
+  std::sort(epochs.begin(), epochs.end(), std::greater<int>());
+  std::vector<std::string> paths;
+  paths.reserve(epochs.size());
+  for (int epoch : epochs) {
+    paths.push_back(dir + "/ckpt_" + std::to_string(epoch) + ".kge2");
+  }
+  return paths;
+}
+
+}  // namespace
 
 Result<std::shared_ptr<ModelSnapshot>> LoadServingSnapshot(
     const std::string& path, const ModelFactory& factory,
@@ -110,12 +140,20 @@ Status CheckpointWatcher::LoadInitial() {
     if (adopted.ok()) return adopted;
     failed_loads_.fetch_add(1, std::memory_order_relaxed);
     KGE_LOG(Warning) << "LATEST target unusable (" << adopted.ToString()
-                     << "); falling back to newest valid checkpoint";
+                     << "); falling back to the newest loadable checkpoint";
     QuarantineFile(target);
   }
-  Result<std::string> fallback = FindNewestValidCheckpoint(options_.dir);
-  if (!fallback.ok()) return fallback.status();
-  return TryAdopt(*fallback);
+  // Each candidate is checksummed once, by its own mapped load; one that
+  // fails is skipped but left in place.
+  for (const std::string& path : CheckpointsNewestFirst(options_.dir)) {
+    if (path == target) continue;
+    const Status adopted = TryAdopt(path);
+    if (adopted.ok()) return adopted;
+    failed_loads_.fetch_add(1, std::memory_order_relaxed);
+    KGE_LOG(Warning) << "skipping checkpoint " << path << ": "
+                     << adopted.ToString();
+  }
+  return Status::NotFound("no loadable checkpoint in " + options_.dir);
 }
 
 Status CheckpointWatcher::AdoptPath(const std::string& path) {
@@ -183,32 +221,6 @@ CheckpointWatcher::StatsView CheckpointWatcher::stats() const {
   view.quarantines = quarantines_.load(std::memory_order_relaxed);
   view.failed_loads = failed_loads_.load(std::memory_order_relaxed);
   return view;
-}
-
-Result<std::string> FindNewestValidCheckpoint(const std::string& dir) {
-  DIR* handle = ::opendir(dir.c_str());
-  if (handle == nullptr) return Status::NotFound("cannot open " + dir);
-  std::vector<int> epochs;
-  while (struct dirent* entry = ::readdir(handle)) {
-    const std::string name = entry->d_name;
-    if (name.rfind("ckpt_", 0) != 0) continue;
-    const size_t suffix = name.find(".kge2");
-    if (suffix == std::string::npos || suffix + 5 != name.size()) continue;
-    const std::string digits = name.substr(5, suffix - 5);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    epochs.push_back(std::atoi(digits.c_str()));
-  }
-  ::closedir(handle);
-  std::sort(epochs.begin(), epochs.end(), std::greater<int>());
-  for (int epoch : epochs) {
-    const std::string path =
-        dir + "/ckpt_" + std::to_string(epoch) + ".kge2";
-    if (VerifyCheckpoint(path).ok()) return path;
-  }
-  return Status::NotFound("no CRC-valid checkpoint in " + dir);
 }
 
 }  // namespace kge

@@ -107,10 +107,12 @@ class CheckpointWatcher {
   CheckpointWatcher& operator=(const CheckpointWatcher&) = delete;
 
   // Startup load: adopt the LATEST target if it loads; otherwise
-  // quarantine it and fall back to the newest ckpt_*.kge2 that passes
-  // VerifyCheckpoint. NotFound when the directory has no usable
-  // checkpoint. This is how a restart after a crash resumes from the
-  // last CRC-valid checkpoint even when LATEST was the casualty.
+  // quarantine it and adopt the newest ckpt_<epoch>.kge2 that loads,
+  // trying each newest first (a candidate that fails is skipped, not
+  // quarantined). Every attempt checksums its file once, in the mapped
+  // load. NotFound when the directory has no loadable checkpoint. This
+  // is how a restart after a crash resumes from the last CRC-valid
+  // checkpoint even when LATEST was the casualty.
   Status LoadInitial();
 
   // Adopts one explicit checkpoint file (no LATEST indirection) — the
@@ -160,10 +162,6 @@ class CheckpointWatcher {
   CondVar cv_;
   std::thread thread_;
 };
-
-// Newest ckpt_<epoch>.kge2 under `dir` that passes VerifyCheckpoint.
-// NotFound when nothing qualifies.
-Result<std::string> FindNewestValidCheckpoint(const std::string& dir);
 
 }  // namespace kge
 

@@ -15,19 +15,18 @@
 // Head queries are covered by training on inverse-augmented triples
 // (kg/augmentation.h), as ConvE does with reciprocal relations.
 //
-// The batch machine is a pipeline of fork-join stages (DESIGN.md §5f):
-// a fused per-chunk score stage (fold + cache-blocked multi-query scores
-// + per-query gradients), a per-entity accumulate stage, a parallel
-// head/relation fold-back stage with a serial batch-order apply, and —
-// with pipeline_depth > 1 — the next batch's touched-flag clear runs on
-// idle workers while this batch finishes. All stages partition writes
-// disjointly and sum in fixed batch order, so losses and parameters are
-// bit-identical for every thread count and depth.
+// A batch is two fork-join stages (DESIGN.md §5f), the way Trainer takes
+// its step: a score stage per query chunk (fold + cache-blocked
+// multi-query scores + per-query gradients + the head/relation
+// fold-back), then one step pass per entity chunk that sums each entity
+// row in batch order into a scratch row and updates it in the same
+// visit; the few relation rows follow serially. Every per-row sum runs
+// in fixed batch order, so losses and parameters are bit-identical for
+// every thread count.
 #ifndef KGE_TRAIN_ONE_VS_ALL_H_
 #define KGE_TRAIN_ONE_VS_ALL_H_
 
-#include <atomic>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "models/trilinear_models.h"
@@ -52,24 +51,10 @@ struct OneVsAllOptions {
   uint64_t seed = 1234;
   // Worker threads; 0 auto-detects std::thread::hardware_concurrency()
   // (ResolveNumThreads). Queries fan out across the pool (folds +
-  // batched scores), then entity gradient rows do; every per-row sum
-  // runs in fixed batch order, so losses and parameters are
-  // bit-identical for every num_threads.
+  // batched scores), then entity rows do; every per-row sum runs in
+  // fixed batch order, so losses and parameters are bit-identical for
+  // every num_threads.
   int num_threads = 1;
-  // Score a batch's queries with one cache-blocked multi-query product
-  // (simd::DotBatchMulti) over the entity table instead of one GEMV per
-  // query, streaming each entity tile once per batch. Scores — and
-  // therefore losses and updated parameters — are bit-identical either
-  // way; false keeps the per-query path (used by the equality tests).
-  bool batched_scoring = true;
-  // Pipeline depth (1–3, matching TrainerOptions). Depth > 1
-  // double-buffers the batch's touched-entity flags and clears the spent
-  // buffer on idle workers while the next batch is already scoring; the
-  // flags are cleared to the same zeros either way, so the depth cannot
-  // change results. (The 1-N gradient is dense in the entity table, so
-  // unlike negative sampling there is no sampling stage to run ahead;
-  // effective overlap saturates at depth 2.)
-  int pipeline_depth = 2;
   // Durable checkpointing + exact resume (off unless `dir` is set) and
   // non-finite-loss rollback; see train/train_checkpoint.h.
   CheckpointingOptions checkpointing;
@@ -91,10 +76,9 @@ class OneVsAllTrainer {
   double RunEpoch(Rng* rng);
 
   // Cumulative stage timings since construction (or the last reset);
-  // sample = overlapped flag clears, score = fused fold+score+grad,
-  // merge = entity accumulate + fold-back, apply = optimizer.
-  TrainStageStats stage_stats() const;
-  void ResetStageStats();
+  // score = fused fold+score+grad+fold-back, apply = the step pass.
+  TrainStageStats stage_stats() const { return clock_.Stats(); }
+  void ResetStageStats() { clock_.Reset(); }
 
  private:
   struct Query {
@@ -102,94 +86,60 @@ class OneVsAllTrainer {
     RelationId relation;
     std::vector<EntityId> tails;
   };
-  struct ClearCtx {
-    OneVsAllTrainer* trainer;
-    size_t buffer;
-  };
 
   void BuildQueries(const std::vector<Triple>& train_triples);
 
-  static void ClearTrampoline(void* ctx, size_t begin, size_t end);
-
-  // Stage A of the batch pipeline, independent per query: fold (h, r),
-  // score every entity with one DotBatch GEMV, convert scores in place
-  // to dL/ds values in `g`, accumulate dL/dfold into `dfold`, and flag
-  // touched entities. Returns the query's BCE loss. The batched-scoring
-  // path fuses this per chunk in ScoreChunk instead.
-  KGE_HOT_NOALLOC
-  double ScoreQuery(const Query& query, std::span<float> fold,
-                    std::span<float> g, std::span<float> dfold);
-  // The post-scoring half of ScoreQuery: `g` holds the query's scores on
-  // entry and its dL/ds values on exit; accumulates dL/dfold and flags
-  // touched entities. Returns the query's BCE loss.
+  // The post-scoring half of a query: `g` holds the query's scores on
+  // entry and its dL/ds values on exit; accumulates dL/dfold. Returns
+  // the query's BCE loss.
   KGE_HOT_NOALLOC
   double ComputeQueryGrad(const Query& query, std::span<float> g,
                           std::span<float> dfold);
 
-  // Pipeline stage roots over the current batch (cur_begin_/cur_count_),
-  // each writing only its chunk's disjoint slices:
+  // Stage roots over the current batch (cur_begin_/cur_count_), each
+  // writing only its chunk's disjoint slices:
   //
   // Score stage: folds queries [qb, qe), scores them against the whole
   // entity table with one cache-blocked DotBatchMulti (per-cell scores
-  // equal the per-query DotBatch scores by the simd contract, so the
-  // chunking is invisible to the numerics), then ComputeQueryGrad each.
+  // equal float(Dot(fold, row)) by the simd contract, so the chunking is
+  // invisible to the numerics), ComputeQueryGrad each, and folds each
+  // dL/dfold back into the query's head and relation gradient rows.
   KGE_HOT_NOALLOC
   void ScoreChunk(size_t qb, size_t qe);
-  // Accumulate stage: dL/dt_e = Σ_i g_i[e] · fold_i for entities
-  // [eb, ee), summed in batch order for every partition; rows are
-  // pre-registered, so the concurrent GradFor calls are pure lookups.
+  // Step stage for entities [eb, ee): row e sums g_i[e] · fold_i for
+  // every query i with g_i[e] != 0, then the head fold of every query
+  // whose head is e, both in batch order, into a zeroed scratch row and
+  // hands it to Optimizer::UpdateRow — only when something was added.
   KGE_HOT_NOALLOC
-  void AccumulateEntityChunk(size_t eb, size_t ee);
-  // Fold-back stage: per query, the transposed folds of dL/dfold into
-  // per-query head/relation gradient rows (accumulated serially, in
-  // batch order, by RunEpoch afterwards — heads can repeat in a batch).
-  KGE_HOT_NOALLOC
-  void FoldBackChunk(size_t qb, size_t qe);
-  // Clear stage (the depth > 1 overlap): zeroes a spent touched-flag
-  // buffer on idle workers while the next batch is already scoring.
-  KGE_HOT_NOALLOC
-  void ClearTouched(size_t buffer);
-
-  void AddStageNanos(int stage, double seconds) {
-    stage_nanos_[stage].fetch_add(int64_t(seconds * 1e9),
-                                  std::memory_order_relaxed);
-  }
+  void StepEntityChunk(size_t eb, size_t ee);
 
   MultiEmbeddingModel* model_;
   OneVsAllOptions options_;
   std::vector<Query> queries_;
   std::unique_ptr<Optimizer> optimizer_;
-  std::unique_ptr<GradientBuffer> grads_;
   // Always constructed; 1 thread means "run inline".
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<ParameterBlock*> blocks_;
   // Batch-level scratch, reused every batch (zero steady-state allocs):
   // per-query fold / dfold / per-entity dL/ds matrices, per-query loss
-  // and head/relation fold-back rows, and the double-buffered
-  // touched-entity flags (written with relaxed atomic_ref stores from
-  // concurrent queries; cleared on idle workers when depth > 1).
+  // and head/relation fold-back rows, the batch's (head, batch index)
+  // and (relation, batch index) pairs sorted by row, and the relation
+  // step's sum row.
   std::vector<size_t> order_;
   std::vector<float> folds_;
   std::vector<float> dfolds_;
   std::vector<float> g_;
   std::vector<double> query_loss_;
-  std::vector<uint8_t> touched_[2];
   std::vector<float> head_folds_;
   std::vector<float> relation_folds_;
-
-  // ---- Pipeline state ----
-  bool overlap_clear_ = false;  // depth > 1 and a real pool
-  ThreadPool::StageGroup clear_group_;
-  ClearCtx clear_ctx_[2] = {};
+  std::vector<std::pair<EntityId, size_t>> head_rows_;
+  std::vector<std::pair<RelationId, size_t>> relation_rows_;
+  std::vector<float> relation_sum_;
   // Current-batch window for the stage roots (set before the stages are
   // scheduled, constant until their joins).
   size_t cur_begin_ = 0;
   size_t cur_count_ = 0;
-  uint8_t* touched_data_ = nullptr;
 
-  // Stage timing (sample/score/merge/apply; see TrainStageStats).
-  std::atomic<int64_t> stage_nanos_[4] = {};
-  std::atomic<int64_t> wall_nanos_{0};
+  StageClock clock_;
 };
 
 }  // namespace kge

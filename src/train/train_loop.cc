@@ -11,6 +11,24 @@
 
 namespace kge {
 
+TrainStageStats StageClock::Stats() const {
+  const auto seconds = [this](Counter counter) {
+    return double(nanos_[counter].load(std::memory_order_relaxed)) * 1e-9;
+  };
+  TrainStageStats stats;
+  stats.sample_seconds = seconds(kSample);
+  stats.score_seconds = seconds(kScore);
+  stats.apply_seconds = seconds(kStep);
+  stats.wall_seconds = seconds(kWall);
+  return stats;
+}
+
+void StageClock::Reset() {
+  for (std::atomic<int64_t>& nanos : nanos_) {
+    nanos.store(0, std::memory_order_relaxed);
+  }
+}
+
 TrainLoop::TrainLoop(KgeModel* model, Optimizer* optimizer,
                      TrainLoopConfig config)
     : model_(model), optimizer_(optimizer), config_(std::move(config)) {

@@ -10,6 +10,8 @@
 #ifndef KGE_TRAIN_TRAIN_LOOP_H_
 #define KGE_TRAIN_TRAIN_LOOP_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -30,20 +32,38 @@ using ValidationFn = std::function<double(int epoch)>;
 
 // Cumulative pipeline-stage timings reported by the trainers
 // (Trainer::stage_stats() / OneVsAllTrainer::stage_stats()).
-// `sample_seconds`/`score_seconds` are busy time summed across the tasks
-// of the overlapped stages (sampling prefetch / shard scoring — or flag
-// clearing / fused fold+score for 1-vs-all), so with T threads they can
-// exceed the wall clock; `merge_seconds`/`apply_seconds` are the caller's
-// wall time in those critical-path sections. Trainer's step pass merges
-// and applies each row in one visit, so it reports all of it as apply
-// and merge stays 0. Occupancy for the bench report is
-// stage_seconds / wall_seconds.
+// `sample_seconds` is busy time summed across the sampling-prefetch
+// tasks, so with T threads it can exceed the wall clock (1-vs-all
+// samples nothing); `score_seconds` is busy time of the shard-scoring
+// tasks, or the caller's wall time around the 1-vs-all fused
+// fold+score+fold-back stage; `apply_seconds` is the caller's wall time
+// in the step pass. Both trainers' step passes sum and update each row
+// in one visit, so all of it is reported as apply and merge stays 0.
+// Occupancy for the bench report is stage_seconds / wall_seconds.
 struct TrainStageStats {
   double sample_seconds = 0.0;
   double score_seconds = 0.0;
   double merge_seconds = 0.0;
   double apply_seconds = 0.0;
   double wall_seconds = 0.0;
+};
+
+// The counters behind both trainers' stage_stats(): seconds added as
+// relaxed-atomic nanoseconds, from pool tasks as well as the epoch loop.
+class StageClock {
+ public:
+  enum Counter { kSample, kScore, kStep, kWall, kNumCounters };
+
+  void Add(Counter counter, double seconds) {
+    nanos_[counter].fetch_add(int64_t(seconds * 1e9),
+                              std::memory_order_relaxed);
+  }
+  // The step counter is reported as apply_seconds.
+  TrainStageStats Stats() const;
+  void Reset();
+
+ private:
+  std::atomic<int64_t> nanos_[kNumCounters] = {};
 };
 
 struct TrainResult {

@@ -15,11 +15,6 @@ namespace kge {
 
 namespace {
 
-// Indices into Trainer::stage_nanos_.
-constexpr int kStageSample = 0;
-constexpr int kStageScore = 1;
-constexpr int kStageStep = 2;
-
 // StepOverShards' work for rows with ShardOfRow(block, row, num_parts)
 // == part.
 KGE_HOT_NOALLOC
@@ -74,7 +69,6 @@ Trainer::Trainer(KgeModel* model, const TrainerOptions& options)
   KGE_CHECK(model_ != nullptr);
   KGE_CHECK(options_.batch_size > 0 && options_.num_negatives >= 0);
   KGE_CHECK(options_.num_threads >= 0 && options_.grad_shard_size >= 1);
-  KGE_CHECK(options_.pipeline_depth >= 1 && options_.pipeline_depth <= 8);
   options_.num_threads = int(ResolveNumThreads(options_.num_threads));
   blocks_ = model_->Blocks();
   Result<std::unique_ptr<Optimizer>> optimizer =
@@ -91,22 +85,22 @@ Trainer::Trainer(KgeModel* model, const TrainerOptions& options)
   // execution. Shard buffers themselves are grown on first use (their
   // count depends on batch size, not thread count).
   pool_ = std::make_unique<ThreadPool>(size_t(options_.num_threads));
-  depth_ = size_t(options_.pipeline_depth);
-  sampled_.resize(depth_);
+  sampled_.resize(kPipelineDepth);
   for (SampledBatch& buffer : sampled_) {
     buffer.negatives.reserve(batch_size * negatives);
   }
-  sample_ctx_.resize(depth_);
-  sample_groups_.reserve(depth_);
-  for (size_t d = 0; d < depth_; ++d) {
+  sample_ctx_.resize(kPipelineDepth);
+  sample_groups_.reserve(kPipelineDepth);
+  for (size_t d = 0; d < kPipelineDepth; ++d) {
     sample_groups_.push_back(std::make_unique<ThreadPool::StageGroup>());
   }
   // Pre-size the pool's stage ring for the worst concurrent task load:
-  // one compute task per shard plus `depth_` batches of sample tasks.
+  // one compute task per shard plus kPipelineDepth batches of sample
+  // tasks.
   const size_t shards_per_batch =
       (batch_size + size_t(options_.grad_shard_size) - 1) /
       size_t(options_.grad_shard_size);
-  pool_->ReserveStageTasks(shards_per_batch * (depth_ + 1) + 64);
+  pool_->ReserveStageTasks(shards_per_batch * (kPipelineDepth + 1) + 64);
 }
 
 void Trainer::ProcessRange(const std::vector<Triple>& train_triples,
@@ -245,7 +239,7 @@ void Trainer::ProcessRange(const std::vector<Triple>& train_triples,
 }
 
 void Trainer::SampleShard(size_t batch_index, size_t shard) {
-  SampledBatch& buffer = sampled_[batch_index % depth_];
+  SampledBatch& buffer = sampled_[batch_index % kPipelineDepth];
   const size_t batch_size = size_t(options_.batch_size);
   const size_t shard_size = size_t(options_.grad_shard_size);
   const size_t negatives_per_positive = size_t(options_.num_negatives);
@@ -255,7 +249,7 @@ void Trainer::SampleShard(size_t batch_index, size_t shard) {
   const size_t shard_end = std::min(end, shard_begin + shard_size);
   // Independent sampling stream per (seed, batch, shard) — the stream
   // assignment depends only on the shard structure, never on the thread
-  // count, the pipeline depth, or how far ahead this prefetch runs.
+  // count or how far ahead this prefetch runs.
   Rng rng(DeriveStreamSeed(options_.seed,
                            epoch_base_counter_ + batch_index + 1, shard));
   // Thread-local staging keeps SampleMany appends off the shared buffer;
@@ -281,7 +275,7 @@ void Trainer::ComputeShard(size_t shard) {
   shard_grads_[shard]->Clear();
   shard_loss_[shard] = 0.0;
   shard_examples_[shard] = 0;
-  const SampledBatch& buffer = sampled_[cur_batch_index_ % depth_];
+  const SampledBatch& buffer = sampled_[cur_batch_index_ % kPipelineDepth];
   const std::span<const Triple> negatives(
       buffer.negatives.data() + (begin - cur_begin_) * negatives_per_positive,
       (end - begin) * negatives_per_positive);
@@ -296,14 +290,14 @@ void Trainer::SampleTrampoline(void* ctx, size_t begin, size_t end) {
   for (size_t s = begin; s < end; ++s) {
     sample->trainer->SampleShard(sample->batch_index, s);
   }
-  sample->trainer->AddStageNanos(kStageSample, watch.ElapsedSeconds());
+  sample->trainer->clock_.Add(StageClock::kSample, watch.ElapsedSeconds());
 }
 
 void Trainer::ComputeTrampoline(void* ctx, size_t begin, size_t end) {
   auto* trainer = static_cast<Trainer*>(ctx);
   Stopwatch watch;
   for (size_t s = begin; s < end; ++s) trainer->ComputeShard(s);
-  trainer->AddStageNanos(kStageScore, watch.ElapsedSeconds());
+  trainer->clock_.Add(StageClock::kScore, watch.ElapsedSeconds());
 }
 
 void Trainer::ScheduleSampling(size_t batch_index) {
@@ -312,12 +306,13 @@ void Trainer::ScheduleSampling(size_t batch_index) {
   const size_t begin = batch_index * batch_size;
   const size_t end = std::min(order_.size(), begin + batch_size);
   const size_t shards = (end - begin + shard_size - 1) / shard_size;
-  SampledBatch& buffer = sampled_[batch_index % depth_];
+  SampledBatch& buffer = sampled_[batch_index % kPipelineDepth];
   // Within the capacity reserved at construction, so no allocation.
   buffer.negatives.resize((end - begin) * size_t(options_.num_negatives));
-  SampleCtx& ctx = sample_ctx_[batch_index % depth_];
+  SampleCtx& ctx = sample_ctx_[batch_index % kPipelineDepth];
   ctx = {this, batch_index};
-  ThreadPool::StageGroup* group = sample_groups_[batch_index % depth_].get();
+  ThreadPool::StageGroup* group =
+      sample_groups_[batch_index % kPipelineDepth].get();
   for (size_t s = 0; s < shards; ++s) {
     pool_->ScheduleRange(group, &Trainer::SampleTrampoline, &ctx, s, s + 1);
   }
@@ -371,13 +366,14 @@ double Trainer::RunEpoch(const std::vector<Triple>& train_triples,
   double total_loss = 0.0;
   size_t total_examples = 0;
 
-  // Pipeline prologue: prefetch the first `depth_` batches' negatives.
-  for (size_t b = 0; b < std::min(depth_, num_batches); ++b) {
+  // Pipeline prologue: prefetch the first kPipelineDepth batches'
+  // negatives.
+  for (size_t b = 0; b < std::min(kPipelineDepth, num_batches); ++b) {
     ScheduleSampling(b);
   }
 
   for (size_t batch = 0; batch < num_batches; ++batch) {
-    pool_->WaitStage(sample_groups_[batch % depth_].get());
+    pool_->WaitStage(sample_groups_[batch % kPipelineDepth].get());
     cur_batch_index_ = batch;
     cur_begin_ = batch * batch_size;
     cur_end_ = std::min(n, cur_begin_ + batch_size);
@@ -393,12 +389,13 @@ double Trainer::RunEpoch(const std::vector<Triple>& train_triples,
     } else {
       Stopwatch watch;
       for (size_t s = 0; s < shards; ++s) ComputeShard(s);
-      AddStageNanos(kStageScore, watch.ElapsedSeconds());
+      clock_.Add(StageClock::kScore, watch.ElapsedSeconds());
     }
     // This batch's sample buffer is free again: refill it with the batch
-    // `depth_` ahead while the step runs. (With depth 1 the prefetch
-    // still overlaps sampling with the step.)
-    if (batch + depth_ < num_batches) ScheduleSampling(batch + depth_);
+    // kPipelineDepth ahead while the step runs.
+    if (batch + kPipelineDepth < num_batches) {
+      ScheduleSampling(batch + kPipelineDepth);
+    }
 
     for (size_t s = 0; s < shards; ++s) {
       total_loss += shard_loss_[s];
@@ -414,39 +411,13 @@ double Trainer::RunEpoch(const std::vector<Triple>& train_triples,
                          step_sources_.data(), shards + 1),
                      model_, optimizer_.get(), options_.unit_norm_entities,
                      pool_.get());
-      AddStageNanos(kStageStep, watch.ElapsedSeconds());
+      clock_.Add(StageClock::kStep, watch.ElapsedSeconds());
     }
   }
   epoch_triples_ = nullptr;
   epoch_sampler_ = nullptr;
-  wall_nanos_.fetch_add(int64_t(epoch_watch.ElapsedSeconds() * 1e9),
-                        std::memory_order_relaxed);
+  clock_.Add(StageClock::kWall, epoch_watch.ElapsedSeconds());
   return total_examples == 0 ? 0.0 : total_loss / double(total_examples);
-}
-
-TrainStageStats Trainer::stage_stats() const {
-  TrainStageStats stats;
-  stats.sample_seconds =
-      double(stage_nanos_[kStageSample].load(std::memory_order_relaxed)) *
-      1e-9;
-  stats.score_seconds =
-      double(stage_nanos_[kStageScore].load(std::memory_order_relaxed)) *
-      1e-9;
-  // The step pass merges and applies each row in one visit; its whole
-  // time is reported as apply, and merge stays 0.
-  stats.apply_seconds =
-      double(stage_nanos_[kStageStep].load(std::memory_order_relaxed)) *
-      1e-9;
-  stats.wall_seconds =
-      double(wall_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  return stats;
-}
-
-void Trainer::ResetStageStats() {
-  for (std::atomic<int64_t>& nanos : stage_nanos_) {
-    nanos.store(0, std::memory_order_relaxed);
-  }
-  wall_nanos_.store(0, std::memory_order_relaxed);
 }
 
 Result<TrainResult> Trainer::Train(const std::vector<Triple>& train_triples,

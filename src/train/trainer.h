@@ -5,20 +5,19 @@
 // checkpoint).
 //
 // The epoch inner loop is a software pipeline (DESIGN.md §5f): while
-// batch N's shards are scored, batch N+1..N+depth-1's negatives are
-// sampled into double-buffered per-batch sample buffers by otherwise
-// idle pool workers. Sampling is the only stage that reads no model
-// parameters (each shard draws from an independent
-// DeriveStreamSeed(seed, batch, shard) stream), so the overlap is
-// bit-identical to the unpipelined loop by construction — pipeline depth
-// and thread count can never change losses or final parameters. A
-// batch's tail is one fork-join (StepOverShards): each worker sums its
-// rows' shard gradients in shard order, applies the optimizer's row
-// update and the unit-norm constraint, one row at a time.
+// batch N's shards are scored, batch N+1's negatives are sampled into
+// double-buffered per-batch sample buffers by otherwise idle pool
+// workers. Sampling is the only stage that reads no model parameters
+// (each shard draws from an independent DeriveStreamSeed(seed, batch,
+// shard) stream), so the overlap is bit-identical to the unpipelined
+// loop by construction — the thread count can never change losses or
+// final parameters. A batch's tail is one fork-join (StepOverShards):
+// each worker sums its rows' shard gradients in shard order, applies the
+// optimizer's row update and the unit-norm constraint, one row at a
+// time.
 #ifndef KGE_TRAIN_TRAINER_H_
 #define KGE_TRAIN_TRAINER_H_
 
-#include <atomic>
 #include <functional>
 #include <span>
 #include <string>
@@ -107,11 +106,6 @@ struct TrainerOptions {
   // it regroups the sampling streams (results stay deterministic for any
   // thread count, but differ across shard sizes).
   int grad_shard_size = 64;
-  // Batches whose negative samples may be in flight at once (1–3).
-  // Depth d > 1 overlaps sampling of batches N+1..N+d-1 with the
-  // score and step stages of batch N. Sampling streams are keyed by
-  // batch index, never by schedule, so the depth cannot change results.
-  int pipeline_depth = 2;
   // Durable checkpointing + exact resume (off unless `dir` is set) and
   // non-finite-loss rollback; see train/train_checkpoint.h.
   CheckpointingOptions checkpointing;
@@ -161,14 +155,19 @@ class Trainer {
 
   // Cumulative stage timings since construction (or the last reset);
   // see TrainStageStats for the busy-vs-wall semantics per field.
-  TrainStageStats stage_stats() const;
-  void ResetStageStats();
+  TrainStageStats stage_stats() const { return clock_.Stats(); }
+  void ResetStageStats() { clock_.Reset(); }
+
+  // Batches whose negatives are in flight at once: batch N+1 is sampled
+  // while batch N is scored and stepped. Sampling streams are keyed by
+  // batch index, never by schedule, so the depth cannot change results.
+  static constexpr size_t kPipelineDepth = 2;
 
  private:
   // One batch's presampled negatives: `num_negatives` triples per
-  // positive, contiguous in batch order. `depth` buffers rotate so
-  // sampling for batch N+depth can fill the buffer batch N just
-  // consumed.
+  // positive, contiguous in batch order. kPipelineDepth buffers rotate
+  // so sampling for batch N+kPipelineDepth can fill the buffer batch N
+  // just consumed.
   struct SampledBatch {
     std::vector<Triple> negatives;
   };
@@ -213,10 +212,6 @@ class Trainer {
                     size_t end, std::span<const Triple> negatives,
                     GradientBuffer* grads, double* loss,
                     size_t* examples) const;
-  void AddStageNanos(int stage, double seconds) {
-    stage_nanos_[stage].fetch_add(int64_t(seconds * 1e9),
-                                  std::memory_order_relaxed);
-  }
 
   KgeModel* model_;
   TrainerOptions options_;
@@ -239,8 +234,7 @@ class Trainer {
   std::vector<ParameterBlock*> blocks_;
 
   // ---- Pipeline state ----
-  size_t depth_ = 1;  // clamp(options_.pipeline_depth)
-  std::vector<SampledBatch> sampled_;  // depth_ rotating buffers
+  std::vector<SampledBatch> sampled_;  // kPipelineDepth rotating buffers
   std::vector<std::unique_ptr<ThreadPool::StageGroup>> sample_groups_;
   std::vector<SampleCtx> sample_ctx_;
   ThreadPool::StageGroup compute_group_;
@@ -255,9 +249,7 @@ class Trainer {
   size_t cur_begin_ = 0;
   size_t cur_end_ = 0;
 
-  // Stage timing (sample/score/step; see TrainStageStats).
-  std::atomic<int64_t> stage_nanos_[3] = {};
-  std::atomic<int64_t> wall_nanos_{0};
+  StageClock clock_;
 };
 
 }  // namespace kge

@@ -25,26 +25,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::Schedule(std::function<void()> task) {
-  if (threads_.empty()) {
-    task();
-    return;
-  }
-  {
-    MutexLock lock(mutex_);
-    // kge-hotpath: allow(task dispatch is batch-granularity, not per-triple)
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  if (threads_.empty()) return;
-  MutexLock lock(mutex_);
-  while (in_flight_ != 0) work_done_.Wait(mutex_);
-}
-
 void ThreadPool::PushRangeTask(const RangeTask& task) {
   if (ring_count_ == ring_.size()) {
     // Grow to the high-water in-flight count once, then never again.
@@ -125,71 +105,27 @@ void ThreadPool::WaitStage(StageGroup* group) {
 
 bool ThreadPool::RunOneTask() {
   RangeTask range;
-  if (PopRangeTask(&range)) {
-    range.fn(range.ctx, range.begin, range.end);
-    FinishRangeTask(range.group);
-    return true;
-  }
-  std::function<void()> task;
-  {
-    MutexLock lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  FinishTask();
+  if (!PopRangeTask(&range)) return false;
+  range.fn(range.ctx, range.begin, range.end);
+  FinishRangeTask(range.group);
   return true;
-}
-
-void ThreadPool::FinishTask() {
-  MutexLock lock(mutex_);
-  --in_flight_;
-  if (in_flight_ == 0) work_done_.NotifyAll();
-}
-
-void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t, size_t)>& body) {
-  KGE_CHECK(begin <= end);
-  if (begin == end) return;
-  if (threads_.empty() || end - begin == 1) {
-    body(begin, end);
-    return;
-  }
-  StageFor(begin, end, body);
 }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
     RangeTask range;
-    bool have_range = false;
-    std::function<void()> task;
-    bool have_task = false;
     {
       MutexLock lock(mutex_);
-      while (!shutting_down_ && queue_.empty() && ring_count_ == 0) {
+      while (!shutting_down_ && ring_count_ == 0) {
         work_available_.Wait(mutex_);
       }
-      if (ring_count_ != 0) {
-        range = ring_[ring_head_ & (ring_.size() - 1)];
-        ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
-        --ring_count_;
-        have_range = true;
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-        have_task = true;
-      } else {
-        return;  // Shutting down and drained.
-      }
+      if (ring_count_ == 0) return;  // Shutting down and drained.
+      range = ring_[ring_head_ & (ring_.size() - 1)];
+      ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+      --ring_count_;
     }
-    if (have_range) {
-      range.fn(range.ctx, range.begin, range.end);
-      FinishRangeTask(range.group);
-    } else if (have_task) {
-      task();
-      FinishTask();
-    }
+    range.fn(range.ctx, range.begin, range.end);
+    FinishRangeTask(range.group);
   }
 }
 

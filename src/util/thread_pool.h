@@ -1,33 +1,25 @@
 // Fixed-size thread pool with per-stage completion groups. Used to
-// parallelize ranking evaluation over candidate entities and the
-// pipelined trainers' stage machines. With num_threads == 1 all work
-// runs inline on the calling thread, which keeps single-core runs (and
-// tests) deterministic.
+// parallelize ranking evaluation, the serving walk's lanes, snapshot
+// adoption and the pipelined trainers' stage machines. With
+// num_threads == 1 all work runs inline on the calling thread, which
+// keeps single-core runs (and tests) deterministic.
 //
-// Two scheduling surfaces:
+// One scheduling surface: StageGroup + ScheduleRange()/StageFor() +
+// WaitStage(). Tasks are plain (function pointer, context, range)
+// records stored in a pre-reserved ring, so the steady state enqueues
+// and completes without a single heap allocation, and WaitStage(group)
+// waits for exactly that group's tasks — other stages keep flowing
+// through the pool concurrently. This is what lets the trainers overlap
+// sampling of batch N+1 with the score and step stages of batch N
+// without a global barrier.
 //
-//   * Schedule(std::function) + Wait(): the legacy global-barrier API.
-//     Wait() blocks until every function task is done. Convenient for
-//     cold paths; each call may heap-allocate the closure.
-//
-//   * StageGroup + ScheduleRange()/StageFor() + WaitStage(): per-stage
-//     completion groups. Tasks are plain (function pointer, context,
-//     range) records stored in a pre-reserved ring, so the steady state
-//     enqueues and completes without a single heap allocation, and
-//     WaitStage(group) waits for exactly that group's tasks — other
-//     stages keep flowing through the pool concurrently. This is what
-//     lets the trainers overlap sampling of batch N+1 with the
-//     score and step stages of batch N without a global barrier.
-//
-// Both Wait flavors may be called from inside a pool task (nested
-// parallelism): the calling thread helps drain the queue while it waits,
-// so nesting cannot deadlock even on a single-worker pool.
+// WaitStage may be called from inside a pool task (nested parallelism):
+// the calling thread helps drain the queue while it waits, so nesting
+// cannot deadlock even on a single-worker pool.
 #ifndef KGE_UTIL_THREAD_POOL_H_
 #define KGE_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -73,12 +65,6 @@ class ThreadPool {
   // four per thread): what ReserveStageTasks needs per concurrent fan-out.
   size_t MaxFanOutTasks() const { return 4 * num_threads(); }
 
-  // Schedules `task`; Wait() blocks until all scheduled tasks are done.
-  // Tasks may themselves call Schedule; Wait() covers those too. Stage
-  // tasks are NOT counted by Wait() — use WaitStage for those.
-  void Schedule(std::function<void()> task) KGE_EXCLUDES(mutex_);
-  void Wait() KGE_EXCLUDES(mutex_);
-
   // Enqueues fn(ctx, begin, end) into `group`. Inline pools run the task
   // immediately. Steady-state allocation-free once the ring has grown to
   // (or been ReserveStageTasks'd at) the high-water task count.
@@ -121,9 +107,9 @@ class ThreadPool {
   }
 
   // Fork-join over [begin, end): StageFanOut into a stack group and
-  // WaitStage. Unlike ParallelFor this forms no std::function, so hot
-  // per-batch callers (gradient merge, optimizer apply) stay
-  // allocation-free.
+  // WaitStage. Forms no std::function, so hot per-batch callers (the
+  // trainers' stages and step passes) stay allocation-free. Safe to call
+  // from inside a pool task.
   template <typename Body>
   void StageFor(size_t begin, size_t end, const Body& body) {
     if (begin >= end) return;
@@ -136,15 +122,6 @@ class ThreadPool {
     WaitStage(&group);
   }
 
-  // Splits [begin, end) into contiguous shards, runs
-  // `body(shard_begin, shard_end)` on the pool, and waits for completion.
-  // Safe to call from inside a pool task; the caller helps run queued
-  // work while waiting. (Thin std::function wrapper over StageFor; cold
-  // callers only — the closure may allocate.)
-  void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t, size_t)>& body)
-      KGE_EXCLUDES(mutex_);
-
  private:
   struct RangeTask {
     RangeFn fn;
@@ -155,10 +132,9 @@ class ThreadPool {
   };
 
   void WorkerLoop() KGE_EXCLUDES(mutex_);
-  // Pops and runs one queued task (stage ring first, then the function
-  // queue) on the calling thread. Returns false if both were empty.
+  // Pops and runs one queued task on the calling thread. Returns false
+  // if the ring was empty.
   bool RunOneTask() KGE_EXCLUDES(mutex_);
-  void FinishTask() KGE_EXCLUDES(mutex_);
   void FinishRangeTask(StageGroup* group) KGE_EXCLUDES(mutex_);
   bool PopRangeTask(RangeTask* task) KGE_EXCLUDES(mutex_);
   void PushRangeTask(const RangeTask& task) KGE_REQUIRES(mutex_);
@@ -166,16 +142,12 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   Mutex mutex_;
   CondVar work_available_;
-  CondVar work_done_;
   CondVar stage_done_;
-  std::deque<std::function<void()>> queue_ KGE_GUARDED_BY(mutex_);
   // Stage-task ring buffer (power-of-two capacity, FIFO). Grows only
   // until the high-water in-flight task count is reached.
   std::vector<RangeTask> ring_ KGE_GUARDED_BY(mutex_);
   size_t ring_head_ KGE_GUARDED_BY(mutex_) = 0;
   size_t ring_count_ KGE_GUARDED_BY(mutex_) = 0;
-  // Scheduled-but-not-finished function-task count (queued + running).
-  size_t in_flight_ KGE_GUARDED_BY(mutex_) = 0;
   bool shutting_down_ KGE_GUARDED_BY(mutex_) = false;
 };
 

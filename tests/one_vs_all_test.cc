@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "datagen/pattern_kg_generator.h"
 #include "eval/evaluator.h"
@@ -159,6 +162,61 @@ TEST(OneVsAllTest, ReachesGoodRankingOnInversePatternData) {
     margin += model->Score(t) - model->Score(corrupted);
   }
   EXPECT_GT(margin / double(base.size()), 1.0);
+}
+
+std::vector<float> RowCopy(ParameterBlock* block, int64_t row) {
+  const std::span<const float> values = std::as_const(*block).Row(row);
+  return std::vector<float>(values.begin(), values.end());
+}
+
+// A step updates only the rows the batch added something to. At label
+// smoothing 0, an entity that scores below about −104 against every
+// query has dL/ds == 0 in float for all of them; if it is no query's
+// head and no known tail, nothing is added to its row and the row is not
+// stepped. Under Adam a zero-gradient step would still move it through
+// the first moment its earlier updates left, so its parameters staying
+// bit-unchanged shows its moments were not touched either. An entity
+// with the same scores that is some query's head gets its head fold and
+// is stepped.
+TEST(OneVsAllTest, StepsOnlyTheRowsTheBatchAddedTo) {
+  constexpr EntityId kIdle = kEntities - 2;  // no query's head or tail
+  constexpr EntityId kHead = kEntities - 1;  // one query's head, no tail
+  std::vector<Triple> train;
+  for (EntityId e = 0; e < 9; ++e) {
+    train.push_back({e, e + 1, RelationId(e % kRelations)});
+  }
+  train.push_back({kHead, 0, 0});
+  auto model = MakeDistMult(kEntities, kRelations, 4, 7);
+  ParameterBlock* entities = model->entity_store().block();
+  ParameterBlock* relations = model->relation_store().block();
+
+  OneVsAllOptions options;
+  options.max_epochs = 1;
+  options.batch_queries = 64;  // one batch
+  options.learning_rate = 0.05;
+  OneVsAllTrainer trainer(model.get(), options);
+  const std::vector<float> initial = RowCopy(entities, kIdle);
+  ASSERT_TRUE(trainer.Train(train, nullptr).ok());
+  // The first epoch's scores are small, so every entity was stepped and
+  // Adam holds a nonzero first moment for kIdle.
+  ASSERT_NE(RowCopy(entities, kIdle), initial);
+
+  // Every query now scores kIdle and kHead at −400 or below.
+  for (EntityId e = 0; e < kEntities; ++e) {
+    const float value = (e == kIdle || e == kHead) ? 100.0f : 1.0f;
+    const std::span<float> row = entities->Row(e);
+    std::fill(row.begin(), row.end(), value);
+  }
+  for (RelationId r = 0; r < kRelations; ++r) {
+    const std::span<float> row = relations->Row(r);
+    std::fill(row.begin(), row.end(), -1.0f);
+  }
+  const std::vector<float> idle = RowCopy(entities, kIdle);
+  const std::vector<float> head = RowCopy(entities, kHead);
+  Rng rng(1);
+  trainer.RunEpoch(&rng);
+  EXPECT_EQ(RowCopy(entities, kIdle), idle);
+  EXPECT_NE(RowCopy(entities, kHead), head);
 }
 
 TEST(OneVsAllTest, EmptyTrainingSetIsError) {

@@ -10,10 +10,19 @@
 #include "optim/constraints.h"
 #include "util/io.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace kge {
 namespace {
+
+// One optimizer step over the rows of `grads`: the BeginStep + UpdateRow
+// sequence the trainers' step passes run.
+void Step(Optimizer* optimizer, const GradientBuffer& grads) {
+  optimizer->BeginStep();
+  grads.ForEach([optimizer](size_t block, int64_t row,
+                            std::span<const float> grad) {
+    optimizer->UpdateRow(block, row, grad);
+  });
+}
 
 // Minimizes f(x) = Σ (x_d - target_d)² with the given optimizer by feeding
 // exact gradients; returns the final squared error.
@@ -27,7 +36,7 @@ double MinimizeQuadratic(Optimizer* optimizer, ParameterBlock* block,
     for (size_t d = 0; d < target.size(); ++d) {
       g[d] = 2.0f * (x[d] - target[d]);
     }
-    optimizer->Apply(grads);
+    Step(optimizer, grads);
   }
   double err = 0.0;
   auto x = block->Row(0);
@@ -72,7 +81,7 @@ TEST(OptimizerTest, SgdStepIsExactlyLrTimesGradient) {
   auto optimizer = MakeSgd({&block}, options);
   GradientBuffer grads({&block});
   grads.GradFor(0, 1)[0] = 2.0f;
-  optimizer->Apply(grads);
+  Step(optimizer.get(), grads);
   EXPECT_FLOAT_EQ(block.Row(1)[0], 0.0f);
   EXPECT_FLOAT_EQ(block.Row(0)[0], 0.0f);  // untouched rows unchanged
 }
@@ -87,7 +96,7 @@ TEST(OptimizerTest, UntouchedRowsNeverMove) {
   auto optimizer = MakeAdam({&block}, options);
   GradientBuffer grads({&block});
   grads.GradFor(0, 4)[0] = 1.0f;
-  optimizer->Apply(grads);
+  Step(optimizer.get(), grads);
 
   for (int64_t row = 0; row < 10; ++row) {
     if (row == 4) continue;
@@ -108,7 +117,7 @@ TEST(OptimizerTest, AdamFirstStepSizeIsLearningRate) {
   GradientBuffer grads({&block});
   grads.GradFor(0, 0)[0] = 100.0f;
   grads.GradFor(0, 0)[1] = 0.001f;
-  optimizer->Apply(grads);
+  Step(optimizer.get(), grads);
   EXPECT_NEAR(block.Row(0)[0], -0.1f, 1e-4);
   EXPECT_NEAR(block.Row(0)[1], -0.1f, 1e-3);
 }
@@ -121,13 +130,13 @@ TEST(OptimizerTest, AdagradShrinksEffectiveStep) {
   GradientBuffer grads({&block});
 
   grads.GradFor(0, 0)[0] = 1.0f;
-  optimizer->Apply(grads);
+  Step(optimizer.get(), grads);
   const float first_step = -block.Row(0)[0];
 
   const float before = block.Row(0)[0];
   grads.Clear();
   grads.GradFor(0, 0)[0] = 1.0f;
-  optimizer->Apply(grads);
+  Step(optimizer.get(), grads);
   const float second_step = before - block.Row(0)[0];
   EXPECT_LT(second_step, first_step);
 }
@@ -139,14 +148,14 @@ TEST(OptimizerTest, ResetClearsState) {
   auto optimizer = MakeAdam({&block}, options);
   GradientBuffer grads({&block});
   grads.GradFor(0, 0)[0] = 1.0f;
-  optimizer->Apply(grads);
+  Step(optimizer.get(), grads);
   const float after_first = block.Row(0)[0];
 
   optimizer->Reset();
   block.Zero();
   grads.Clear();
   grads.GradFor(0, 0)[0] = 1.0f;
-  optimizer->Apply(grads);
+  Step(optimizer.get(), grads);
   EXPECT_FLOAT_EQ(block.Row(0)[0], after_first);
 }
 
@@ -158,59 +167,6 @@ TEST(OptimizerTest, FactoryByName) {
     EXPECT_EQ((*optimizer)->name(), name);
   }
   EXPECT_FALSE(MakeOptimizer("rmsprop", {&block}, 0.1).ok());
-}
-
-// Pool-sharded Apply must be bit-identical to the serial apply: row
-// updates read and write only per-row state, and the hash partition just
-// distributes rows across workers.
-TEST(OptimizerTest, ParallelApplyIsBitIdenticalToSerial) {
-  constexpr int64_t kRows = 200;  // above the parallel fan-out threshold
-  constexpr int32_t kDim = 6;
-  constexpr int kSteps = 5;
-  for (const char* name : {"sgd", "adagrad", "adam"}) {
-    ParameterBlock serial_block("x", kRows, kDim);
-    ParameterBlock parallel_block("x", kRows, kDim);
-    Rng init(11);
-    serial_block.InitUniform(&init, -0.5f, 0.5f);
-    std::copy(serial_block.Flat().begin(), serial_block.Flat().end(),
-              parallel_block.Flat().begin());
-
-    auto serial_result = MakeOptimizer(name, {&serial_block}, 0.05);
-    auto parallel_result = MakeOptimizer(name, {&parallel_block}, 0.05);
-    ASSERT_TRUE(serial_result.ok() && parallel_result.ok()) << name;
-    auto serial_opt = std::move(*serial_result);
-    auto parallel_opt = std::move(*parallel_result);
-    GradientBuffer serial_grads({&serial_block});
-    GradientBuffer parallel_grads({&parallel_block});
-    ThreadPool pool(4);
-
-    Rng rng(37);
-    for (int step = 0; step < kSteps; ++step) {
-      serial_grads.Clear();
-      parallel_grads.Clear();
-      // Touch most rows with identical pseudo-random gradients.
-      for (int64_t row = 0; row < kRows; ++row) {
-        if (rng.NextBool(0.2)) continue;
-        auto gs = serial_grads.GradFor(0, row);
-        auto gp = parallel_grads.GradFor(0, row);
-        for (size_t d = 0; d < size_t(kDim); ++d) {
-          const float g = rng.NextUniform(-1.0f, 1.0f);
-          gs[d] = g;
-          gp[d] = g;
-        }
-      }
-      serial_opt->Apply(serial_grads);
-      parallel_opt->Apply(parallel_grads, &pool);
-    }
-
-    const auto serial_flat = serial_block.Flat();
-    const auto parallel_flat = parallel_block.Flat();
-    ASSERT_EQ(serial_flat.size(), parallel_flat.size());
-    for (size_t i = 0; i < serial_flat.size(); ++i) {
-      ASSERT_EQ(serial_flat[i], parallel_flat[i])
-          << name << " element " << i;
-    }
-  }
 }
 
 TEST(OptimizerTest, LearningRateAccessors) {
@@ -246,7 +202,7 @@ TEST(OptimizerTest, StateRoundTripContinuesBitIdentically) {
           g[d] = rng->NextUniform(-1.0f, 1.0f);
         }
       }
-      optimizer->Apply(*grads);
+      Step(optimizer, *grads);
     }
   };
 

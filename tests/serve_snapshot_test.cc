@@ -344,30 +344,51 @@ TEST(CheckpointWatcherTest, InitialLoadSwapAndQuarantine) {
   EXPECT_EQ(registry.current_version(), 2u);
 }
 
-TEST(CheckpointWatcherTest, InitialLoadFallsBackPastCorruptLatest) {
-  const std::string dir = TempDirFor("watcher_fallback");
-  SaveCheckpointWithSeed(dir + "/ckpt_1.kge2", 1);
-  // Newest checkpoint is torn (simulates dying mid-write + LATEST
-  // updated first / partially): startup must quarantine it and resume
-  // from the older CRC-valid file.
-  SaveCheckpointWithSeed(dir + "/ckpt_2.kge2", 2);
-  {
-    Result<std::string> bytes = ReadFileToString(dir + "/ckpt_2.kge2");
-    ASSERT_TRUE(bytes.ok());
-    ASSERT_TRUE(WriteStringToFile(dir + "/ckpt_2.kge2",
-                                  bytes->substr(0, bytes->size() / 2))
-                    .ok());
-  }
-  ASSERT_TRUE(WriteStringToFile(dir + "/LATEST", "ckpt_2.kge2\n").ok());
+// Overwrites `path` with its first half (a file torn mid-write).
+void TruncateToHalf(const std::string& path) {
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_TRUE(WriteStringToFile(path, bytes->substr(0, bytes->size() / 2)).ok());
+}
 
-  SnapshotRegistry registry;
-  CheckpointWatcher watcher(&registry, FactoryWithSeed(0),
-                            {dir, 10, {ScorePrecision::kDouble}});
-  ASSERT_TRUE(watcher.LoadInitial().ok());
-  EXPECT_EQ(registry.current_version(), 1u);
-  EXPECT_EQ(registry.Acquire()->source_path, dir + "/ckpt_1.kge2");
-  EXPECT_TRUE(FileExists(dir + "/ckpt_2.kge2.quarantine"));
-  EXPECT_GE(watcher.stats().failed_loads, 1u);
+// Flips the bits of byte `offset` of `path`.
+void FlipByte(const std::string& path, size_t offset) {
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string mutated = *bytes;
+  mutated[offset] = char(mutated[offset] ^ 0xFF);
+  ASSERT_TRUE(WriteStringToFile(path, mutated).ok());
+}
+
+TEST(CheckpointWatcherTest, InitialLoadFallsBackPastCorruptLatest) {
+  for (const size_t threads : {size_t(1), size_t(4)}) {
+    SCOPED_TRACE("pool threads=" + std::to_string(threads));
+    const std::string dir = TempDirFor("watcher_fallback");
+    SaveCheckpointWithSeed(dir + "/ckpt_1.kge2", 1);
+    // The two newest checkpoints are corrupt (dying mid-write with
+    // LATEST updated first, and a flipped bit): start-up must quarantine
+    // the LATEST target, skip the other without quarantining it, and
+    // resume from the older CRC-valid file.
+    SaveCheckpointWithSeed(dir + "/ckpt_2.kge2", 2);
+    FlipByte(dir + "/ckpt_2.kge2", 40);
+    SaveCheckpointWithSeed(dir + "/ckpt_3.kge2", 3);
+    TruncateToHalf(dir + "/ckpt_3.kge2");
+    ASSERT_TRUE(WriteStringToFile(dir + "/LATEST", "ckpt_3.kge2\n").ok());
+
+    ThreadPool pool(threads);
+    CheckpointWatcher::Options options{dir, 10, {ScorePrecision::kDouble}};
+    options.pool = threads > 1 ? &pool : nullptr;
+    SnapshotRegistry registry;
+    CheckpointWatcher watcher(&registry, FactoryWithSeed(0), options);
+    ASSERT_TRUE(watcher.LoadInitial().ok());
+    EXPECT_EQ(registry.current_version(), 1u);
+    EXPECT_EQ(registry.Acquire()->source_path, dir + "/ckpt_1.kge2");
+    EXPECT_TRUE(FileExists(dir + "/ckpt_3.kge2.quarantine"));
+    EXPECT_TRUE(FileExists(dir + "/ckpt_2.kge2"));
+    EXPECT_EQ(watcher.stats().failed_loads, 2u);
+    EXPECT_EQ(watcher.stats().quarantines, 1u);
+    EXPECT_EQ(watcher.stats().swaps, 1u);
+  }
 }
 
 TEST(CheckpointWatcherTest, LoadInitialFailsCleanlyOnEmptyDir) {
@@ -379,20 +400,35 @@ TEST(CheckpointWatcherTest, LoadInitialFailsCleanlyOnEmptyDir) {
   EXPECT_EQ(registry.current_version(), 0u);
 }
 
+TEST(CheckpointWatcherTest, LoadInitialFailsCleanlyWhenEveryCheckpointIsCorrupt) {
+  const std::string dir = TempDirFor("watcher_all_corrupt");
+  SaveCheckpointWithSeed(dir + "/ckpt_1.kge2", 1);
+  TruncateToHalf(dir + "/ckpt_1.kge2");
+  SaveCheckpointWithSeed(dir + "/ckpt_2.kge2", 2);
+  FlipByte(dir + "/ckpt_2.kge2", 40);
+  SnapshotRegistry registry;
+  CheckpointWatcher watcher(&registry, FactoryWithSeed(0),
+                            {dir, 10, {ScorePrecision::kDouble}});
+  EXPECT_EQ(watcher.LoadInitial().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.current_version(), 0u);
+  EXPECT_EQ(watcher.stats().failed_loads, 2u);
+  EXPECT_EQ(watcher.stats().quarantines, 0u);
+}
+
+// Without a LATEST pointer start-up goes straight to the fallback, which
+// orders candidates by epoch number (10 before 3, not by name) and takes
+// the newest one that loads.
 TEST(FindNewestValidCheckpointTest, SkipsCorruptNewest) {
   const std::string dir = TempDirFor("newest_valid");
   SaveCheckpointWithSeed(dir + "/ckpt_3.kge2", 3);
   SaveCheckpointWithSeed(dir + "/ckpt_10.kge2", 10);
-  {
-    Result<std::string> bytes = ReadFileToString(dir + "/ckpt_10.kge2");
-    ASSERT_TRUE(bytes.ok());
-    std::string mutated = *bytes;
-    mutated[4] = char(mutated[4] ^ 0xFF);
-    ASSERT_TRUE(WriteStringToFile(dir + "/ckpt_10.kge2", mutated).ok());
-  }
-  Result<std::string> newest = FindNewestValidCheckpoint(dir);
-  ASSERT_TRUE(newest.ok());
-  EXPECT_EQ(*newest, dir + "/ckpt_3.kge2");
+  FlipByte(dir + "/ckpt_10.kge2", 4);
+  SnapshotRegistry registry;
+  CheckpointWatcher watcher(&registry, FactoryWithSeed(0),
+                            {dir, 10, {ScorePrecision::kDouble}});
+  ASSERT_TRUE(watcher.LoadInitial().ok());
+  EXPECT_EQ(registry.Acquire()->source_path, dir + "/ckpt_3.kge2");
+  EXPECT_EQ(watcher.stats().failed_loads, 1u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Stress coverage for ThreadPool under contention: floods of small tasks,
-// nested ParallelFor (which deadlocked before the pool learned to help
-// drain the queue while waiting), Schedule-during-Wait chains, and
-// concurrent ParallelFor calls from independent threads. Run these under
-// -DKGE_SANITIZE=thread; every scenario is designed to give TSan real
-// interleavings to check.
+// nested parallel-for loops (StageFor, which deadlocked before the pool
+// learned to help drain the queue while waiting), tasks that schedule
+// into the group being waited on, and concurrent parallel-for calls from
+// independent threads. Run these under -DKGE_SANITIZE=thread; every
+// scenario is designed to give TSan real interleavings to check.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -16,14 +16,19 @@
 namespace kge {
 namespace {
 
+void Bump(void* ctx, size_t, size_t) {
+  static_cast<std::atomic<int>*>(ctx)->fetch_add(1, std::memory_order_relaxed);
+}
+
 TEST(ThreadPoolStressTest, FloodOfSmallTasks) {
   ThreadPool pool(4);
+  ThreadPool::StageGroup group;
   std::atomic<int> counter{0};
   constexpr int kTasks = 20000;
   for (int i = 0; i < kTasks; ++i) {
-    pool.Schedule([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+    pool.ScheduleRange(&group, &Bump, &counter, 0, 1);
   }
-  pool.Wait();
+  pool.WaitStage(&group);
   EXPECT_EQ(counter.load(), kTasks);
 }
 
@@ -31,7 +36,7 @@ TEST(ThreadPoolStressTest, RepeatedSmallParallelFors) {
   ThreadPool pool(4);
   std::atomic<size_t> total{0};
   for (int round = 0; round < 300; ++round) {
-    pool.ParallelFor(0, 7, [&](size_t begin, size_t end) {
+    pool.StageFor(0, 7, [&](size_t begin, size_t end) {
       total.fetch_add(end - begin, std::memory_order_relaxed);
     });
   }
@@ -43,9 +48,9 @@ TEST(ThreadPoolStressTest, NestedParallelFor) {
   constexpr size_t kOuter = 24;
   constexpr size_t kInner = 32;
   std::vector<std::atomic<int>> touched(kOuter * kInner);
-  pool.ParallelFor(0, kOuter, [&](size_t obegin, size_t oend) {
+  pool.StageFor(0, kOuter, [&](size_t obegin, size_t oend) {
     for (size_t o = obegin; o < oend; ++o) {
-      pool.ParallelFor(0, kInner, [&, o](size_t ibegin, size_t iend) {
+      pool.StageFor(0, kInner, [&, o](size_t ibegin, size_t iend) {
         for (size_t i = ibegin; i < iend; ++i) {
           touched[o * kInner + i].fetch_add(1, std::memory_order_relaxed);
         }
@@ -60,11 +65,11 @@ TEST(ThreadPoolStressTest, TriplyNestedParallelForOnTinyPool) {
   // possible because waiting callers execute queued shards themselves.
   ThreadPool pool(2);
   std::atomic<int> leaves{0};
-  pool.ParallelFor(0, 4, [&](size_t b0, size_t e0) {
+  pool.StageFor(0, 4, [&](size_t b0, size_t e0) {
     for (size_t i0 = b0; i0 < e0; ++i0) {
-      pool.ParallelFor(0, 4, [&](size_t b1, size_t e1) {
+      pool.StageFor(0, 4, [&](size_t b1, size_t e1) {
         for (size_t i1 = b1; i1 < e1; ++i1) {
-          pool.ParallelFor(0, 4, [&](size_t b2, size_t e2) {
+          pool.StageFor(0, 4, [&](size_t b2, size_t e2) {
             leaves.fetch_add(int(e2 - b2), std::memory_order_relaxed);
           });
         }
@@ -74,40 +79,60 @@ TEST(ThreadPoolStressTest, TriplyNestedParallelForOnTinyPool) {
   EXPECT_EQ(leaves.load(), 4 * 4 * 4);
 }
 
-TEST(ThreadPoolStressTest, ScheduleDuringWaitChain) {
-  // Each task schedules its successor; Wait() must cover tasks scheduled
-  // while it is already blocking.
-  ThreadPool pool(3);
-  std::atomic<int> hops{0};
-  constexpr int kDepth = 500;
-  std::function<void()> hop = [&] {
-    if (hops.fetch_add(1, std::memory_order_relaxed) + 1 < kDepth) {
-      pool.Schedule(hop);
+constexpr int kChainDepth = 500;
+
+// Tasks that schedule more tasks into the group they run in.
+struct Spawner {
+  ThreadPool* pool;
+  ThreadPool::StageGroup* group;
+  std::atomic<int> count{0};
+
+  // Counts itself and schedules its successor, kChainDepth hops in all.
+  static void Hop(void* ctx, size_t, size_t) {
+    auto* self = static_cast<Spawner*>(ctx);
+    if (self->count.fetch_add(1, std::memory_order_relaxed) + 1 <
+        kChainDepth) {
+      self->pool->ScheduleRange(self->group, &Hop, self, 0, 1);
     }
-  };
-  pool.Schedule(hop);
-  pool.Wait();
-  EXPECT_EQ(hops.load(), kDepth);
+  }
+  // Schedules four leaves, then counts itself.
+  static void FanOut(void* ctx, size_t, size_t) {
+    auto* self = static_cast<Spawner*>(ctx);
+    for (int j = 0; j < 4; ++j) {
+      self->pool->ScheduleRange(self->group, &Leaf, self, 0, 1);
+    }
+    self->count.fetch_add(1, std::memory_order_relaxed);
+  }
+  static void Leaf(void* ctx, size_t, size_t) {
+    static_cast<Spawner*>(ctx)->count.fetch_add(1, std::memory_order_relaxed);
+  }
+};
+
+TEST(ThreadPoolStressTest, ScheduleDuringWaitChain) {
+  // Each task schedules its successor; WaitStage must cover tasks
+  // scheduled into the group while it is already blocking.
+  ThreadPool pool(3);
+  ThreadPool::StageGroup group;
+  Spawner chain{&pool, &group};
+  pool.ScheduleRange(&group, &Spawner::Hop, &chain, 0, 1);
+  pool.WaitStage(&group);
+  EXPECT_EQ(chain.count.load(), kChainDepth);
 }
 
 TEST(ThreadPoolStressTest, TasksFanOutDuringWait) {
   ThreadPool pool(4);
-  std::atomic<int> done{0};
+  ThreadPool::StageGroup group;
+  Spawner fan{&pool, &group};
   for (int i = 0; i < 50; ++i) {
-    pool.Schedule([&] {
-      for (int j = 0; j < 4; ++j) {
-        pool.Schedule([&] { done.fetch_add(1, std::memory_order_relaxed); });
-      }
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
+    pool.ScheduleRange(&group, &Spawner::FanOut, &fan, 0, 1);
   }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 50 * 5);
+  pool.WaitStage(&group);
+  EXPECT_EQ(fan.count.load(), 50 * 5);
 }
 
 TEST(ThreadPoolStressTest, ConcurrentParallelForsFromExternalThreads) {
-  // Several client threads share one pool; each ParallelFor call tracks
-  // its own completion, so results must not bleed across calls.
+  // Several client threads share one pool; each StageFor call tracks its
+  // own completion group, so results must not bleed across calls.
   ThreadPool pool(4);
   constexpr int kClients = 6;
   constexpr size_t kItems = 2000;
@@ -117,7 +142,7 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForsFromExternalThreads) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       std::atomic<size_t> sum{0};
-      pool.ParallelFor(0, kItems, [&](size_t begin, size_t end) {
+      pool.StageFor(0, kItems, [&](size_t begin, size_t end) {
         size_t local = 0;
         for (size_t i = begin; i < end; ++i) local += i;
         sum.fetch_add(local, std::memory_order_relaxed);
@@ -133,9 +158,9 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForsFromExternalThreads) {
 TEST(ThreadPoolStressTest, NestedParallelForInInlineMode) {
   ThreadPool pool(1);
   std::atomic<int> leaves{0};
-  pool.ParallelFor(0, 8, [&](size_t b0, size_t e0) {
+  pool.StageFor(0, 8, [&](size_t b0, size_t e0) {
     for (size_t i = b0; i < e0; ++i) {
-      pool.ParallelFor(0, 8, [&](size_t b1, size_t e1) {
+      pool.StageFor(0, 8, [&](size_t b1, size_t e1) {
         leaves.fetch_add(int(e1 - b1), std::memory_order_relaxed);
       });
     }
@@ -147,11 +172,12 @@ TEST(ThreadPoolStressTest, ManyPoolsConstructedAndDestroyed) {
   // Construction/destruction races (worker startup vs. shutdown flag).
   for (int round = 0; round < 50; ++round) {
     ThreadPool pool(3);
+    ThreadPool::StageGroup group;
     std::atomic<int> counter{0};
     for (int i = 0; i < 16; ++i) {
-      pool.Schedule([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+      pool.ScheduleRange(&group, &Bump, &counter, 0, 1);
     }
-    pool.Wait();
+    pool.WaitStage(&group);
     EXPECT_EQ(counter.load(), 16);
   }
 }

@@ -9,45 +9,44 @@
 namespace kge {
 namespace {
 
+// The counter bump every single-task test below schedules.
+void Bump(void* ctx, size_t, size_t) {
+  static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
+}
+
 TEST(ThreadPoolTest, InlineModeRunsTasks) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);
-  int counter = 0;
-  pool.Schedule([&] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter, 1);
+  ThreadPool::StageGroup group;
+  std::atomic<int> counter{0};
+  pool.ScheduleRange(&group, &Bump, &counter, 0, 1);
+  EXPECT_EQ(counter.load(), 1);  // ran before ScheduleRange returned
+  pool.WaitStage(&group);
+  EXPECT_EQ(counter.load(), 1);
 }
 
 TEST(ThreadPoolTest, RunsAllScheduledTasks) {
   ThreadPool pool(4);
+  ThreadPool::StageGroup group;
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&] { counter.fetch_add(1); });
+    pool.ScheduleRange(&group, &Bump, &counter, 0, 1);
   }
-  pool.Wait();
+  pool.WaitStage(&group);
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(1000);
-  pool.ParallelFor(0, touched.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
-  pool.ParallelFor(5, 5, [&](size_t, size_t) { called = true; });
+  pool.StageFor(5, 5, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPoolTest, ParallelForSingleElement) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  pool.ParallelFor(3, 4, [&](size_t begin, size_t end) {
+  pool.StageFor(3, 4, [&](size_t begin, size_t end) {
     EXPECT_EQ(begin, 3u);
     EXPECT_EQ(end, 4u);
     count.fetch_add(1);
@@ -55,43 +54,18 @@ TEST(ThreadPoolTest, ParallelForSingleElement) {
   EXPECT_EQ(count.load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForInlineMode) {
-  ThreadPool pool(1);
-  std::vector<int> values(50, 0);
-  pool.ParallelFor(0, values.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) values[i] = int(i);
-  });
-  for (size_t i = 0; i < values.size(); ++i) EXPECT_EQ(values[i], int(i));
-}
-
 TEST(ThreadPoolTest, ParallelSumMatchesSerial) {
   ThreadPool pool(3);
   std::vector<int64_t> data(10000);
   std::iota(data.begin(), data.end(), 1);
   std::atomic<int64_t> parallel_sum{0};
-  pool.ParallelFor(0, data.size(), [&](size_t begin, size_t end) {
+  pool.StageFor(0, data.size(), [&](size_t begin, size_t end) {
     int64_t local = 0;
     for (size_t i = begin; i < end; ++i) local += data[i];
     parallel_sum.fetch_add(local);
   });
   const int64_t expected = std::accumulate(data.begin(), data.end(), int64_t{0});
   EXPECT_EQ(parallel_sum.load(), expected);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Schedule([&] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Schedule([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
 }
 
 // ---- Per-stage completion groups (the pipeline primitive) ------------------
@@ -171,19 +145,6 @@ TEST(ThreadPoolTest, StageFanOutDefersUntilWaitStage) {
   // the join below.
   pool.WaitStage(&group);
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
-TEST(ThreadPoolTest, StageTasksAreInvisibleToLegacyWait) {
-  ThreadPool pool(2);
-  ThreadPool::StageGroup group;
-  std::atomic<int> counter{0};
-  ThreadPool::RangeFn bump = [](void* ctx, size_t, size_t) {
-    static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
-  };
-  pool.ScheduleRange(&group, bump, &counter, 0, 1);
-  pool.Wait();  // counts only function tasks; must not hang on the stage
-  pool.WaitStage(&group);
-  EXPECT_EQ(counter.load(), 1);
 }
 
 TEST(ThreadPoolTest, StageRingGrowsPastReservation) {

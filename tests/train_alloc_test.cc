@@ -1,5 +1,5 @@
 // The steady-state zero-allocation contract for training, at EVERY
-// thread count and pipeline depth: after warm-up epochs have grown all
+// thread count: after warm-up epochs have grown all
 // buffers to their high-water marks (gradient buffers pre-Reserved at
 // the WorstCaseGradRows bound, the pool's POD stage-task ring, the
 // per-thread scratch), further epochs perform zero heap allocations —
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "datagen/pattern_kg_generator.h"
+#include "kg/augmentation.h"
 #include "kg/negative_sampler.h"
 #include "models/model_factory.h"
 #include "models/trilinear_models.h"
@@ -76,43 +77,36 @@ TEST(TrainAllocTest, NegativeSamplingEpochsAllocateNothingAtFourThreads) {
   GTEST_SKIP() << "operator-new counting is disabled under sanitizers";
 #else
   const std::vector<Triple> train = MakeWorkload();
-  // Depth 1 pins the fix for the pre-pipeline allocation leak (the
-  // std::function task queue) on the old stage-barrier schedule; the
-  // deeper runs pin the pipelined steady state.
-  for (int depth : {1, 2, 3}) {
-    SCOPED_TRACE("pipeline_depth=" + std::to_string(depth));
-    TrainerOptions options;
-    options.batch_size = 32;
-    options.num_negatives = 4;
-    options.self_adversarial = true;
-    options.learning_rate = 0.05;
-    options.l2_lambda = 1e-4;
-    options.seed = 99;
-    options.grad_shard_size = 8;
-    options.num_threads = 4;
-    options.pipeline_depth = depth;
+  TrainerOptions options;
+  options.batch_size = 32;
+  options.num_negatives = 4;
+  options.self_adversarial = true;
+  options.learning_rate = 0.05;
+  options.l2_lambda = 1e-4;
+  options.seed = 99;
+  options.grad_shard_size = 8;
+  options.num_threads = 4;
 
-    auto model = MakeComplEx(60, 3, 8, 42);
-    Trainer trainer(model.get(), options);
-    NegativeSampler sampler(60, 3, train, NegativeSamplerOptions());
-    Rng rng(11);
-    // Worker participation is scheduler-dependent: with caller-helps-
-    // drain, a loaded machine can starve a pool thread for many epochs,
-    // so its first-ever task (growing its thread_local scratch once) may
-    // land after any fixed warm-up count. Measure the contract directly
-    // instead: an allocation-free steady state must be reached — three
-    // consecutive zero-alloc epochs — within a bounded epoch budget. A
-    // real per-triple or per-batch leak allocates every epoch and can
-    // never produce even one zero-alloc epoch.
-    int consecutive = 0;
-    for (int epoch = 0; epoch < 50 && consecutive < 3; ++epoch) {
-      const uint64_t before = AllocCount();
-      trainer.RunEpoch(train, sampler, &rng);
-      consecutive = (AllocCount() == before) ? consecutive + 1 : 0;
-    }
-    EXPECT_EQ(consecutive, 3)
-        << "steady-state training epochs must stop allocating";
+  auto model = MakeComplEx(60, 3, 8, 42);
+  Trainer trainer(model.get(), options);
+  NegativeSampler sampler(60, 3, train, NegativeSamplerOptions());
+  Rng rng(11);
+  // Worker participation is scheduler-dependent: with caller-helps-
+  // drain, a loaded machine can starve a pool thread for many epochs,
+  // so its first-ever task (growing its thread_local scratch once) may
+  // land after any fixed warm-up count. Measure the contract directly
+  // instead: an allocation-free steady state must be reached — three
+  // consecutive zero-alloc epochs — within a bounded epoch budget. A
+  // real per-triple or per-batch leak allocates every epoch and can
+  // never produce even one zero-alloc epoch.
+  int consecutive = 0;
+  for (int epoch = 0; epoch < 50 && consecutive < 3; ++epoch) {
+    const uint64_t before = AllocCount();
+    trainer.RunEpoch(train, sampler, &rng);
+    consecutive = (AllocCount() == before) ? consecutive + 1 : 0;
   }
+  EXPECT_EQ(consecutive, 3)
+      << "steady-state training epochs must stop allocating";
 #endif
 }
 
@@ -202,39 +196,83 @@ TEST(TrainAllocTest, AutoWeightTrainsBitIdenticallyToTheAllocatingPath) {
   }
 }
 
+// The 1-vs-all step sums each entity row (its candidate adds in batch
+// order, then its head folds in batch order) and each relation row (its
+// folds in batch order), and updates a row only when something was
+// added to it. Pinned: the parameters and the loss-history bits that
+// registering rows into a GradientBuffer and stepping through
+// Optimizer::Apply produced, for every optimizer, with and without
+// label smoothing, at one thread and four. Inverse augmentation makes
+// heads and relations repeat inside a batch.
+TEST(TrainAllocTest, OneVsAllTrainsBitIdenticallyToTheBufferedStep) {
+  const AugmentedTriples train = AugmentWithInverses(MakeWorkload(), 3);
+  const struct {
+    const char* optimizer;
+    double label_smoothing;
+    uint32_t params;
+    uint32_t losses;
+  } kCases[] = {{"adam", 0.0, 0x464a244au, 0x005bbc41u},
+                {"adam", 0.1, 0xf178527fu, 0x4502db95u},
+                {"adagrad", 0.0, 0xceeb33e1u, 0x8d8f4355u},
+                {"adagrad", 0.1, 0x583e9b93u, 0xebde4318u},
+                {"sgd", 0.0, 0x1ebe6675u, 0x9d075f50u},
+                {"sgd", 0.1, 0x2502a80au, 0x48c43cddu}};
+  for (const auto& c : kCases) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.optimizer) + " label_smoothing=" +
+                   std::to_string(c.label_smoothing) +
+                   " threads=" + std::to_string(threads));
+      OneVsAllOptions options;
+      options.max_epochs = 3;
+      options.batch_queries = 16;
+      options.optimizer = c.optimizer;
+      options.learning_rate = 0.05;
+      options.label_smoothing = c.label_smoothing;
+      options.eval_every_epochs = 1000;
+      options.seed = 99;
+      options.num_threads = threads;
+      auto model = MakeComplEx(60, train.num_relations, 8, 42);
+      OneVsAllTrainer trainer(model.get(), options);
+      const Result<TrainResult> result = trainer.Train(train.triples, nullptr);
+      ASSERT_TRUE(result.ok());
+      const std::vector<double>& history = result->loss_history;
+      const uint32_t losses = Crc32c(history.data(), history.size() * sizeof(double));
+      EXPECT_EQ(ParameterFingerprint(*model), c.params)
+          << std::hex << "parameters 0x" << ParameterFingerprint(*model);
+      EXPECT_EQ(losses, c.losses) << std::hex << "losses 0x" << losses;
+    }
+  }
+}
+
 TEST(TrainAllocTest, OneVsAllEpochsAllocateNothingAtFourThreads) {
 #if !KGE_COUNT_ALLOCS
   GTEST_SKIP() << "operator-new counting is disabled under sanitizers";
 #else
   const std::vector<Triple> train = MakeWorkload();
-  for (int depth : {1, 2}) {
-    SCOPED_TRACE("pipeline_depth=" + std::to_string(depth));
-    OneVsAllOptions options;
-    options.max_epochs = 1;  // Train() builds queries + runs one epoch
-    options.batch_queries = 16;
-    options.label_smoothing = 0.1;
-    options.learning_rate = 0.05;
-    options.eval_every_epochs = 1000;
-    options.restore_best = false;
-    options.seed = 99;
-    options.num_threads = 4;
-    options.pipeline_depth = depth;
+  OneVsAllOptions options;
+  options.max_epochs = 1;  // Train() builds queries + runs one epoch
+  options.batch_queries = 16;
+  options.label_smoothing = 0.1;
+  options.learning_rate = 0.05;
+  options.eval_every_epochs = 1000;
+  options.restore_best = false;
+  options.seed = 99;
+  options.num_threads = 4;
 
-    auto model = MakeComplEx(60, 3, 8, 42);
-    OneVsAllTrainer trainer(model.get(), options);
-    ASSERT_TRUE(trainer.Train(train, nullptr).ok());
-    Rng rng(11);
-    // Same bounded search for the steady state as the negative-sampling
-    // test: fixed warm-up counts race against worker wake-up order.
-    int consecutive = 0;
-    for (int epoch = 0; epoch < 50 && consecutive < 3; ++epoch) {
-      const uint64_t before = AllocCount();
-      trainer.RunEpoch(&rng);
-      consecutive = (AllocCount() == before) ? consecutive + 1 : 0;
-    }
-    EXPECT_EQ(consecutive, 3)
-        << "steady-state training epochs must stop allocating";
+  auto model = MakeComplEx(60, 3, 8, 42);
+  OneVsAllTrainer trainer(model.get(), options);
+  ASSERT_TRUE(trainer.Train(train, nullptr).ok());
+  Rng rng(11);
+  // Same bounded search for the steady state as the negative-sampling
+  // test: fixed warm-up counts race against worker wake-up order.
+  int consecutive = 0;
+  for (int epoch = 0; epoch < 50 && consecutive < 3; ++epoch) {
+    const uint64_t before = AllocCount();
+    trainer.RunEpoch(&rng);
+    consecutive = (AllocCount() == before) ? consecutive + 1 : 0;
   }
+  EXPECT_EQ(consecutive, 3)
+      << "steady-state training epochs must stop allocating";
 #endif
 }
 

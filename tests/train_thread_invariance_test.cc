@@ -1,10 +1,9 @@
 // The training determinism contract: epoch losses and final parameters
-// are bit-identical for every num_threads AND every pipeline_depth, for
-// both trainers. The batch is carved into fixed virtual shards with
-// seed-derived sampling streams and merged in shard order, so the thread
-// count only decides how many shards run concurrently, and the pipeline
-// depth only decides how far ahead the (parameter-independent) sampling
-// stage prefetches — never what either computes. CI runs this suite in
+// are bit-identical for every num_threads, for both trainers. The batch
+// is carved into fixed virtual shards with seed-derived sampling streams
+// and merged in shard order (1-vs-all: every row summed in batch order),
+// so the thread count only decides how many shards or rows run
+// concurrently — never what either computes. CI runs this suite in
 // scalar and AVX2 builds and under TSan (which additionally exercises
 // the pool and pipeline paths for data races).
 #include <gtest/gtest.h>
@@ -71,7 +70,7 @@ void ExpectBlocksBitIdentical(MultiEmbeddingModel* a,
 
 class ThreadInvarianceTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ThreadInvarianceTest, NegativeSamplingTrainerIsThreadAndDepthInvariant) {
+TEST_P(ThreadInvarianceTest, NegativeSamplingTrainerIsThreadInvariant) {
   const TinyWorkload workload = MakeTinyWorkload();
   TrainerOptions options;
   options.max_epochs = 3;
@@ -85,37 +84,28 @@ TEST_P(ThreadInvarianceTest, NegativeSamplingTrainerIsThreadAndDepthInvariant) {
   options.grad_shard_size = 8;  // several shards even at batch 32
 
   options.num_threads = 1;
-  options.pipeline_depth = 1;
   auto reference_model = MakeModelByFamily(GetParam(), workload);
   Trainer reference(reference_model.get(), options);
   const Result<TrainResult> reference_result =
       reference.Train(workload.train, nullptr);
   ASSERT_TRUE(reference_result.ok());
 
-  for (int depth : {1, 2, 3}) {
-    for (int threads : {1, 4}) {
-      if (depth == 1 && threads == 1) continue;  // the reference itself
-      SCOPED_TRACE("pipeline_depth=" + std::to_string(depth) +
-                   " num_threads=" + std::to_string(threads));
-      options.pipeline_depth = depth;
-      options.num_threads = threads;
-      auto model = MakeModelByFamily(GetParam(), workload);
-      Trainer trainer(model.get(), options);
-      const Result<TrainResult> result = trainer.Train(workload.train, nullptr);
-      ASSERT_TRUE(result.ok());
+  options.num_threads = 4;
+  auto model = MakeModelByFamily(GetParam(), workload);
+  Trainer trainer(model.get(), options);
+  const Result<TrainResult> result = trainer.Train(workload.train, nullptr);
+  ASSERT_TRUE(result.ok());
 
-      ASSERT_EQ(reference_result->loss_history.size(),
-                result->loss_history.size());
-      for (size_t e = 0; e < reference_result->loss_history.size(); ++e) {
-        ASSERT_EQ(reference_result->loss_history[e], result->loss_history[e])
-            << "epoch " << e;
-      }
-      ExpectBlocksBitIdentical(reference_model.get(), model.get());
-    }
+  ASSERT_EQ(reference_result->loss_history.size(),
+            result->loss_history.size());
+  for (size_t e = 0; e < reference_result->loss_history.size(); ++e) {
+    ASSERT_EQ(reference_result->loss_history[e], result->loss_history[e])
+        << "epoch " << e;
   }
+  ExpectBlocksBitIdentical(reference_model.get(), model.get());
 }
 
-TEST_P(ThreadInvarianceTest, OneVsAllTrainerIsThreadAndDepthInvariant) {
+TEST_P(ThreadInvarianceTest, OneVsAllTrainerIsThreadInvariant) {
   const TinyWorkload workload = MakeTinyWorkload();
   OneVsAllOptions options;
   options.max_epochs = 3;
@@ -126,77 +116,25 @@ TEST_P(ThreadInvarianceTest, OneVsAllTrainerIsThreadAndDepthInvariant) {
   options.seed = 99;
 
   options.num_threads = 1;
-  options.pipeline_depth = 1;
   auto reference_model = MakeModelByFamily(GetParam(), workload);
   OneVsAllTrainer reference(reference_model.get(), options);
   const Result<TrainResult> reference_result =
       reference.Train(workload.train, nullptr);
   ASSERT_TRUE(reference_result.ok());
 
-  for (int depth : {1, 2, 3}) {
-    for (int threads : {1, 4}) {
-      if (depth == 1 && threads == 1) continue;  // the reference itself
-      SCOPED_TRACE("pipeline_depth=" + std::to_string(depth) +
-                   " num_threads=" + std::to_string(threads));
-      options.pipeline_depth = depth;
-      options.num_threads = threads;
-      auto model = MakeModelByFamily(GetParam(), workload);
-      OneVsAllTrainer trainer(model.get(), options);
-      const Result<TrainResult> result = trainer.Train(workload.train, nullptr);
-      ASSERT_TRUE(result.ok());
+  options.num_threads = 4;
+  auto model = MakeModelByFamily(GetParam(), workload);
+  OneVsAllTrainer trainer(model.get(), options);
+  const Result<TrainResult> result = trainer.Train(workload.train, nullptr);
+  ASSERT_TRUE(result.ok());
 
-      ASSERT_EQ(reference_result->loss_history.size(),
-                result->loss_history.size());
-      for (size_t e = 0; e < reference_result->loss_history.size(); ++e) {
-        ASSERT_EQ(reference_result->loss_history[e], result->loss_history[e])
-            << "epoch " << e;
-      }
-      ExpectBlocksBitIdentical(reference_model.get(), model.get());
-    }
+  ASSERT_EQ(reference_result->loss_history.size(),
+            result->loss_history.size());
+  for (size_t e = 0; e < reference_result->loss_history.size(); ++e) {
+    ASSERT_EQ(reference_result->loss_history[e], result->loss_history[e])
+        << "epoch " << e;
   }
-}
-
-// The batched-scoring pipeline (one DotBatchMulti per query chunk instead
-// of one DotBatch GEMV per query) is a pure scheduling change: by the
-// kernel contract every score is bit-identical, so losses and final
-// parameters must match the per-query path exactly — at any thread count.
-TEST_P(ThreadInvarianceTest, OneVsAllBatchedScoringIsBitIdentical) {
-  const TinyWorkload workload = MakeTinyWorkload();
-  OneVsAllOptions options;
-  options.max_epochs = 3;
-  options.batch_queries = 16;
-  options.label_smoothing = 0.1;
-  options.learning_rate = 0.05;
-  options.eval_every_epochs = 1000;
-  options.seed = 99;
-
-  options.batched_scoring = false;
-  options.num_threads = 1;
-  auto per_query_model = MakeModelByFamily(GetParam(), workload);
-  OneVsAllTrainer per_query(per_query_model.get(), options);
-  const Result<TrainResult> per_query_result =
-      per_query.Train(workload.train, nullptr);
-  ASSERT_TRUE(per_query_result.ok());
-
-  for (int threads : {1, 4}) {
-    options.batched_scoring = true;
-    options.num_threads = threads;
-    auto batched_model = MakeModelByFamily(GetParam(), workload);
-    OneVsAllTrainer batched(batched_model.get(), options);
-    const Result<TrainResult> batched_result =
-        batched.Train(workload.train, nullptr);
-    ASSERT_TRUE(batched_result.ok());
-
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    ASSERT_EQ(per_query_result->loss_history.size(),
-              batched_result->loss_history.size());
-    for (size_t e = 0; e < per_query_result->loss_history.size(); ++e) {
-      ASSERT_EQ(per_query_result->loss_history[e],
-                batched_result->loss_history[e])
-          << "epoch " << e;
-    }
-    ExpectBlocksBitIdentical(per_query_model.get(), batched_model.get());
-  }
+  ExpectBlocksBitIdentical(reference_model.get(), model.get());
 }
 
 // The margin-ranking loss path must honor the same contract; cover it

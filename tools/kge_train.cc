@@ -89,12 +89,6 @@ int Run(int argc, char** argv) {
                 "sample/gradient/merge/apply threads; 0 = auto-detect "
                 "hardware concurrency (results are identical for every "
                 "value)");
-  int64_t pipeline_depth = 2;
-  parser.AddInt("pipeline-depth", &pipeline_depth,
-                "training batches in flight (1-3): depth d overlaps "
-                "negative sampling of the next d-1 batches with "
-                "scoring and the optimizer step (results are identical "
-                "for every depth)");
   parser.AddDouble("learning-rate", &learning_rate, "optimizer step size");
   parser.AddDouble("l2-lambda", &l2_lambda, "L2 regularization strength");
   parser.AddString("optimizer", &optimizer, "sgd | adagrad | adam");
@@ -202,12 +196,9 @@ int Run(int argc, char** argv) {
   options.seed = uint64_t(seed);
   options.log_every_epochs = 20;
   options.num_threads = int(train_threads);
-  options.pipeline_depth = int(pipeline_depth);
   const size_t resolved_train_threads = ResolveNumThreads(int(train_threads));
-  std::printf("train threads: %zu%s, pipeline depth %d\n",
-              resolved_train_threads,
-              train_threads == 0 ? " (auto-detected)" : "",
-              int(pipeline_depth));
+  std::printf("train threads: %zu%s\n", resolved_train_threads,
+              train_threads == 0 ? " (auto-detected)" : "");
   options.checkpointing.dir = checkpoint_dir;
   options.checkpointing.every_epochs = int(checkpoint_every);
   options.checkpointing.keep_last = int(keep_last);
