@@ -56,7 +56,7 @@ void BM_RankAllTails(benchmark::State& state) {
   auto model = MakeComplEx(num_entities, 8, 128, 3);
   std::vector<float> scores(static_cast<size_t>(num_entities));
   for (auto _ : state) {
-    model->ScoreAllTails(0, 0, scores);
+    model->ScoreAll(QuerySide::kTail, 0, 0, scores);
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * num_entities);
@@ -109,7 +109,7 @@ void BM_RankByModel(benchmark::State& state,
   KGE_CHECK_OK(model.status());
   std::vector<float> scores(static_cast<size_t>(kZooEntities));
   for (auto _ : state) {
-    (*model)->ScoreAllTails(0, 0, scores);
+    (*model)->ScoreAll(QuerySide::kTail, 0, 0, scores);
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * kZooEntities);

@@ -5,7 +5,7 @@
 //   * "kernels"  — GFLOP/s and ns/call for each hot kernel at ranking
 //                  sizes, plus its speedup over the naive sequential
 //                  reference in simd::ref (the pre-SIMD implementation).
-//   * "ranking"  — full-vocabulary ScoreAllTails throughput on a ComplEx
+//   * "ranking"  — full-vocabulary ScoreAll throughput on a ComplEx
 //                  model at the paper's dim budget: ns per ranked triple,
 //                  triples/sec, candidate scores/sec, speedup over the
 //                  scalar-reference ranking loop, and the measured heap
@@ -116,7 +116,7 @@ volatile double g_sink = 0.0;
 struct PerfConfig {
   int64_t entities = 40000;    // full-vocab ranking table size
   int64_t dim_budget = 256;    // total floats per entity (ComplEx: 2x128)
-  int64_t queries = 400;       // ScoreAllTails calls to time
+  int64_t queries = 400;       // ScoreAll calls to time
   int64_t kernel_n = 256;      // vector length for kernel microbenches
   int64_t kernel_iters = 200000;
   int64_t eval_entities = 3000;  // WN18-like KG size for end-to-end eval
@@ -266,7 +266,7 @@ std::vector<KernelRow> BenchKernels(const PerfConfig& config) {
                                  multi_out.data());
       }));
   // Id-indirected batch kernel: a shuffled candidate set scored straight
-  // out of the row table (the gather-free ScoreTailBatch path).
+  // out of the row table (the gather-free ScoreCandidates path).
   std::vector<int32_t> ids(batch_rows);
   for (size_t i = 0; i < batch_rows; ++i) {
     ids[i] = int32_t(rng.NextBounded(uint64_t(batch_rows)));
@@ -301,7 +301,7 @@ std::vector<KernelRow> BenchKernels(const PerfConfig& config) {
   return kernels;
 }
 
-// The pre-SIMD ScoreAllTails: per-call fold allocation, naive sequential
+// The pre-SIMD tail-side ScoreAll: per-call fold allocation, naive sequential
 // fold and per-candidate dot. This is the "scalar baseline" the ranking
 // speedup is measured against.
 void NaiveScoreAllTails(const MultiEmbeddingModel& model, EntityId head,
@@ -350,7 +350,7 @@ RankingResult BenchRanking(const PerfConfig& config) {
   };
   const auto simd_score = [&](EntityId h, RelationId r,
                               std::span<float> out) {
-    model->ScoreAllTails(h, r, out);
+    model->ScoreAll(QuerySide::kTail, h, r, out);
   };
   const auto ref_score = [&](EntityId h, RelationId r, std::span<float> out) {
     NaiveScoreAllTails(*model, h, r, out);
@@ -870,7 +870,8 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
   for (int64_t q = 0; q < num_queries; ++q) {
     const EntityId head = EntityId(rng.NextBounded(uint64_t(n)));
     const RelationId rel = RelationId(rng.NextBounded(8));
-    model->ScoreTailBatch(head, rel, candidates, sample_scores);
+    model->ScoreCandidates(QuerySide::kTail, head, rel, candidates,
+                           sample_scores);
     heads[size_t(q)] = head;
     rels[size_t(q)] = rel;
     truths[size_t(q)] = EntityId(
@@ -2209,7 +2210,7 @@ int Run(int argc, char** argv) {
                 "entity-table rows for full-vocab ranking");
   parser.AddInt("dim_budget", &config.dim_budget,
                 "total floats per entity (ComplEx uses 2 vectors)");
-  parser.AddInt("queries", &config.queries, "ScoreAllTails calls to time");
+  parser.AddInt("queries", &config.queries, "ScoreAll calls to time");
   parser.AddInt("kernel_n", &config.kernel_n,
                 "vector length for kernel microbenches");
   parser.AddInt("kernel_iters", &config.kernel_iters,

@@ -61,18 +61,17 @@ int Run(int argc, char** argv) {
 
   // Pick a parent with several children in the taxonomy; check siblings
   // cluster: mean cosine among siblings vs among random entity pairs.
-  TripleStore train_store(data.train);
-  train_store.BuildIndexes(data.num_entities(), data.num_relations());
+  // A parent's children are the heads of its training hypernym triples,
+  // in training order.
+  std::vector<std::vector<EntityId>> children(size_t(data.num_entities()));
+  for (const Triple& t : data.train) {
+    if (t.relation == kHypernym) children[size_t(t.tail)].push_back(t.head);
+  }
   EntityId best_parent = -1;
   std::vector<EntityId> siblings;
   for (EntityId e = 0; e < data.num_entities(); ++e) {
-    std::vector<EntityId> children;
-    for (uint32_t pos : train_store.ByTail(e)) {
-      const Triple& t = train_store[pos];
-      if (t.relation == kHypernym) children.push_back(t.head);
-    }
-    if (children.size() > siblings.size()) {
-      siblings = children;
+    if (children[size_t(e)].size() > siblings.size()) {
+      siblings = children[size_t(e)];
       best_parent = e;
     }
   }

@@ -132,10 +132,10 @@ int Run(int argc, char** argv) {
   // Show recommendations for one user.
   const EntityId user = rec.data.entities.Find("user_0000");
   std::vector<float> scores(size_t(rec.data.num_entities()));
-  model->ScoreAllTails(user, rec.like, scores);
+  model->ScoreAll(QuerySide::kTail, user, rec.like, scores);
   // Exclude non-items and already-liked items.
   std::vector<std::pair<float, EntityId>> ranked;
-  const auto known = filter.KnownTails(user, rec.like);
+  const auto known = filter.Known(QuerySide::kTail, user, rec.like);
   for (EntityId e = 0; e < rec.data.num_entities(); ++e) {
     const std::string& name = rec.data.entities.NameOf(e);
     if (name.rfind("item_", 0) != 0) continue;

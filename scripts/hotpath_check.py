@@ -17,7 +17,7 @@ every annotated hot-path root, the transitive call graph must not reach
 
 Roots are marked with the KGE_HOT_NOALLOC macro. A root that is a class
 method propagates to every same-named method in the tree, so overrides of
-an annotated virtual (e.g. a new model's ScoreAllTails) are checked
+an annotated virtual (e.g. a new model's ScoreAll) are checked
 automatically without annotating them.
 
 Escape hatch, mirroring repo_lint: a finding is suppressed by a trailing

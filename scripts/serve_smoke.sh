@@ -247,5 +247,16 @@ if [[ -z "${TILES_TOTAL}" || "${TILES_TOTAL}" == "0" ]]; then
   cat "${WORK_DIR}/serve_medium.log" >&2
   exit 1
 fi
+# The same line ends with the server's connection counters: the client
+# above was accepted, and no connection was turned away at the cap.
+ACCEPTED="$(sed -n 's/.* accepted=\([0-9][0-9]*\) .*/\1/p' \
+    "${WORK_DIR}/serve_medium.log" | head -n 1)"
+REJECTED="$(sed -n 's/.* rejected=\([0-9][0-9]*\) .*/\1/p' \
+    "${WORK_DIR}/serve_medium.log" | head -n 1)"
+if [[ -z "${ACCEPTED}" || "${ACCEPTED}" == "0" || "${REJECTED}" != "0" ]]; then
+  echo "serve_smoke: expected accepted>=1 and rejected=0 on the drain line" >&2
+  cat "${WORK_DIR}/serve_medium.log" >&2
+  exit 1
+fi
 
 echo "SERVE SMOKE PASSED (swap, quarantine, crash-restart, and medium-scale pruned serving verified)"

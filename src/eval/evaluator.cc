@@ -42,53 +42,25 @@ Evaluator::Evaluator(const FilterIndex* filter, int32_t num_relations)
   KGE_CHECK(filter_ != nullptr);
 }
 
-double Evaluator::RankTail(const Triple& triple,
-                           std::span<const float> scores,
-                           bool filtered) const {
+double Evaluator::Rank(QuerySide side, const Triple& triple,
+                       std::span<const float> scores, bool filtered) const {
+  const EntityId truth = AnswerOf(side, triple);
   const std::span<const EntityId> known =
-      filtered ? filter_->KnownTails(triple.head, triple.relation)
+      filtered ? filter_->Known(side, AnchorOf(side, triple), triple.relation)
                : std::span<const EntityId>();
-  return RankAmong(scores, scores[size_t(triple.tail)], triple.tail, known);
+  return RankAmong(scores, scores[size_t(truth)], truth, known);
 }
 
-double Evaluator::RankHead(const Triple& triple,
-                           std::span<const float> scores,
-                           bool filtered) const {
+size_t Evaluator::CountCandidates(QuerySide side, const Triple& triple,
+                                  int32_t num_entities, bool filtered) const {
+  if (!filtered) return size_t(num_entities);
+  // All entities minus filtered corruptions; the true entity always
+  // ranks (whether or not it is in the filtered set).
   const std::span<const EntityId> known =
-      filtered ? filter_->KnownHeads(triple.tail, triple.relation)
-               : std::span<const EntityId>();
-  return RankAmong(scores, scores[size_t(triple.head)], triple.head, known);
-}
-
-namespace {
-
-// Candidates = all entities minus filtered corruptions; the true entity
-// always ranks (whether or not it is in the filtered set).
-size_t CountCandidates(int32_t num_entities,
-                       std::span<const EntityId> known, EntityId truth) {
+      filter_->Known(side, AnchorOf(side, triple), triple.relation);
   const bool truth_known =
-      std::binary_search(known.begin(), known.end(), truth);
+      std::binary_search(known.begin(), known.end(), AnswerOf(side, triple));
   return size_t(num_entities) - known.size() + (truth_known ? 1 : 0);
-}
-
-}  // namespace
-
-size_t Evaluator::CountTailCandidates(const Triple& triple,
-                                      int32_t num_entities,
-                                      bool filtered) const {
-  if (!filtered) return size_t(num_entities);
-  return CountCandidates(num_entities,
-                         filter_->KnownTails(triple.head, triple.relation),
-                         triple.tail);
-}
-
-size_t Evaluator::CountHeadCandidates(const Triple& triple,
-                                      int32_t num_entities,
-                                      bool filtered) const {
-  if (!filtered) return size_t(num_entities);
-  return CountCandidates(num_entities,
-                         filter_->KnownHeads(triple.tail, triple.relation),
-                         triple.head);
 }
 
 namespace {
@@ -201,7 +173,7 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
     for (size_t bi = begin; bi < end; ++bi) {
       const QueryBatch& query_batch = batches[bi];
       const size_t count = query_batch.count;
-      const bool head_side = query_batch.side == QuerySide::kHead;
+      const QuerySide side = query_batch.side;
       const std::span<EntityId> anchors = ScratchSpan(scratch.anchors, count);
       const std::span<EntityId> truths = ScratchSpan(scratch.truths, count);
       const std::span<std::span<const EntityId>> excluded =
@@ -209,20 +181,17 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
       for (size_t q = 0; q < count; ++q) {
         const Triple& triple =
             (*eval_triples)[order[query_batch.begin + q]];
-        anchors[q] = head_side ? triple.tail : triple.head;
-        truths[q] = head_side ? triple.head : triple.tail;
+        anchors[q] = AnchorOf(side, triple);
+        truths[q] = AnswerOf(side, triple);
         if (options.filtered) {
-          excluded[q] =
-              head_side ? filter_->KnownHeads(triple.tail, triple.relation)
-                        : filter_->KnownTails(triple.head, triple.relation);
+          excluded[q] = filter_->Known(side, anchors[q], triple.relation);
         }
       }
       const std::span<float> folds =
           ScratchSpan(scratch.folds, count * model.FoldWidth());
-      model.FoldQueries(query_batch.side, query_batch.relation, anchors,
-                        folds);
+      model.FoldQueries(side, query_batch.relation, anchors, folds);
       TopKWalkBatch batch;
-      batch.side = query_batch.side;
+      batch.side = side;
       batch.relation = query_batch.relation;
       batch.anchors = anchors;
       batch.folds = folds;
@@ -234,8 +203,9 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
       std::fill(counts.begin(), counts.end(), RankCounts{});
       model.TopKWalk(batch, 0, 1, {}, counts, &scratch.walk,
                      &batch_stats[bi]);
-      std::vector<double>& ranks =
-          head_side ? result.head_ranks : result.tail_ranks;
+      std::vector<double>& ranks = side == QuerySide::kHead
+                                       ? result.head_ranks
+                                       : result.tail_ranks;
       for (size_t q = 0; q < count; ++q) {
         ranks[order[query_batch.begin + q]] =
             1.0 + double(counts[q].better) + double(counts[q].equal) / 2.0;
@@ -251,10 +221,10 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
   // rank per triple.
   for (size_t i = 0; i < num_triples; ++i) {
     const Triple& triple = (*eval_triples)[i];
-    const size_t tail_cands =
-        CountTailCandidates(triple, num_entities, options.filtered);
-    const size_t head_cands =
-        CountHeadCandidates(triple, num_entities, options.filtered);
+    const size_t tail_cands = CountCandidates(QuerySide::kTail, triple,
+                                              num_entities, options.filtered);
+    const size_t head_cands = CountCandidates(QuerySide::kHead, triple,
+                                              num_entities, options.filtered);
     result.overall.AddRank(result.tail_ranks[i], tail_cands);
     result.overall.AddRank(result.head_ranks[i], head_cands);
     PerRelationMetrics& rel = result.per_relation[size_t(triple.relation)];

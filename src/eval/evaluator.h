@@ -92,24 +92,20 @@ class Evaluator {
                                  const std::vector<Triple>& triples,
                                  const EvalOptions& options) const;
 
-  // Rank of the true tail for one query given its full score row
-  // `scores` (e.g. model.ScoreAllTails(h, r)): the reference that the
-  // ranking walk's counts are tested against.
+  // Rank of `triple`'s true answer on `side` given that query's full
+  // score row `scores` (e.g. model.ScoreAll(side, AnchorOf(side, triple),
+  // triple.relation)): the reference that the ranking walk's counts are
+  // tested against.
   KGE_HOT_NOALLOC
-  double RankTail(const Triple& triple, std::span<const float> scores,
-                  bool filtered) const;
-  KGE_HOT_NOALLOC
-  double RankHead(const Triple& triple, std::span<const float> scores,
-                  bool filtered) const;
+  double Rank(QuerySide side, const Triple& triple,
+              std::span<const float> scores, bool filtered) const;
 
   // Number of ranked candidates (the true answer plus surviving
-  // corruptions) for each query direction; feeds the adjusted mean rank.
+  // corruptions) of `triple`'s `side` query; feeds the adjusted mean
+  // rank.
   KGE_HOT_NOALLOC
-  size_t CountTailCandidates(const Triple& triple, int32_t num_entities,
-                             bool filtered) const;
-  KGE_HOT_NOALLOC
-  size_t CountHeadCandidates(const Triple& triple, int32_t num_entities,
-                             bool filtered) const;
+  size_t CountCandidates(QuerySide side, const Triple& triple,
+                         int32_t num_entities, bool filtered) const;
 
  private:
   const FilterIndex* filter_;

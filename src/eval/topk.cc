@@ -8,15 +8,22 @@
 namespace kge {
 namespace {
 
-// Runs the top-k walk lane by lane on this thread (the serving layer
-// runs the same lanes in parallel). The lanes share one heap, so each
+// Checks the query's anchor and relation against the model, looks up
+// its known answers when they are to be excluded, and runs the top-k
+// walk lane by lane on this thread (the serving layer runs the same
+// lanes in parallel). The lanes share one heap, so each
 // lane prunes against everything the earlier lanes kept; the walk's
 // contract makes the result identical for every lane count and prune
 // setting.
 std::vector<ScoredEntity> SelectTopK(const KgeModel& model, QuerySide side,
                                      EntityId anchor, RelationId relation,
-                                     std::span<const EntityId> excluded,
                                      const TopKOptions& options) {
+  KGE_CHECK(anchor >= 0 && anchor < model.num_entities());
+  KGE_CHECK(relation >= 0 && relation < model.num_relations());
+  const std::span<const EntityId> excluded =
+      options.exclude_known != nullptr
+          ? options.exclude_known->Known(side, anchor, relation)
+          : std::span<const EntityId>();
   const int lanes = std::max(options.num_shards, 1);
   if (options.prune) {
     model.PrepareForPrunedScoring(ScorePrecision::kDouble);
@@ -50,25 +57,13 @@ std::vector<ScoredEntity> SelectTopK(const KgeModel& model, QuerySide side,
 std::vector<ScoredEntity> PredictTails(const KgeModel& model, EntityId head,
                                        RelationId relation,
                                        const TopKOptions& options) {
-  KGE_CHECK(head >= 0 && head < model.num_entities());
-  const std::span<const EntityId> excluded =
-      options.exclude_known != nullptr
-          ? options.exclude_known->KnownTails(head, relation)
-          : std::span<const EntityId>();
-  return SelectTopK(model, QuerySide::kTail, head, relation, excluded,
-                    options);
+  return SelectTopK(model, QuerySide::kTail, head, relation, options);
 }
 
 std::vector<ScoredEntity> PredictHeads(const KgeModel& model, EntityId tail,
                                        RelationId relation,
                                        const TopKOptions& options) {
-  KGE_CHECK(tail >= 0 && tail < model.num_entities());
-  const std::span<const EntityId> excluded =
-      options.exclude_known != nullptr
-          ? options.exclude_known->KnownHeads(tail, relation)
-          : std::span<const EntityId>();
-  return SelectTopK(model, QuerySide::kHead, tail, relation, excluded,
-                    options);
+  return SelectTopK(model, QuerySide::kHead, tail, relation, options);
 }
 
 }  // namespace kge

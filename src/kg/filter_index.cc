@@ -41,17 +41,12 @@ bool FilterIndex::Contains(const Triple& triple) const {
                             triple.tail);
 }
 
-std::span<const EntityId> FilterIndex::KnownTails(EntityId head,
-                                                  RelationId relation) const {
-  const auto it = tails_by_head_relation_.find(MakeKey(relation, head));
-  if (it == tails_by_head_relation_.end()) return {};
-  return it->second;
-}
-
-std::span<const EntityId> FilterIndex::KnownHeads(EntityId tail,
-                                                  RelationId relation) const {
-  const auto it = heads_by_tail_relation_.find(MakeKey(relation, tail));
-  if (it == heads_by_tail_relation_.end()) return {};
+std::span<const EntityId> FilterIndex::Known(QuerySide side, EntityId anchor,
+                                             RelationId relation) const {
+  const auto& answers = side == QuerySide::kTail ? tails_by_head_relation_
+                                                 : heads_by_tail_relation_;
+  const auto it = answers.find(MakeKey(relation, anchor));
+  if (it == answers.end()) return {};
   return it->second;
 }
 

@@ -33,12 +33,11 @@ class FilterIndex {
 
   bool Contains(const Triple& triple) const;
 
-  // All known tails t' such that (h, t', r) is a known triple; sorted.
-  std::span<const EntityId> KnownTails(EntityId head,
-                                       RelationId relation) const;
-  // All known heads h' such that (h', t, r) is a known triple; sorted.
-  std::span<const EntityId> KnownHeads(EntityId tail,
-                                       RelationId relation) const;
+  // Every known answer of the `side` query with known entity `anchor`,
+  // sorted: the tails t' of known (anchor, t', r) for kTail, the heads
+  // h' of known (h', anchor, r) for kHead.
+  std::span<const EntityId> Known(QuerySide side, EntityId anchor,
+                                  RelationId relation) const;
 
   size_t num_triples() const { return num_triples_; }
 

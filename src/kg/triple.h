@@ -25,6 +25,27 @@ struct Triple {
   friend auto operator<=>(const Triple& x, const Triple& y) = default;
 };
 
+// The triple a `side` query with known entity `anchor` forms with
+// `candidate`: (anchor, candidate, r) for kTail, (candidate, anchor, r)
+// for kHead.
+inline Triple QueryTriple(QuerySide side, EntityId anchor,
+                          RelationId relation, EntityId candidate) {
+  return side == QuerySide::kTail ? Triple{anchor, candidate, relation}
+                                  : Triple{candidate, anchor, relation};
+}
+
+// The known entity of `triple`'s `side` query: its head for kTail, its
+// tail for kHead.
+inline EntityId AnchorOf(QuerySide side, const Triple& triple) {
+  return side == QuerySide::kTail ? triple.head : triple.tail;
+}
+
+// The entity `triple`'s `side` query asks for: its tail for kTail, its
+// head for kHead.
+inline EntityId AnswerOf(QuerySide side, const Triple& triple) {
+  return side == QuerySide::kTail ? triple.tail : triple.head;
+}
+
 // 64-bit mix hash over the three ids; used by FilterIndex hash sets.
 struct TripleHash {
   size_t operator()(const Triple& t) const {

@@ -69,25 +69,22 @@ double ConvE::Score(const Triple& triple) const {
          double(entity_bias_.Row(triple.tail)[0]);
 }
 
-void ConvE::ScoreAllTails(EntityId head, RelationId relation,
-                          std::span<float> out) const {
+void ConvE::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                     std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  // One forward pass; per candidate only a dot product + bias (the
-  // 1-N scoring efficiency ConvE is trained with). The dots run as one
-  // batched pass over the entity table, then the bias column is added.
   static thread_local Activations acts;
-  ForwardQuery(head, relation, &acts);
-  DotBatch(acts.projected, entities_.block().Flat(), out);
-  Axpy(1.0f, entity_bias_.Flat(), out);
-}
-
-void ConvE::ScoreAllHeads(EntityId tail, RelationId relation,
-                          std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
+  if (side == QuerySide::kTail) {
+    // One forward pass; per candidate only a dot product + bias (the
+    // 1-N scoring efficiency ConvE is trained with). The dots run as one
+    // batched pass over the entity table, then the bias column is added.
+    ForwardQuery(anchor, relation, &acts);
+    DotBatch(acts.projected, entities_.block().Flat(), out);
+    Axpy(1.0f, entity_bias_.Flat(), out);
+    return;
+  }
   // No shared computation across candidate heads: full forward each.
-  const auto t = entities_.Of(tail);
-  const double tail_bias = double(entity_bias_.Row(tail)[0]);
-  static thread_local Activations acts;
+  const auto t = entities_.Of(anchor);
+  const double tail_bias = double(entity_bias_.Row(anchor)[0]);
   for (int32_t e = 0; e < entities_.num_ids(); ++e) {
     ForwardQuery(e, relation, &acts);
     out[size_t(e)] = static_cast<float>(Dot(acts.projected, t) + tail_bias);

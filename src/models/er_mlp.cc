@@ -50,8 +50,8 @@ double ErMlp::Score(const Triple& triple) const {
   return double(s);
 }
 
-void ErMlp::ScoreAllTails(EntityId head, RelationId relation,
-                          std::span<float> out) const {
+void ErMlp::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                     std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
   // No fold trick for an MLP: full forward per candidate (the expense the
   // paper's §2.2.2 critique refers to). Scratch still makes the outer call
@@ -61,29 +61,14 @@ void ErMlp::ScoreAllTails(EntityId head, RelationId relation,
   const std::span<float> x = ScratchSpan(x_buf, static_cast<size_t>(3 * dim()));
   const std::span<float> a =
       ScratchSpan(a_buf, static_cast<size_t>(hidden_dim()));
-  const auto h = entities_.Of(head);
+  const auto known = entities_.Of(anchor);
   const auto r = relations_.Of(relation);
   for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    Concatenate(h, entities_.Of(e), r, x);
-    hidden_.Forward(x, a);
-    float s = 0.0f;
-    output_.Forward(a, std::span<float>(&s, 1));
-    out[size_t(e)] = s;
-  }
-}
-
-void ErMlp::ScoreAllHeads(EntityId tail, RelationId relation,
-                          std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  static thread_local std::vector<float> x_buf;
-  static thread_local std::vector<float> a_buf;
-  const std::span<float> x = ScratchSpan(x_buf, static_cast<size_t>(3 * dim()));
-  const std::span<float> a =
-      ScratchSpan(a_buf, static_cast<size_t>(hidden_dim()));
-  const auto t = entities_.Of(tail);
-  const auto r = relations_.Of(relation);
-  for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    Concatenate(entities_.Of(e), t, r, x);
+    if (side == QuerySide::kTail) {
+      Concatenate(known, entities_.Of(e), r, x);
+    } else {
+      Concatenate(entities_.Of(e), known, r, x);
+    }
     hidden_.Forward(x, a);
     float s = 0.0f;
     output_.Forward(a, std::span<float>(&s, 1));

@@ -62,11 +62,7 @@ void KgeModel::TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
       stats->tiles_skipped += 1;
       continue;
     }
-    if (batch.side == QuerySide::kTail) {
-      ScoreAllTails(batch.anchors[q], batch.relation, scores);
-    } else {
-      ScoreAllHeads(batch.anchors[q], batch.relation, scores);
-    }
+    ScoreAll(batch.side, batch.anchors[q], batch.relation, scores);
     const std::span<const EntityId> excluded =
         batch.excluded.empty() ? std::span<const EntityId>()
                                : batch.excluded[q];
@@ -81,21 +77,14 @@ void KgeModel::TopKWalk(const TopKWalkBatch& batch, int lane, int num_lanes,
   }
 }
 
-void KgeModel::ScoreTailBatch(EntityId head, RelationId relation,
-                              std::span<const EntityId> tails,
-                              std::span<float> out) const {
-  KGE_DCHECK(out.size() == tails.size());
-  for (size_t i = 0; i < tails.size(); ++i) {
-    out[i] = static_cast<float>(Score({head, tails[i], relation}));
-  }
-}
-
-void KgeModel::ScoreHeadBatch(EntityId tail, RelationId relation,
-                              std::span<const EntityId> heads,
-                              std::span<float> out) const {
-  KGE_DCHECK(out.size() == heads.size());
-  for (size_t i = 0; i < heads.size(); ++i) {
-    out[i] = static_cast<float>(Score({heads[i], tail, relation}));
+void KgeModel::ScoreCandidates(QuerySide side, EntityId anchor,
+                               RelationId relation,
+                               std::span<const EntityId> candidates,
+                               std::span<float> out) const {
+  KGE_DCHECK(out.size() == candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    out[i] = static_cast<float>(
+        Score(QueryTriple(side, anchor, relation, candidates[i])));
   }
 }
 

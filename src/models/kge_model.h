@@ -105,16 +105,15 @@ class KgeModel {
   // Matching score S(h, t, r); higher = more likely valid.
   virtual double Score(const Triple& triple) const = 0;
 
-  // Scores (h, t', r) for every candidate tail t' in [0, num_entities);
-  // `out` has num_entities floats. Must be thread-safe for concurrent
-  // calls (the walk's exhaustive fallback runs on evaluator threads).
+  // Scores the `side` query with known entity `anchor` against every
+  // candidate e in [0, num_entities): out[e] scores
+  // QueryTriple(side, anchor, relation, e), so kTail scores (h, e, r)
+  // and kHead scores (e, t, r). `out` has num_entities floats. Must be
+  // thread-safe for concurrent calls (the walk's exhaustive fallback
+  // runs on evaluator threads).
   KGE_HOT_NOALLOC
-  virtual void ScoreAllTails(EntityId head, RelationId relation,
-                             std::span<float> out) const = 0;
-  // Scores (h', t, r) for every candidate head h'.
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllHeads(EntityId tail, RelationId relation,
-                             std::span<float> out) const = 0;
+  virtual void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                        std::span<float> out) const = 0;
 
   // True when the model's walk can score at `precision`. Every model
   // supports kDouble; only models with scoring replicas (the trilinear
@@ -196,21 +195,19 @@ class KgeModel {
                         std::span<RankCounts> counts,
                         TopKWalkScratch* scratch, RankScanStats* stats) const;
 
-  // Scores (h, t', r) for each candidate tail t' in `tails`;
-  // out[i] = float(Score({h, tails[i], r})). The base implementation
-  // loops over Score; models with a fold decomposition override this to
-  // fold the (h, r) context once and score all candidates with a single
-  // batched matrix-vector product. Must be thread-safe for concurrent
+  // Scores the `side` query with known entity `anchor` against each id
+  // of `candidates` into out[i]. The base implementation loops over
+  // Score: out[i] = float(Score(QueryTriple(side, anchor, relation,
+  // candidates[i]))). Models with a fold decomposition override this to
+  // fold the (anchor, relation) context once and score all candidates
+  // with a single batched matrix-vector product, so out[i] equals the
+  // ScoreAll cell of candidates[i]. Must be thread-safe for concurrent
   // calls (used by the parallel trainer shards).
   KGE_HOT_NOALLOC
-  virtual void ScoreTailBatch(EntityId head, RelationId relation,
-                              std::span<const EntityId> tails,
-                              std::span<float> out) const;
-  // Scores (h', t, r) for each candidate head h' in `heads`.
-  KGE_HOT_NOALLOC
-  virtual void ScoreHeadBatch(EntityId tail, RelationId relation,
-                              std::span<const EntityId> heads,
-                              std::span<float> out) const;
+  virtual void ScoreCandidates(QuerySide side, EntityId anchor,
+                               RelationId relation,
+                               std::span<const EntityId> candidates,
+                               std::span<float> out) const;
 
   // Parameter blocks in a fixed order; the index of a block in this
   // vector is its block index in GradientBuffer.

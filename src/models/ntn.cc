@@ -102,80 +102,52 @@ double Ntn::Score(const Triple& triple) const {
   return score;
 }
 
-void Ntn::ScoreAllTails(EntityId head, RelationId relation,
-                        std::span<float> out) const {
+void Ntn::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                   std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  // Precompute per-slice hᵀW (k vectors of D) and hᵀV_h; per candidate t
-  // each slice costs O(D).
-  const auto h = entities_.Of(head);
+  // Precompute per slice the anchor's bilinear part (hᵀW for tails, W t
+  // for heads; k vectors of D) and its linear part through its own half
+  // of V (V_h for tails, V_t for heads); per candidate each slice then
+  // costs O(D) against the other half.
+  const auto a = entities_.Of(anchor);
   const RelationView view = ViewOf(relation);
   const size_t d = size_t(dim());
   const size_t k = size_t(num_slices_);
-  static thread_local std::vector<double> hw_buf;
-  static thread_local std::vector<double> h_linear_buf;
-  const std::span<double> hw = ScratchSpan(hw_buf, k * d);
-  const std::span<double> h_linear = ScratchSpan(h_linear_buf, k);
-  std::fill(hw.begin(), hw.end(), 0.0);
-  std::fill(h_linear.begin(), h_linear.end(), 0.0);
+  const bool tail_side = side == QuerySide::kTail;
+  const size_t anchor_half = tail_side ? 0 : d;
+  const size_t candidate_half = tail_side ? d : 0;
+  static thread_local std::vector<double> aw_buf;
+  static thread_local std::vector<double> a_linear_buf;
+  const std::span<double> aw = ScratchSpan(aw_buf, k * d);
+  const std::span<double> a_linear = ScratchSpan(a_linear_buf, k);
+  std::fill(aw.begin(), aw.end(), 0.0);
+  std::fill(a_linear.begin(), a_linear.end(), 0.0);
   for (size_t slice = 0; slice < k; ++slice) {
     const float* w = view.w.data() + slice * d * d;
-    for (size_t a = 0; a < d; ++a) {
-      const double ha = h[a];
-      for (size_t bcol = 0; bcol < d; ++bcol) {
-        hw[slice * d + bcol] += ha * double(w[a * d + bcol]);
+    double* aw_slice = aw.data() + slice * d;
+    for (size_t i = 0; i < d; ++i) {
+      if (tail_side) {
+        const double ai = a[i];
+        for (size_t j = 0; j < d; ++j) {
+          aw_slice[j] += ai * double(w[i * d + j]);
+        }
+      } else {
+        for (size_t j = 0; j < d; ++j) {
+          aw_slice[i] += double(w[i * d + j]) * double(a[j]);
+        }
       }
     }
-    const float* v = view.v.data() + slice * 2 * d;
-    for (size_t a = 0; a < d; ++a) h_linear[slice] += double(v[a]) * h[a];
+    const float* v = view.v.data() + slice * 2 * d + anchor_half;
+    for (size_t i = 0; i < d; ++i) a_linear[slice] += double(v[i]) * a[i];
   }
   for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    const auto t = entities_.Of(e);
+    const auto c = entities_.Of(e);
     double score = 0.0;
     for (size_t slice = 0; slice < k; ++slice) {
-      const float* v = view.v.data() + slice * 2 * d;
-      double z = h_linear[slice] + double(view.b[slice]);
-      for (size_t a = 0; a < d; ++a) {
-        z += (hw[slice * d + a] + double(v[d + a])) * double(t[a]);
-      }
-      score += double(view.u[slice]) * std::tanh(z);
-    }
-    out[size_t(e)] = static_cast<float>(score);
-  }
-}
-
-void Ntn::ScoreAllHeads(EntityId tail, RelationId relation,
-                        std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  const auto t = entities_.Of(tail);
-  const RelationView view = ViewOf(relation);
-  const size_t d = size_t(dim());
-  const size_t k = size_t(num_slices_);
-  // Precompute per-slice W t and tᵀV_t.
-  static thread_local std::vector<double> wt_buf;
-  static thread_local std::vector<double> t_linear_buf;
-  const std::span<double> wt = ScratchSpan(wt_buf, k * d);
-  const std::span<double> t_linear = ScratchSpan(t_linear_buf, k);
-  std::fill(t_linear.begin(), t_linear.end(), 0.0);
-  for (size_t slice = 0; slice < k; ++slice) {
-    const float* w = view.w.data() + slice * d * d;
-    for (size_t a = 0; a < d; ++a) {
-      double row_dot = 0.0;
-      for (size_t bcol = 0; bcol < d; ++bcol) {
-        row_dot += double(w[a * d + bcol]) * double(t[bcol]);
-      }
-      wt[slice * d + a] = row_dot;
-    }
-    const float* v = view.v.data() + slice * 2 * d;
-    for (size_t a = 0; a < d; ++a) t_linear[slice] += double(v[d + a]) * t[a];
-  }
-  for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    const auto h = entities_.Of(e);
-    double score = 0.0;
-    for (size_t slice = 0; slice < k; ++slice) {
-      const float* v = view.v.data() + slice * 2 * d;
-      double z = t_linear[slice] + double(view.b[slice]);
-      for (size_t a = 0; a < d; ++a) {
-        z += (wt[slice * d + a] + double(v[a])) * double(h[a]);
+      const float* v = view.v.data() + slice * 2 * d + candidate_half;
+      double z = a_linear[slice] + double(view.b[slice]);
+      for (size_t i = 0; i < d; ++i) {
+        z += (aw[slice * d + i] + double(v[i])) * double(c[i]);
       }
       score += double(view.u[slice]) * std::tanh(z);
     }

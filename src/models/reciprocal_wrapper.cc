@@ -14,11 +14,16 @@ ReciprocalWrapper::ReciprocalWrapper(KgeModel* base,
   KGE_CHECK(base_->num_relations() == 2 * original_relations);
 }
 
-void ReciprocalWrapper::ScoreAllHeads(EntityId tail, RelationId relation,
-                                      std::span<float> out) const {
+void ReciprocalWrapper::ScoreAll(QuerySide side, EntityId anchor,
+                                 RelationId relation,
+                                 std::span<float> out) const {
+  if (side == QuerySide::kTail) {
+    base_->ScoreAll(side, anchor, relation, out);
+    return;
+  }
   KGE_CHECK(relation >= 0 && relation < original_relations_);
-  base_->ScoreAllTails(
-      tail, AugmentedRelationOf(relation, original_relations_), out);
+  base_->ScoreAll(QuerySide::kTail, anchor,
+                  AugmentedRelationOf(relation, original_relations_), out);
 }
 
 }  // namespace kge

@@ -4,8 +4,8 @@
 // the tail query (t, ?, r_inverse) on the base model, where
 // r_inverse = r + original_relation_count (kg/augmentation.h's mapping).
 //
-// This matters because an augmented model's ScoreAllHeads direction was
-// never trained — all training queries are tail queries — so evaluating
+// This matters because an augmented model's head-side scan was never
+// trained — all training queries are tail queries — so evaluating
 // it directly understates the model (and is why plain CP + augmentation
 // evaluated naively looks worse than CPh).
 #ifndef KGE_MODELS_RECIPROCAL_WRAPPER_H_
@@ -32,28 +32,18 @@ class ReciprocalWrapper : public KgeModel {
   double Score(const Triple& triple) const override {
     return base_->Score(triple);
   }
+  // Tail queries delegate unchanged; a head query becomes the
+  // reciprocal tail query.
   KGE_HOT_NOALLOC
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
-    base_->ScoreAllTails(head, relation, out);
-  }
-  // Head query -> reciprocal tail query.
-  KGE_HOT_NOALLOC
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override;
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override;
   // Batched candidate scoring delegates unchanged, like Score: the
   // trainer only issues queries over the augmented relation set.
   KGE_HOT_NOALLOC
-  void ScoreTailBatch(EntityId head, RelationId relation,
-                      std::span<const EntityId> tails,
-                      std::span<float> out) const override {
-    base_->ScoreTailBatch(head, relation, tails, out);
-  }
-  KGE_HOT_NOALLOC
-  void ScoreHeadBatch(EntityId tail, RelationId relation,
-                      std::span<const EntityId> heads,
-                      std::span<float> out) const override {
-    base_->ScoreHeadBatch(tail, relation, heads, out);
+  void ScoreCandidates(QuerySide side, EntityId anchor, RelationId relation,
+                       std::span<const EntityId> candidates,
+                       std::span<float> out) const override {
+    base_->ScoreCandidates(side, anchor, relation, candidates, out);
   }
 
   // Training-related methods delegate unchanged.

@@ -42,39 +42,31 @@ double Rescal::Score(const Triple& triple) const {
   return score;
 }
 
-void Rescal::ScoreAllTails(EntityId head, RelationId relation,
-                           std::span<float> out) const {
+void Rescal::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                      std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  const auto h = entities_.Of(head);
+  const auto a = entities_.Of(anchor);
   const auto w = MatrixOf(relation);
   const int32_t d = dim();
-  // v = hᵀ W_r (one D² pass), then one batched v · t over all candidates.
+  // v = hᵀ W_r for tails, v = W_r t for heads (one D² pass), then one
+  // batched v · e over all candidates.
   static thread_local std::vector<float> v_buf;
   const std::span<float> v = ScratchSpan(v_buf, size_t(d));
-  Fill(v, 0.0f);
-  for (int32_t a = 0; a < d; ++a) {
-    const float ha = h[size_t(a)];
-    const float* w_row = w.data() + size_t(a) * size_t(d);
-    for (int32_t b = 0; b < d; ++b) v[size_t(b)] += ha * w_row[b];
+  if (side == QuerySide::kTail) {
+    Fill(v, 0.0f);
+    for (int32_t i = 0; i < d; ++i) {
+      const float ai = a[size_t(i)];
+      const float* w_row = w.data() + size_t(i) * size_t(d);
+      for (int32_t j = 0; j < d; ++j) v[size_t(j)] += ai * w_row[j];
+    }
+  } else {
+    for (int32_t i = 0; i < d; ++i) {
+      const float* w_row = w.data() + size_t(i) * size_t(d);
+      v[size_t(i)] = static_cast<float>(
+          Dot(std::span<const float>(w_row, size_t(d)), a));
+    }
   }
   DotBatch(v, entities_.block().Flat(), out);
-}
-
-void Rescal::ScoreAllHeads(EntityId tail, RelationId relation,
-                           std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  const auto t = entities_.Of(tail);
-  const auto w = MatrixOf(relation);
-  const int32_t d = dim();
-  // u = W_r t, then one batched h · u over all candidates.
-  static thread_local std::vector<float> u_buf;
-  const std::span<float> u = ScratchSpan(u_buf, size_t(d));
-  for (int32_t a = 0; a < d; ++a) {
-    const float* w_row = w.data() + size_t(a) * size_t(d);
-    u[size_t(a)] = static_cast<float>(Dot(
-        std::span<const float>(w_row, size_t(d)), t));
-  }
-  DotBatch(u, entities_.block().Flat(), out);
 }
 
 std::vector<ParameterBlock*> Rescal::Blocks() {

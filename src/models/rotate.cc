@@ -64,43 +64,32 @@ double RotatE::Score(const Triple& triple) const {
   return -distance;
 }
 
-void RotatE::ScoreAllTails(EntityId head, RelationId relation,
-                           std::span<float> out) const {
+void RotatE::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                      std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
+  // Rotation is an isometry: ||h∘r − t|| = ||t∘r⁻¹ − h||, so rotate the
+  // anchor once (forwards for tails, backwards for heads) and compare
+  // every candidate directly over the concatenated (re | im) layout.
   const int32_t d = dim();
-  static thread_local std::vector<float> rotated_buf;
-  const std::span<float> rotated =
-      ScratchSpan(rotated_buf, 2 * size_t(d));
-  const std::span<float> hr_re = rotated.subspan(0, size_t(d));
-  const std::span<float> hr_im = rotated.subspan(size_t(d), size_t(d));
-  RotateHead(entities_.Of(head), relation, hr_re, hr_im);
-  // ||rotated − t||² over the concatenated (re | im) layout.
-  for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    out[size_t(e)] =
-        static_cast<float>(-LpDistance(rotated, entities_.Of(e), 2));
-  }
-}
-
-void RotatE::ScoreAllHeads(EntityId tail, RelationId relation,
-                           std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  // Rotation is an isometry: ||h∘r − t|| = ||h − t∘r⁻¹||, so rotate the
-  // tail backwards once and compare all heads directly.
-  const int32_t d = dim();
-  const auto theta = phases_.Of(relation);
-  const auto t = entities_.Of(tail);
+  const auto a = entities_.Of(anchor);
   static thread_local std::vector<float> target_buf;
   const std::span<float> target = ScratchSpan(target_buf, 2 * size_t(d));
-  for (int32_t i = 0; i < d; ++i) {
-    const float c = std::cos(theta[size_t(i)]);
-    const float s = std::sin(theta[size_t(i)]);
-    // t ∘ e^{-iθ}
-    target[size_t(i)] = t[size_t(i)] * c + t[size_t(d + i)] * s;
-    target[size_t(d + i)] = -t[size_t(i)] * s + t[size_t(d + i)] * c;
+  if (side == QuerySide::kTail) {
+    RotateHead(a, relation, target.subspan(0, size_t(d)),
+               target.subspan(size_t(d), size_t(d)));
+  } else {
+    const auto theta = phases_.Of(relation);
+    for (int32_t i = 0; i < d; ++i) {
+      const float c = std::cos(theta[size_t(i)]);
+      const float s = std::sin(theta[size_t(i)]);
+      // t ∘ e^{-iθ}
+      target[size_t(i)] = a[size_t(i)] * c + a[size_t(d + i)] * s;
+      target[size_t(d + i)] = -a[size_t(i)] * s + a[size_t(d + i)] * c;
+    }
   }
   for (int32_t e = 0; e < entities_.num_ids(); ++e) {
     out[size_t(e)] =
-        static_cast<float>(-LpDistance(entities_.Of(e), target, 2));
+        static_cast<float>(-LpDistance(target, entities_.Of(e), 2));
   }
 }
 

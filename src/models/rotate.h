@@ -38,11 +38,8 @@ class RotatE : public KgeModel {
 
   double Score(const Triple& triple) const override;
   KGE_HOT_NOALLOC
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override;
-  KGE_HOT_NOALLOC
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override;
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override;
 
   std::vector<ParameterBlock*> Blocks() override;
   KGE_HOT_NOALLOC

@@ -45,32 +45,23 @@ double TransE::Score(const Triple& triple) const {
   return -distance;
 }
 
-void TransE::ScoreAllTails(EntityId head, RelationId relation,
-                           std::span<float> out) const {
+void TransE::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                      std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  const auto h = entities_.Of(head);
+  // ||h + r − t|| = ||(h + r) − t|| = ||(t − r) − h||: translate the
+  // anchor once, then one distance per candidate.
+  const auto a = entities_.Of(anchor);
   const auto r = relations_.Of(relation);
-  static thread_local std::vector<float> translated_buf;
-  const std::span<float> translated = ScratchSpan(translated_buf, h.size());
-  for (size_t d = 0; d < h.size(); ++d) translated[d] = h[d] + r[d];
-  for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    out[size_t(e)] = static_cast<float>(
-        -LpDistance(translated, entities_.Of(e), norm_p_));
-  }
-}
-
-void TransE::ScoreAllHeads(EntityId tail, RelationId relation,
-                           std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  const auto t = entities_.Of(tail);
-  const auto r = relations_.Of(relation);
-  // ||h + r − t|| = ||h − (t − r)||.
   static thread_local std::vector<float> target_buf;
-  const std::span<float> target = ScratchSpan(target_buf, t.size());
-  for (size_t d = 0; d < t.size(); ++d) target[d] = t[d] - r[d];
+  const std::span<float> target = ScratchSpan(target_buf, a.size());
+  if (side == QuerySide::kTail) {
+    for (size_t d = 0; d < a.size(); ++d) target[d] = a[d] + r[d];
+  } else {
+    for (size_t d = 0; d < a.size(); ++d) target[d] = a[d] - r[d];
+  }
   for (int32_t e = 0; e < entities_.num_ids(); ++e) {
     out[size_t(e)] =
-        static_cast<float>(-LpDistance(entities_.Of(e), target, norm_p_));
+        static_cast<float>(-LpDistance(target, entities_.Of(e), norm_p_));
   }
 }
 

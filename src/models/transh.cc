@@ -51,58 +51,34 @@ double TransH::Score(const Triple& triple) const {
   return -SquaredNorm(diff);
 }
 
-void TransH::ScoreAllTails(EntityId head, RelationId relation,
-                           std::span<float> out) const {
+void TransH::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                      std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  // h⊥ + d is fixed; per candidate t the score is −||(h⊥ + d) − t⊥||².
-  const auto h = entities_.Of(head);
+  // ||(h⊥ + d) − t⊥||² = ||(t⊥ − d) − h⊥||²: the anchor's side is fixed,
+  // so per candidate only its projection and one distance remain.
+  const auto a = entities_.Of(anchor);
   const auto d = translations_.Of(relation);
   const auto w = normals_.Of(relation);
   const int32_t n = dim();
-  static thread_local std::vector<float> base_buf;
-  const std::span<float> base = ScratchSpan(base_buf, static_cast<size_t>(n));
-  const double alpha = Dot(w, h);
-  for (int32_t i = 0; i < n; ++i) {
-    base[size_t(i)] = h[size_t(i)] - float(alpha) * w[size_t(i)] + d[size_t(i)];
-  }
-  static thread_local std::vector<float> t_proj_buf;
-  const std::span<float> t_proj =
-      ScratchSpan(t_proj_buf, static_cast<size_t>(n));
-  for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    const auto t = entities_.Of(e);
-    const double beta = Dot(w, t);
-    for (int32_t i = 0; i < n; ++i) {
-      t_proj[size_t(i)] = t[size_t(i)] - float(beta) * w[size_t(i)];
-    }
-    out[size_t(e)] = static_cast<float>(-LpDistance(base, t_proj, 2));
-  }
-}
-
-void TransH::ScoreAllHeads(EntityId tail, RelationId relation,
-                           std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  const auto t = entities_.Of(tail);
-  const auto d = translations_.Of(relation);
-  const auto w = normals_.Of(relation);
-  const int32_t n = dim();
-  static thread_local std::vector<float> target_buf;  // t⊥ − d
+  static thread_local std::vector<float> target_buf;  // h⊥ + d or t⊥ − d
   const std::span<float> target =
       ScratchSpan(target_buf, static_cast<size_t>(n));
-  const double beta = Dot(w, t);
+  const double alpha = Dot(w, a);
+  // ±1 · d is exact, and x + (−d) is x − d.
+  const float sign = side == QuerySide::kTail ? 1.0f : -1.0f;
   for (int32_t i = 0; i < n; ++i) {
     target[size_t(i)] =
-        t[size_t(i)] - float(beta) * w[size_t(i)] - d[size_t(i)];
+        a[size_t(i)] - float(alpha) * w[size_t(i)] + sign * d[size_t(i)];
   }
-  static thread_local std::vector<float> h_proj_buf;
-  const std::span<float> h_proj =
-      ScratchSpan(h_proj_buf, static_cast<size_t>(n));
+  static thread_local std::vector<float> proj_buf;
+  const std::span<float> proj = ScratchSpan(proj_buf, static_cast<size_t>(n));
   for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    const auto h = entities_.Of(e);
-    const double alpha = Dot(w, h);
+    const auto c = entities_.Of(e);
+    const double gamma = Dot(w, c);
     for (int32_t i = 0; i < n; ++i) {
-      h_proj[size_t(i)] = h[size_t(i)] - float(alpha) * w[size_t(i)];
+      proj[size_t(i)] = c[size_t(i)] - float(gamma) * w[size_t(i)];
     }
-    out[size_t(e)] = static_cast<float>(-LpDistance(h_proj, target, 2));
+    out[size_t(e)] = static_cast<float>(-LpDistance(target, proj, 2));
   }
 }
 

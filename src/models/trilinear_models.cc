@@ -63,39 +63,24 @@ void MultiEmbeddingModel::FoldQueries(QuerySide side, RelationId relation,
   }
 }
 
-void MultiEmbeddingModel::ScoreAllTails(EntityId head, RelationId relation,
-                                        std::span<float> out) const {
+void MultiEmbeddingModel::ScoreAll(QuerySide side, EntityId anchor,
+                                   RelationId relation,
+                                   std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
   // Fold once into per-thread scratch, then one tiled matrix-vector
   // product over the whole entity table (rows are contiguous in the
   // parameter block). Zero heap allocations at steady state.
-  DotBatch(FoldOne(QuerySide::kTail, head, relation),
-           entities_.block().Flat(), out);
+  DotBatch(FoldOne(side, anchor, relation), entities_.block().Flat(), out);
 }
 
-void MultiEmbeddingModel::ScoreAllHeads(EntityId tail, RelationId relation,
-                                        std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  DotBatch(FoldOne(QuerySide::kHead, tail, relation),
-           entities_.block().Flat(), out);
-}
-
-void MultiEmbeddingModel::ScoreTailBatch(EntityId head, RelationId relation,
-                                         std::span<const EntityId> tails,
-                                         std::span<float> out) const {
-  KGE_CHECK(out.size() == tails.size());
+void MultiEmbeddingModel::ScoreCandidates(
+    QuerySide side, EntityId anchor, RelationId relation,
+    std::span<const EntityId> candidates, std::span<float> out) const {
+  KGE_CHECK(out.size() == candidates.size());
   // Candidate rows are scored in place in the entity table via the
   // id-indirected kernel — no per-call gather copy.
-  DotBatchIndexed(FoldOne(QuerySide::kTail, head, relation),
-                  entities_.block().Flat(), tails, out);
-}
-
-void MultiEmbeddingModel::ScoreHeadBatch(EntityId tail, RelationId relation,
-                                         std::span<const EntityId> heads,
-                                         std::span<float> out) const {
-  KGE_CHECK(out.size() == heads.size());
-  DotBatchIndexed(FoldOne(QuerySide::kHead, tail, relation),
-                  entities_.block().Flat(), heads, out);
+  DotBatchIndexed(FoldOne(side, anchor, relation), entities_.block().Flat(),
+                  candidates, out);
 }
 
 namespace {

@@ -35,24 +35,17 @@ class MultiEmbeddingModel : public KgeModel {
 
   double Score(const Triple& triple) const override;
   KGE_HOT_NOALLOC
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override;
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override;
+  // Batched candidate scoring: fold the fixed (anchor, r) context once,
+  // then score the candidates straight out of the entity table with the
+  // id-indirected kernel (simd::DotBatchIndexed) — no copy of the
+  // candidate rows. Each score is exactly float(Dot(fold, candidate))
+  // — the same value ScoreAll computes for that entity.
   KGE_HOT_NOALLOC
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override;
-  // Batched candidate scoring: fold the fixed (h, r) / (t, r) context
-  // once, then score the candidates straight out of the entity table
-  // with the id-indirected kernel (simd::DotBatchIndexed) — no copy of
-  // the candidate rows. Each score is exactly float(Dot(fold, candidate))
-  // — the same value ScoreAllTails/Heads computes for that entity.
-  KGE_HOT_NOALLOC
-  void ScoreTailBatch(EntityId head, RelationId relation,
-                      std::span<const EntityId> tails,
-                      std::span<float> out) const override;
-  KGE_HOT_NOALLOC
-  void ScoreHeadBatch(EntityId tail, RelationId relation,
-                      std::span<const EntityId> heads,
-                      std::span<float> out) const override;
+  void ScoreCandidates(QuerySide side, EntityId anchor, RelationId relation,
+                       std::span<const EntityId> candidates,
+                       std::span<float> out) const override;
   // Every score is Dot(fold, candidate row): the fold is ω-weighted
   // products of the anchor's and relation's vectors (FoldForTail /
   // FoldForHead), ne · dim floats wide.

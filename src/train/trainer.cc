@@ -113,12 +113,12 @@ void Trainer::ProcessRange(const std::vector<Triple>& train_triples,
   // Per-thread scratch: each container grows to its high-water mark once
   // per thread, so the steady-state inner loop performs zero heap
   // allocations.
-  static thread_local std::vector<EntityId> tail_ids;
-  static thread_local std::vector<EntityId> head_ids;
-  // Per negative: (group slot << 1) | (1 iff head-side).
+  // Indexed by QuerySide (kTail = 0, kHead = 1): one positive's
+  // candidates on that side and their scores.
+  static thread_local std::vector<EntityId> candidate_ids[2];
+  static thread_local std::vector<float> candidate_scores_buf[2];
+  // Per negative: (slot among its side's candidates << 1) | its side.
   static thread_local std::vector<uint32_t> negative_slot;
-  static thread_local std::vector<float> tail_scores_buf;
-  static thread_local std::vector<float> head_scores_buf;
   static thread_local std::vector<double> adv_logits_buf;
   static thread_local std::vector<double> adv_weights_buf;
   static thread_local std::vector<std::pair<size_t, int64_t>> reg_rows;
@@ -153,39 +153,32 @@ void Trainer::ProcessRange(const std::vector<Triple>& train_triples,
     // candidate 0.
     const std::span<const Triple> negs = negatives.subspan(
         (i - begin) * negatives_per_positive, negatives_per_positive);
-    tail_ids.clear();
-    head_ids.clear();
+    for (std::vector<EntityId>& ids : candidate_ids) ids.clear();
     negative_slot.clear();
     // kge-hotpath: allow(reused thread_local buffers; num_negatives high-water)
-    tail_ids.push_back(positive.tail);
+    candidate_ids[0].push_back(positive.tail);
     for (const Triple& negative : negs) {
-      if (negative.head == positive.head) {
-        // kge-hotpath: allow(reused thread_local buffers; num_negatives high-water)
-        negative_slot.push_back(uint32_t(tail_ids.size()) << 1);
-        // kge-hotpath: allow(reused thread_local buffers; num_negatives high-water)
-        tail_ids.push_back(negative.tail);
-      } else {
-        // kge-hotpath: allow(reused thread_local buffers; num_negatives high-water)
-        negative_slot.push_back((uint32_t(head_ids.size()) << 1) | 1u);
-        // kge-hotpath: allow(reused thread_local buffers; num_negatives high-water)
-        head_ids.push_back(negative.head);
-      }
+      const QuerySide side = negative.head == positive.head ? QuerySide::kTail
+                                                            : QuerySide::kHead;
+      std::vector<EntityId>& ids = candidate_ids[size_t(side)];
+      // kge-hotpath: allow(reused thread_local buffers; num_negatives high-water)
+      negative_slot.push_back((uint32_t(ids.size()) << 1) | uint32_t(side));
+      // kge-hotpath: allow(reused thread_local buffers; num_negatives high-water)
+      ids.push_back(AnswerOf(side, negative));
     }
-    const std::span<float> tail_scores =
-        ScratchSpan(tail_scores_buf, tail_ids.size());
-    model_->ScoreTailBatch(positive.head, positive.relation, tail_ids,
-                           tail_scores);
-    const std::span<float> head_scores =
-        ScratchSpan(head_scores_buf, head_ids.size());
-    if (!head_ids.empty()) {
-      model_->ScoreHeadBatch(positive.tail, positive.relation, head_ids,
-                             head_scores);
+    std::span<float> scores[2];
+    for (const QuerySide side : {QuerySide::kTail, QuerySide::kHead}) {
+      const std::vector<EntityId>& ids = candidate_ids[size_t(side)];
+      scores[size_t(side)] =
+          ScratchSpan(candidate_scores_buf[size_t(side)], ids.size());
+      if (ids.empty()) continue;
+      model_->ScoreCandidates(side, AnchorOf(side, positive),
+                              positive.relation, ids, scores[size_t(side)]);
     }
-    const double positive_score = double(tail_scores[0]);
+    const double positive_score = double(scores[0][0]);
     auto negative_score = [&](size_t n) {
       const uint32_t slot = negative_slot[n];
-      return double((slot & 1u) ? head_scores[slot >> 1]
-                                : tail_scores[slot >> 1]);
+      return double(scores[slot & 1u][slot >> 1]);
     };
 
     if (options_.loss == LossKind::kLogistic) {

@@ -17,7 +17,7 @@
 //
 // Virtual methods: annotating the base declaration is sufficient — the
 // analyzer treats every same-named override as a root too, so a new
-// model's ScoreAll* overrides inherit the contract automatically. The
+// model's ScoreAll overrides inherit the contract automatically. The
 // overrides in this tree are annotated anyway, as documentation.
 //
 // Escape hatch: a violation that is intentional (e.g. the cold-start

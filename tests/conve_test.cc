@@ -38,7 +38,7 @@ TEST(ConvETest, RejectsNonFactoringGrid) {
 TEST(ConvETest, ScoreAllTailsAgreesWithScore) {
   auto model = MakeConvE(kEntities, kRelations, SmallOptions(), kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllTails(1, 2, scores);
+  model->ScoreAll(QuerySide::kTail, 1, 2, scores);
   for (EntityId t = 0; t < kEntities; ++t) {
     EXPECT_NEAR(scores[size_t(t)], model->Score({1, t, 2}), 1e-5);
   }
@@ -47,7 +47,7 @@ TEST(ConvETest, ScoreAllTailsAgreesWithScore) {
 TEST(ConvETest, ScoreAllHeadsAgreesWithScore) {
   auto model = MakeConvE(kEntities, kRelations, SmallOptions(), kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllHeads(7, 0, scores);
+  model->ScoreAll(QuerySide::kHead, 7, 0, scores);
   for (EntityId h = 0; h < kEntities; ++h) {
     EXPECT_NEAR(scores[size_t(h)], model->Score({h, 7, 0}), 1e-5);
   }

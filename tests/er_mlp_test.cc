@@ -108,7 +108,7 @@ TEST(ErMlpTest, ShapeAndBlocks) {
 TEST(ErMlpTest, ScoreAllTailsAgreesWithScore) {
   auto model = MakeErMlp(kEntities, kRelations, kDim, kHidden, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllTails(1, 2, scores);
+  model->ScoreAll(QuerySide::kTail, 1, 2, scores);
   for (EntityId t = 0; t < kEntities; ++t) {
     EXPECT_NEAR(scores[size_t(t)], model->Score({1, t, 2}), 1e-5);
   }
@@ -117,7 +117,7 @@ TEST(ErMlpTest, ScoreAllTailsAgreesWithScore) {
 TEST(ErMlpTest, ScoreAllHeadsAgreesWithScore) {
   auto model = MakeErMlp(kEntities, kRelations, kDim, kHidden, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllHeads(6, 1, scores);
+  model->ScoreAll(QuerySide::kHead, 6, 1, scores);
   for (EntityId h = 0; h < kEntities; ++h) {
     EXPECT_NEAR(scores[size_t(h)], model->Score({h, 6, 1}), 1e-5);
   }

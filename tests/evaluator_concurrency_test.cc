@@ -206,18 +206,11 @@ class NaiveReferenceModel : public KgeModel {
     return score;
   }
 
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
-    NaiveFold(base_->entity_store().Of(head),
-              base_->relation_store().Of(relation), /*fold_for_tail=*/true,
-              out);
-  }
-
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override {
-    NaiveFold(base_->entity_store().Of(tail),
-              base_->relation_store().Of(relation), /*fold_for_tail=*/false,
-              out);
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override {
+    NaiveFold(base_->entity_store().Of(anchor),
+              base_->relation_store().Of(relation),
+              /*fold_for_tail=*/side == QuerySide::kTail, out);
   }
 
   std::vector<ParameterBlock*> Blocks() override { return {}; }

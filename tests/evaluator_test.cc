@@ -28,16 +28,10 @@ class FakeModel : public KgeModel {
 
   double Score(const Triple& triple) const override { return score_(triple); }
 
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId t = 0; t < num_entities_; ++t) {
-      out[size_t(t)] = float(score_({head, t, relation}));
-    }
-  }
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId h = 0; h < num_entities_; ++h) {
-      out[size_t(h)] = float(score_({h, tail, relation}));
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override {
+    for (EntityId e = 0; e < num_entities_; ++e) {
+      out[size_t(e)] = float(score_(QueryTriple(side, anchor, relation, e)));
     }
   }
 
@@ -188,10 +182,12 @@ TEST_F(EvaluatorTest, FilteringRemovesKnownCompetitors) {
   Evaluator evaluator(&filter_, 1);
 
   std::vector<float> scores(kEntities);
-  model.ScoreAllTails(0, 0, scores);
-  EXPECT_DOUBLE_EQ(evaluator.RankTail({0, 2, 0}, scores, /*filtered=*/false),
+  model.ScoreAll(QuerySide::kTail, 0, 0, scores);
+  EXPECT_DOUBLE_EQ(evaluator.Rank(QuerySide::kTail, {0, 2, 0}, scores,
+                                  /*filtered=*/false),
                    2.0);
-  EXPECT_DOUBLE_EQ(evaluator.RankTail({0, 2, 0}, scores, /*filtered=*/true),
+  EXPECT_DOUBLE_EQ(evaluator.Rank(QuerySide::kTail, {0, 2, 0}, scores,
+                                  /*filtered=*/true),
                    1.0);
 }
 
@@ -203,9 +199,11 @@ TEST_F(EvaluatorTest, RankHeadMirrorsRankTail) {
   });
   Evaluator evaluator(&filter_, 1);
   std::vector<float> scores(kEntities);
-  model.ScoreAllHeads(2, 0, scores);
-  EXPECT_DOUBLE_EQ(evaluator.RankHead({0, 2, 0}, scores, false), 2.0);
-  EXPECT_DOUBLE_EQ(evaluator.RankHead({0, 2, 0}, scores, true), 1.0);
+  model.ScoreAll(QuerySide::kHead, 2, 0, scores);
+  EXPECT_DOUBLE_EQ(
+      evaluator.Rank(QuerySide::kHead, {0, 2, 0}, scores, false), 2.0);
+  EXPECT_DOUBLE_EQ(evaluator.Rank(QuerySide::kHead, {0, 2, 0}, scores, true),
+                   1.0);
 }
 
 TEST_F(EvaluatorTest, CandidateCountsReflectFiltering) {
@@ -213,11 +211,16 @@ TEST_F(EvaluatorTest, CandidateCountsReflectFiltering) {
   // Test triple (0, 2, 0): known tails of (0, ?, 0) are {1, 2}
   // (train (0,1,0) and test (0,2,0)); with 10 entities the candidates
   // are 10 - 2 + 1 = 9 filtered, 10 raw.
-  EXPECT_EQ(evaluator.CountTailCandidates({0, 2, 0}, kEntities, true), 9u);
-  EXPECT_EQ(evaluator.CountTailCandidates({0, 2, 0}, kEntities, false),
-            10u);
+  EXPECT_EQ(
+      evaluator.CountCandidates(QuerySide::kTail, {0, 2, 0}, kEntities, true),
+      9u);
+  EXPECT_EQ(
+      evaluator.CountCandidates(QuerySide::kTail, {0, 2, 0}, kEntities, false),
+      10u);
   // Head direction: known heads of (?, 2, 0) are {1, 0}.
-  EXPECT_EQ(evaluator.CountHeadCandidates({0, 2, 0}, kEntities, true), 9u);
+  EXPECT_EQ(
+      evaluator.CountCandidates(QuerySide::kHead, {0, 2, 0}, kEntities, true),
+      9u);
 }
 
 TEST_F(EvaluatorTest, PerfectModelHasAmriOne) {
@@ -294,8 +297,8 @@ TEST_F(EvaluatorTest, BruteForceRankAgreement) {
   Evaluator evaluator(&filter_, 1);
   for (const Triple& triple : train_) {
     std::vector<float> scores(kEntities);
-    model.ScoreAllTails(triple.head, triple.relation, scores);
-    const double rank = evaluator.RankTail(triple, scores, true);
+    model.ScoreAll(QuerySide::kTail, triple.head, triple.relation, scores);
+    const double rank = evaluator.Rank(QuerySide::kTail, triple, scores, true);
 
     double brute = 1.0;
     const float true_score = scores[size_t(triple.tail)];

@@ -7,6 +7,33 @@
 namespace kge {
 namespace {
 
+TEST(TripleTest, ComparisonAndHash) {
+  const Triple a{1, 2, 3};
+  const Triple b{1, 2, 3};
+  const Triple c{1, 2, 4};
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_LT(a, c);
+  TripleHash hash;
+  EXPECT_EQ(hash(a), hash(b));
+  EXPECT_NE(hash(a), hash(c));  // overwhelmingly likely
+}
+
+TEST(TripleTest, QuerySideHelpersPickTheQueryEnds) {
+  const Triple triple{4, 9, 2};
+  EXPECT_EQ(AnchorOf(QuerySide::kTail, triple), 4);
+  EXPECT_EQ(AnswerOf(QuerySide::kTail, triple), 9);
+  EXPECT_EQ(AnchorOf(QuerySide::kHead, triple), 9);
+  EXPECT_EQ(AnswerOf(QuerySide::kHead, triple), 4);
+  for (const QuerySide side : {QuerySide::kTail, QuerySide::kHead}) {
+    EXPECT_EQ(QueryTriple(side, AnchorOf(side, triple), triple.relation,
+                          AnswerOf(side, triple)),
+              triple);
+  }
+  EXPECT_EQ(QueryTriple(QuerySide::kTail, 4, 2, 7), (Triple{4, 7, 2}));
+  EXPECT_EQ(QueryTriple(QuerySide::kHead, 4, 2, 7), (Triple{7, 4, 2}));
+}
+
 class FilterIndexTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -29,7 +56,7 @@ TEST_F(FilterIndexTest, ContainsTriplesFromAllSplits) {
 }
 
 TEST_F(FilterIndexTest, KnownTailsAreSortedAndComplete) {
-  const auto tails = index_.KnownTails(0, 0);
+  const auto tails = index_.Known(QuerySide::kTail, 0, 0);
   ASSERT_EQ(tails.size(), 3u);
   EXPECT_TRUE(std::is_sorted(tails.begin(), tails.end()));
   EXPECT_EQ(tails[0], 1);
@@ -38,18 +65,18 @@ TEST_F(FilterIndexTest, KnownTailsAreSortedAndComplete) {
 }
 
 TEST_F(FilterIndexTest, KnownHeadsAreComplete) {
-  const auto heads = index_.KnownHeads(2, 0);
+  const auto heads = index_.Known(QuerySide::kHead, 2, 0);
   ASSERT_EQ(heads.size(), 1u);
   EXPECT_EQ(heads[0], 0);
-  const auto heads_r1 = index_.KnownHeads(1, 1);
+  const auto heads_r1 = index_.Known(QuerySide::kHead, 1, 1);
   ASSERT_EQ(heads_r1.size(), 1u);
   EXPECT_EQ(heads_r1[0], 2);
 }
 
 TEST_F(FilterIndexTest, UnknownKeysGiveEmptySpans) {
-  EXPECT_TRUE(index_.KnownTails(7, 0).empty());
-  EXPECT_TRUE(index_.KnownTails(0, 9).empty());
-  EXPECT_TRUE(index_.KnownHeads(9, 9).empty());
+  EXPECT_TRUE(index_.Known(QuerySide::kTail, 7, 0).empty());
+  EXPECT_TRUE(index_.Known(QuerySide::kTail, 0, 9).empty());
+  EXPECT_TRUE(index_.Known(QuerySide::kHead, 9, 9).empty());
 }
 
 TEST_F(FilterIndexTest, NumTriplesCountsAllSplits) {
@@ -62,7 +89,7 @@ TEST(FilterIndexDedupeTest, DuplicatesAcrossSplitsAreDeduped) {
   const std::vector<Triple> test = {};
   FilterIndex index;
   index.Build(train, valid, test);
-  EXPECT_EQ(index.KnownTails(0, 0).size(), 1u);
+  EXPECT_EQ(index.Known(QuerySide::kTail, 0, 0).size(), 1u);
 }
 
 TEST(FilterIndexRebuildTest, BuildReplacesPreviousContents) {

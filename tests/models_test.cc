@@ -70,7 +70,7 @@ TEST(ModelsTest, MatchedBudgetComparison) {
 TEST(ModelsTest, ScoreAllTailsAgreesWithScore) {
   for (const auto& model : AllModels()) {
     std::vector<float> scores(kEntities);
-    model->ScoreAllTails(3, 1, scores);
+    model->ScoreAll(QuerySide::kTail, 3, 1, scores);
     for (EntityId t = 0; t < kEntities; ++t) {
       EXPECT_NEAR(scores[size_t(t)], model->Score({3, t, 1}), 1e-4)
           << model->name() << " tail " << t;
@@ -81,7 +81,7 @@ TEST(ModelsTest, ScoreAllTailsAgreesWithScore) {
 TEST(ModelsTest, ScoreAllHeadsAgreesWithScore) {
   for (const auto& model : AllModels()) {
     std::vector<float> scores(kEntities);
-    model->ScoreAllHeads(5, 2, scores);
+    model->ScoreAll(QuerySide::kHead, 5, 2, scores);
     for (EntityId h = 0; h < kEntities; ++h) {
       EXPECT_NEAR(scores[size_t(h)], model->Score({h, 5, 2}), 1e-4)
           << model->name() << " head " << h;

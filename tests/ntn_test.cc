@@ -52,7 +52,7 @@ TEST(NtnTest, ScoreMatchesManualFormula) {
 TEST(NtnTest, ScoreAllTailsAgreesWithScore) {
   auto model = MakeNtn(kEntities, kRelations, kDim, kSlices, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllTails(2, 1, scores);
+  model->ScoreAll(QuerySide::kTail, 2, 1, scores);
   for (EntityId t = 0; t < kEntities; ++t) {
     EXPECT_NEAR(scores[size_t(t)], model->Score({2, t, 1}), 1e-5);
   }
@@ -61,7 +61,7 @@ TEST(NtnTest, ScoreAllTailsAgreesWithScore) {
 TEST(NtnTest, ScoreAllHeadsAgreesWithScore) {
   auto model = MakeNtn(kEntities, kRelations, kDim, kSlices, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllHeads(9, 0, scores);
+  model->ScoreAll(QuerySide::kHead, 9, 0, scores);
   for (EntityId h = 0; h < kEntities; ++h) {
     EXPECT_NEAR(scores[size_t(h)], model->Score({h, 9, 0}), 1e-5);
   }

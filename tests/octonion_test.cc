@@ -191,7 +191,7 @@ TEST(OctonionModelTest, ModelConstructsAndRanksConsistently) {
   auto model = MakeOctonionModel(15, 3, 4, 9);
   EXPECT_EQ(model->name(), "Octonion");
   std::vector<float> scores(15);
-  model->ScoreAllTails(2, 1, scores);
+  model->ScoreAll(QuerySide::kTail, 2, 1, scores);
   for (EntityId t = 0; t < 15; ++t) {
     EXPECT_NEAR(scores[size_t(t)], model->Score({2, t, 1}), 1e-4);
   }

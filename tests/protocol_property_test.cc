@@ -27,16 +27,10 @@ class RandomScoreModel : public KgeModel {
                  (uint64_t(uint32_t(t.tail)) << 16) ^ uint32_t(t.relation);
     return double(SplitMix64Next(&x) >> 11) * 0x1.0p-53;
   }
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId t = 0; t < num_entities_; ++t) {
-      out[size_t(t)] = float(Score({head, t, relation}));
-    }
-  }
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId h = 0; h < num_entities_; ++h) {
-      out[size_t(h)] = float(Score({h, tail, relation}));
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override {
+    for (EntityId e = 0; e < num_entities_; ++e) {
+      out[size_t(e)] = float(Score(QueryTriple(side, anchor, relation, e)));
     }
   }
   std::vector<ParameterBlock*> Blocks() override { return {}; }
@@ -77,12 +71,12 @@ TEST_P(ProtocolPropertyTest, FilteredRankNeverWorseThanRaw) {
   Evaluator evaluator(&filter_, 4);
   std::vector<float> scores(kEntities);
   for (const Triple& triple : test_) {
-    model.ScoreAllTails(triple.head, triple.relation, scores);
-    EXPECT_LE(evaluator.RankTail(triple, scores, true),
-              evaluator.RankTail(triple, scores, false));
-    model.ScoreAllHeads(triple.tail, triple.relation, scores);
-    EXPECT_LE(evaluator.RankHead(triple, scores, true),
-              evaluator.RankHead(triple, scores, false));
+    model.ScoreAll(QuerySide::kTail, triple.head, triple.relation, scores);
+    EXPECT_LE(evaluator.Rank(QuerySide::kTail, triple, scores, true),
+              evaluator.Rank(QuerySide::kTail, triple, scores, false));
+    model.ScoreAll(QuerySide::kHead, triple.tail, triple.relation, scores);
+    EXPECT_LE(evaluator.Rank(QuerySide::kHead, triple, scores, true),
+              evaluator.Rank(QuerySide::kHead, triple, scores, false));
   }
 }
 
@@ -91,8 +85,8 @@ TEST_P(ProtocolPropertyTest, RanksAreWithinBounds) {
   Evaluator evaluator(&filter_, 4);
   std::vector<float> scores(kEntities);
   for (const Triple& triple : test_) {
-    model.ScoreAllTails(triple.head, triple.relation, scores);
-    const double rank = evaluator.RankTail(triple, scores, true);
+    model.ScoreAll(QuerySide::kTail, triple.head, triple.relation, scores);
+    const double rank = evaluator.Rank(QuerySide::kTail, triple, scores, true);
     EXPECT_GE(rank, 1.0);
     EXPECT_LE(rank, double(kEntities));
   }
@@ -133,12 +127,12 @@ TEST_P(ProtocolPropertyTest, MonotoneScoreTransformPreservesRanks) {
   std::vector<float> scores(kEntities);
   std::vector<float> transformed(kEntities);
   for (const Triple& triple : test_) {
-    model.ScoreAllTails(triple.head, triple.relation, scores);
+    model.ScoreAll(QuerySide::kTail, triple.head, triple.relation, scores);
     for (int32_t e = 0; e < kEntities; ++e) {
       transformed[size_t(e)] = 2.0f * scores[size_t(e)] + 1.0f;
     }
-    EXPECT_EQ(evaluator.RankTail(triple, scores, true),
-              evaluator.RankTail(triple, transformed, true));
+    EXPECT_EQ(evaluator.Rank(QuerySide::kTail, triple, scores, true),
+              evaluator.Rank(QuerySide::kTail, triple, transformed, true));
   }
 }
 

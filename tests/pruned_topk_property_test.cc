@@ -13,8 +13,8 @@
 // cases: per-query k and exclusions, truths inside and outside their
 // own exclusions, duplicate anchors in one batch, all-tied scores,
 // fewer survivors than k, and more lanes than tiles. Evaluate, which
-// ranks through the rank sink, is checked against Evaluator::RankTail /
-// RankHead on the oracle's rows.
+// ranks through the rank sink, is checked against Evaluator::Rank on
+// the oracle's rows.
 //
 // Also runs under ASan/UBSan and TSan in CI (tests are built per
 // sanitizer), which checks the PrepareForPrunedScoring -> concurrent
@@ -635,7 +635,7 @@ void ExpectSameMetrics(const RankingMetrics& expect, const RankingMetrics& got,
 
 TEST(PrunedTopKProperty, EvaluatorMatchesReferenceRanksEverywhere) {
   // Evaluate ranks through the walk's rank sink; every triple's rank must
-  // be Evaluator::RankTail/RankHead on the oracle's score rows, and the
+  // be Evaluator::Rank on the oracle's score rows, on both sides, and the
   // metrics overall and per relation exactly the reference accumulation,
   // at every batch size, prune setting, thread count and tier.
   const EvalFixture f = MakeEvalFixture();
@@ -647,20 +647,20 @@ TEST(PrunedTopKProperty, EvaluatorMatchesReferenceRanksEverywhere) {
     EvalResult expect;
     expect.per_relation.resize(size_t(f.data.num_relations()));
     for (const Triple& t : triples) {
-      const double tail_rank = evaluator.RankTail(
-          t,
+      const double tail_rank = evaluator.Rank(
+          QuerySide::kTail, t,
           OracleScores(*f.model, QuerySide::kTail, t.relation, t.head,
                        precision),
           /*filtered=*/true);
-      const double head_rank = evaluator.RankHead(
-          t,
+      const double head_rank = evaluator.Rank(
+          QuerySide::kHead, t,
           OracleScores(*f.model, QuerySide::kHead, t.relation, t.tail,
                        precision),
           /*filtered=*/true);
       const size_t tail_cands =
-          evaluator.CountTailCandidates(t, num_entities, true);
+          evaluator.CountCandidates(QuerySide::kTail, t, num_entities, true);
       const size_t head_cands =
-          evaluator.CountHeadCandidates(t, num_entities, true);
+          evaluator.CountCandidates(QuerySide::kHead, t, num_entities, true);
       expect.tail_ranks.push_back(tail_rank);
       expect.head_ranks.push_back(head_rank);
       expect.overall.AddRank(tail_rank, tail_cands);
@@ -725,11 +725,13 @@ TEST(PrunedTopKProperty, EvalResultRanksReproduceMetricsAtEveryTier) {
       for (size_t i = 0; i < result.tail_ranks.size(); ++i) {
         const Triple& t = triples[i * stride];
         replay.AddRank(result.tail_ranks[i],
-                       evaluator.CountTailCandidates(
-                           t, f.data.num_entities(), filtered));
+                       evaluator.CountCandidates(QuerySide::kTail, t,
+                                                 f.data.num_entities(),
+                                                 filtered));
         replay.AddRank(result.head_ranks[i],
-                       evaluator.CountHeadCandidates(
-                           t, f.data.num_entities(), filtered));
+                       evaluator.CountCandidates(QuerySide::kHead, t,
+                                                 f.data.num_entities(),
+                                                 filtered));
       }
       ExpectSameMetrics(result.overall, replay,
                         std::string(ScorePrecisionName(precision)) +

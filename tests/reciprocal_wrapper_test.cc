@@ -32,8 +32,8 @@ TEST(ReciprocalWrapperTest, TailQueriesDelegateUnchanged) {
   auto base = MakeCp(kEntities, 2 * kRelations, 8, 1);
   ReciprocalWrapper wrapper(base.get(), kRelations);
   std::vector<float> base_scores(kEntities), wrapped_scores(kEntities);
-  base->ScoreAllTails(3, 1, base_scores);
-  wrapper.ScoreAllTails(3, 1, wrapped_scores);
+  base->ScoreAll(QuerySide::kTail, 3, 1, base_scores);
+  wrapper.ScoreAll(QuerySide::kTail, 3, 1, wrapped_scores);
   EXPECT_EQ(base_scores, wrapped_scores);
 }
 
@@ -42,8 +42,8 @@ TEST(ReciprocalWrapperTest, HeadQueriesUseAugmentedRelation) {
   ReciprocalWrapper wrapper(base.get(), kRelations);
   std::vector<float> expected(kEntities), actual(kEntities);
   // Head query for relation 1 == tail query for relation 1 + kRelations.
-  base->ScoreAllTails(7, 1 + kRelations, expected);
-  wrapper.ScoreAllHeads(7, 1, actual);
+  base->ScoreAll(QuerySide::kTail, 7, 1 + kRelations, expected);
+  wrapper.ScoreAll(QuerySide::kHead, 7, 1, actual);
   EXPECT_EQ(expected, actual);
 }
 

@@ -41,7 +41,7 @@ TEST(RescalTest, ScoreMatchesNaiveBilinearForm) {
 TEST(RescalTest, ScoreAllTailsAgreesWithScore) {
   auto model = MakeRescal(kEntities, kRelations, kDim, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllTails(3, 2, scores);
+  model->ScoreAll(QuerySide::kTail, 3, 2, scores);
   for (EntityId t = 0; t < kEntities; ++t) {
     EXPECT_NEAR(scores[size_t(t)], model->Score({3, t, 2}), 1e-4);
   }
@@ -50,7 +50,7 @@ TEST(RescalTest, ScoreAllTailsAgreesWithScore) {
 TEST(RescalTest, ScoreAllHeadsAgreesWithScore) {
   auto model = MakeRescal(kEntities, kRelations, kDim, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllHeads(7, 0, scores);
+  model->ScoreAll(QuerySide::kHead, 7, 0, scores);
   for (EntityId h = 0; h < kEntities; ++h) {
     EXPECT_NEAR(scores[size_t(h)], model->Score({h, 7, 0}), 1e-4);
   }

@@ -88,7 +88,7 @@ TEST(RotatETest, CompositionOfRotationsIsPhaseAddition) {
 TEST(RotatETest, ScoreAllTailsAgreesWithScore) {
   auto model = MakeRotatE(kEntities, kRelations, kDim, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllTails(2, 1, scores);
+  model->ScoreAll(QuerySide::kTail, 2, 1, scores);
   for (EntityId t = 0; t < kEntities; ++t) {
     EXPECT_NEAR(scores[size_t(t)], model->Score({2, t, 1}), 1e-4);
   }
@@ -97,7 +97,7 @@ TEST(RotatETest, ScoreAllTailsAgreesWithScore) {
 TEST(RotatETest, ScoreAllHeadsAgreesWithScore) {
   auto model = MakeRotatE(kEntities, kRelations, kDim, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllHeads(6, 3, scores);
+  model->ScoreAll(QuerySide::kHead, 6, 3, scores);
   for (EntityId h = 0; h < kEntities; ++h) {
     EXPECT_NEAR(scores[size_t(h)], model->Score({h, 6, 3}), 1e-4);
   }

@@ -19,16 +19,16 @@ class DescendingModel : public KgeModel {
   int32_t num_entities() const override { return kEntities; }
   int32_t num_relations() const override { return kRelations; }
   double Score(const Triple& t) const override { return -double(t.tail); }
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId t = 0; t < kEntities; ++t)
-      out[size_t(t)] = float(Score({head, t, relation}));
-  }
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId h = 0; h < kEntities; ++h)
-      out[size_t(h)] = float(-h);
-    (void)tail, (void)relation;
+  // Tails score through Score; every head h scores −h, so heads rank by
+  // id too.
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override {
+    for (EntityId e = 0; e < kEntities; ++e) {
+      out[size_t(e)] =
+          side == QuerySide::kTail
+              ? float(Score(QueryTriple(side, anchor, relation, e)))
+              : float(-e);
+    }
   }
   std::vector<ParameterBlock*> Blocks() override { return {}; }
   void AccumulateGradients(const Triple&, float, GradientBuffer*) override {}
@@ -45,11 +45,6 @@ class GroupedTieModel : public DescendingModel {
  public:
   double Score(const Triple& t) const override {
     return -double(t.tail / 4);
-  }
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId t = 0; t < kEntities; ++t)
-      out[size_t(t)] = float(Score({head, t, relation}));
   }
 };
 
@@ -204,6 +199,20 @@ TEST(TopKTest, PredictHeadsUsesHeadScores) {
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].entity, 0);
   EXPECT_EQ(top[1].entity, 1);
+}
+
+TEST(TopKTest, OutOfRangeAnchorOrRelationIsChecked) {
+  DescendingModel model;
+  TopKOptions options;
+  options.k = 3;
+  for (const EntityId anchor : {EntityId(-1), EntityId(kEntities)}) {
+    EXPECT_DEATH(PredictTails(model, anchor, 0, options), "KGE_CHECK");
+    EXPECT_DEATH(PredictHeads(model, anchor, 0, options), "KGE_CHECK");
+  }
+  for (const RelationId relation : {RelationId(-1), RelationId(kRelations)}) {
+    EXPECT_DEATH(PredictTails(model, 0, relation, options), "KGE_CHECK");
+    EXPECT_DEATH(PredictHeads(model, 0, relation, options), "KGE_CHECK");
+  }
 }
 
 TEST(TopKHeapTest, CanSkipBoundAgainstHeapMinimumIsStrict) {

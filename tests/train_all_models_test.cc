@@ -69,7 +69,7 @@ TEST_P(TrainAllModelsTest, RankingPathIsConsistentAfterTraining) {
   ASSERT_TRUE(trainer.Train(*train_, nullptr).ok());
 
   std::vector<float> scores(kEntities);
-  (*model)->ScoreAllTails(1, 0, scores);
+  (*model)->ScoreAll(QuerySide::kTail, 1, 0, scores);
   for (EntityId t = 0; t < kEntities; t += 11) {
     EXPECT_NEAR(scores[size_t(t)], (*model)->Score({1, t, 0}), 1e-3)
         << GetParam();

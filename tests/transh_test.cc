@@ -57,7 +57,7 @@ TEST(TransHTest, PerfectProjectedTranslationScoresZero) {
 TEST(TransHTest, ScoreAllTailsAgreesWithScore) {
   auto model = MakeTransH(kEntities, kRelations, kDim, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllTails(2, 1, scores);
+  model->ScoreAll(QuerySide::kTail, 2, 1, scores);
   for (EntityId t = 0; t < kEntities; ++t) {
     EXPECT_NEAR(scores[size_t(t)], model->Score({2, t, 1}), 1e-4);
   }
@@ -66,7 +66,7 @@ TEST(TransHTest, ScoreAllTailsAgreesWithScore) {
 TEST(TransHTest, ScoreAllHeadsAgreesWithScore) {
   auto model = MakeTransH(kEntities, kRelations, kDim, kSeed);
   std::vector<float> scores(kEntities);
-  model->ScoreAllHeads(4, 0, scores);
+  model->ScoreAll(QuerySide::kHead, 4, 0, scores);
   for (EntityId h = 0; h < kEntities; ++h) {
     EXPECT_NEAR(scores[size_t(h)], model->Score({h, 4, 0}), 1e-4);
   }

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "kg/filter_index.h"
 #include "kg/relation_analysis.h"
-#include "kg/triple_store.h"
 
 namespace kge {
 namespace {
@@ -200,7 +200,8 @@ TEST(WordNetLikeDeterminismTest, InverseLeakageAcrossSplitExists) {
   options.num_entities = 600;
   options.seed = 3;
   const Dataset dataset = GenerateWordNetLike(options);
-  TripleStore train_store(dataset.train);
+  FilterIndex train_index;
+  train_index.Build(dataset.train, {}, {});
   size_t inverse_pairs = 0, leaked = 0;
   auto inverse_of = [](RelationId r) -> RelationId {
     switch (r) {
@@ -217,7 +218,7 @@ TEST(WordNetLikeDeterminismTest, InverseLeakageAcrossSplitExists) {
     const RelationId inv = inverse_of(t.relation);
     if (inv < 0) continue;
     ++inverse_pairs;
-    leaked += train_store.Contains({t.tail, t.head, inv});
+    leaked += train_index.Contains({t.tail, t.head, inv});
   }
   ASSERT_GT(inverse_pairs, 10u);
   EXPECT_GT(double(leaked) / double(inverse_pairs), 0.8);

@@ -263,9 +263,11 @@ int Run(int argc, char** argv) {
   server.Stop();  // drains the batcher too
   const BatcherStatsView bstats = batcher.stats();
   const CheckpointWatcher::StatsView wstats = watcher.stats();
+  const KgeServer::StatsView sstats = server.stats();
   std::printf(
       "kge_serve: served=%llu shed=%llu expired=%llu invalid=%llu "
-      "batches=%llu swaps=%llu quarantines=%llu tiles_skipped=%llu/%llu\n",
+      "batches=%llu swaps=%llu quarantines=%llu tiles_skipped=%llu/%llu "
+      "accepted=%llu rejected=%llu protocol_errors=%llu\n",
       static_cast<unsigned long long>(bstats.completed),
       static_cast<unsigned long long>(bstats.shed),
       static_cast<unsigned long long>(bstats.expired),
@@ -274,7 +276,10 @@ int Run(int argc, char** argv) {
       static_cast<unsigned long long>(wstats.swaps),
       static_cast<unsigned long long>(wstats.quarantines),
       static_cast<unsigned long long>(bstats.tiles_skipped),
-      static_cast<unsigned long long>(bstats.tiles_total));
+      static_cast<unsigned long long>(bstats.tiles_total),
+      static_cast<unsigned long long>(sstats.accepted),
+      static_cast<unsigned long long>(sstats.rejected),
+      static_cast<unsigned long long>(sstats.protocol_errors));
   return 0;
 }
 
